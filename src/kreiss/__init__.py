@@ -90,6 +90,7 @@ from .solver import (  # noqa: F401
     KreissResult,
     SolveStatus,
     TraceEntry,
+    certify,
     compute_kreiss,
     default_start,
     solve_owr,

@@ -10,11 +10,16 @@ Three tests over the right half-plane domain of g(x, y):
   i.e. the pair (x, y), (beta*x, y)) with the same lower-bound semantics.
 
 Each test computes the positive real eigenvalues of a 4n^2 pencil built
-from two Kronecker-structured Sylvester forms, then runs a cheap 1D
-vertical eigenvalue test on every candidate line.  Detected points are
-only reported after direct SVD verification that gamma really is a
-singular value there, which keeps the certificate sound regardless of how
-the candidate eigenvalues were obtained.
+from two Kronecker-structured Sylvester forms (dense QZ, or the opt-in
+divide-and-conquer sweep of ``dnc``, which never builds the pencil), then
+runs a cheap 1D vertical eigenvalue test on every candidate line.
+
+The 1D stage after the large eigenproblem is shared with the discrete-time
+tests of ``cert_dt``: ``_polish`` Newton-polishes a level-set point along
+the vertical line Re z = x or the circle |z| = r, and ``_collect_points``
+reports a point only after ``_verify_point`` confirmed by a direct SVD that
+gamma really is a singular value there, which keeps the certificate sound
+regardless of how the candidate eigenvalues were obtained.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from . import objective
+from . import dnc, objective
 from .errors import SingularDError
 from .matio import MatrixProblem, TimeDomain
 
@@ -54,8 +59,6 @@ CAPTURE_FACTOR = 100.0
 LINE_DEDUP_ATOL = 1e-12
 # verification: some singular value must match gamma to this times ||A||
 VERIFY_RTOL = 1e-8
-# per-candidate-line 1D tests are independent; >1 enables a thread pool
-WORKERS = 1
 
 
 def _capture_band_rel(strict_rel, eta):
@@ -124,8 +127,7 @@ def _hamiltonian_vertical(prob, gamma, x):
     ])
 
 
-def vertical_level_points(prob: MatrixProblem, gamma: float, x: float,
-                          refine: bool = True) -> list[float]:
+def vertical_level_points(prob: MatrixProblem, gamma: float, x: float) -> list[float]:
     """All y with gamma a singular value of G(x, y), via the Hamiltonian test.
 
     gamma is a singular value of G(x, y) iff i*y is an eigenvalue of the
@@ -147,9 +149,7 @@ def vertical_level_points(prob: MatrixProblem, gamma: float, x: float,
     if ys.size == 0:
         return []
     ys = _merge_close(ys, atol=1e-6 * max(1.0, float(np.max(np.abs(ys)))))
-    if refine:
-        ys = [_refine_vertical(prob, gamma, x, y) for y in ys]
-    return list(map(float, ys))
+    return [float(_polish(prob, gamma, x, y, circle=False)) for y in ys]
 
 
 def _merge_close(vals, atol):
@@ -164,41 +164,62 @@ def _merge_close(vals, atol):
     return np.array([np.mean(g) for g in groups])
 
 
-def _sigma_nearest(M, gamma):
-    U, s, Vh = np.linalg.svd(M)
-    j = int(np.argmin(np.abs(s - gamma)))
-    return s[j], U[:, j], Vh[j, :].conj()
+def _polish(prob, gamma, c1, t, circle, steps=25):
+    """Newton-polish t so that the singular value nearest gamma hits gamma.
 
-
-def _refine_vertical(prob, gamma, x, y, steps=25):
-    """Newton-polish y so that the singular value nearest gamma hits gamma."""
-    n = prob.n
-    eye = np.eye(n)
+    The 1D test runs along a curve z(t) at fixed first coordinate c1: the
+    vertical line z = c1 + i t with scale d = c1 (continuous time), or with
+    ``circle`` the circle z = c1 e^{it} with d = c1 - 1 (discrete time).
+    The singular values are those of (z(t) I - A)/d, whose t-derivative is
+    (z'(t)/d) I.  A step longer than 0.5 (0.5 * max(1, |t|) on a line) ends
+    the polish.
+    """
+    eye = np.eye(prob.n)
+    d = c1 - 1.0 if circle else c1
     for _ in range(steps):
-        G = ((x + 1j * y) * eye - prob.A) / x
-        s, u, v = _sigma_nearest(G, gamma)
-        err = s - gamma
+        if circle:
+            z, dz = c1 * np.exp(1j * t), 1j * c1 * np.exp(1j * t)
+        else:
+            z, dz = c1 + 1j * t, 1j
+        U, s, Vh = np.linalg.svd((z * eye - prob.A) / d)
+        j = int(np.argmin(np.abs(s - gamma)))
+        err = s[j] - gamma
         if abs(err) <= 1e-15 * max(1.0, gamma):
             break
-        ds = float(np.real(u.conj() @ ((1j / x) * v)))
+        ds = float(np.real(U[:, j].conj() @ ((dz / d) * Vh[j, :].conj())))
         if abs(ds) < 1e-14:
             break
         step = -err / ds
-        if abs(step) > 0.5 * max(1.0, abs(y)):
+        if abs(step) > (0.5 if circle else 0.5 * max(1.0, abs(t))):
             break
-        y = y + step
-    return y
+        t = t + step
+    return t
 
 
-def _verify_point_ct(prob, gamma, x, y):
-    """Directly confirm gamma is a singular value of G(x, y); return EvalPoint."""
-    pt = objective.g_eval(prob, x, y)
-    if not pt.feasible:
-        return None
-    s = pt._S
-    if np.min(np.abs(s - gamma)) <= VERIFY_RTOL * prob.norm2:
+def _verify_point(prob, gamma, c1, c2):
+    """The objective at (c1, c2) if gamma is directly one of its singular values, else None."""
+    pt = objective.evaluate(prob, c1, c2)
+    if pt.feasible and np.min(np.abs(pt._S - gamma)) <= VERIFY_RTOL * prob.norm2:
         return pt
     return None
+
+
+def _collect_points(prob, level_points, report):
+    """Fill ``report`` with the verified 1D level-set points of its candidates.
+
+    ``level_points(prob, gamma, c1)`` is the 1D test on the line or circle
+    at first coordinate c1 (``vertical_level_points`` or
+    ``cert_dt.circular_level_points``); points failing verification are
+    counted in ``report.rejected_points``.
+    """
+    for c1 in report.candidate_lines:
+        for c2 in level_points(prob, report.gamma, c1):
+            pt = _verify_point(prob, report.gamma, c1, c2)
+            if pt is None:
+                report.rejected_points += 1
+            else:
+                report.points.append(pt)
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -218,9 +239,7 @@ def build_fixed_pencil(prob: MatrixProblem, gamma: float, eta: float,
     may carry level-set points of the pair condition
     g(x, y) = g(x + eta*cos(theta), y + eta*sin(theta)) = gamma.
     """
-    _check_gamma_eta(gamma, eta, allow_zero_eta=True)
-    if not (-np.pi / 2 < theta_orient <= np.pi / 2):
-        raise ValueError("theta_orient must lie in (-pi/2, pi/2]")
+    _check_gamma_eta(gamma, eta, theta_orient)
     n = prob.n
     A = prob.A
     eye = np.eye(n)
@@ -274,18 +293,22 @@ def build_horizontal_pencil(prob: MatrixProblem, gamma: float, eta: float) -> Kr
     return KroneckerPencil(m1, m2, gamma, eta, "variable-horizontal", beta=beta)
 
 
-def _check_gamma_eta(gamma, eta, allow_zero_eta=False):
+def _check_gamma_eta(gamma, eta, theta_orient=None):
+    """Validate a test's level and distance; fixed-distance pairs (with an
+    orientation theta_orient) also allow eta = 0."""
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0, 1); got {gamma}")
-    if eta < 0.0 or (eta == 0.0 and not allow_zero_eta):
+    if eta < 0.0 or (eta == 0.0 and theta_orient is None):
         raise ValueError("eta must be positive")
+    if theta_orient is not None and not (-np.pi / 2 < theta_orient <= np.pi / 2):
+        raise ValueError("theta_orient must lie in (-pi/2, pi/2]")
 
 
 # --------------------------------------------------------------------------
 # real-eigenvalue extraction and the tests themselves
 # --------------------------------------------------------------------------
 
-def _real_positive_eigs_dense(pencil, real_rtol, b2inv_tol=None):
+def _real_positive_eigs_dense(pencil, b2inv_tol=None):
     """Positive real eigenvalues of the pencil via dense QZ.
 
     When ``b2inv_tol`` is given (variable-distance pencils only, where m2
@@ -302,59 +325,26 @@ def _real_positive_eigs_dense(pencil, real_rtol, b2inv_tol=None):
                                        _capture_band_rel(0.0, pencil.eta))
         tol_used = band
     else:
-        rel = _capture_band_rel(real_rtol, pencil.eta)
+        rel = _capture_band_rel(REAL_AXIS_RTOL, pencil.eta)
         keep = np.abs(lam.imag) <= rel * np.maximum(1.0, np.abs(lam.real))
-        tol_used = real_rtol
+        tol_used = REAL_AXIS_RTOL
     xs = lam[keep].real
     xs = xs[xs > LINE_DEDUP_ATOL]
     return np.sort(xs), len(lam), tol_used
 
 
-def _real_positive_eigs_dnc(pencil_builder, op, lo, hi, k_per_shift, seed):
-    from .dnc import real_eigs_in_interval
+def _real_eigs(use_dnc, seed, dense, operator, interval):
+    """(sorted real candidate eigenvalues, eigenproblem order, real-axis tolerance).
 
-    vals = real_eigs_in_interval(op, lo, hi, k_per_shift=k_per_shift, seed=seed)
+    ``dense()`` builds the pencil and runs the dense eigensolver.  Under
+    ``use_dnc`` the divide-and-conquer sweep searches ``interval`` on the
+    implicit ``operator()`` instead, and no dense pencil is built.
+    """
+    if not use_dnc:
+        return dense()
+    op = operator()
+    vals = dnc.real_eigs_in_interval(op, *interval, seed=seed)
     return np.sort(np.asarray(vals, dtype=float)), op.dim, REAL_AXIS_RTOL
-
-
-def _collect_points(prob, gamma, lines):
-    """Run the 1D vertical test on each candidate line; verify what it finds."""
-
-    def one_line(x):
-        pts, rej = [], 0
-        for y in vertical_level_points(prob, gamma, x):
-            pt = _verify_point_ct(prob, gamma, x, y)
-            if pt is None:
-                rej += 1
-            else:
-                pts.append(pt)
-        return pts, rej
-
-    results = _fan_out(one_line, lines, WORKERS)
-    points, rejected = [], 0
-    for pts, rej in results:
-        points.extend(pts)
-        rejected += rej
-    return points, rejected
-
-
-def _fan_out(fn, items, workers):
-    if workers > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _dedupe_lines(xs):
-    if len(xs) == 0:
-        return []
-    merged = [xs[0]]
-    for x in xs[1:]:
-        if x - merged[-1] > LINE_DEDUP_ATOL:
-            merged.append(x)
-    return merged
 
 
 def _augment_with_midpoints(xs, window_rel=0.02):
@@ -373,16 +363,26 @@ def _augment_with_midpoints(xs, window_rel=0.02):
     return sorted(set(xs) | set(extra))
 
 
-def _require_ct(prob):
+def _candidate_lines(xs):
+    """Deduplicated sorted eigenvalues plus the midpoints of near pairs."""
+    return _augment_with_midpoints(dnc._dedupe(list(xs), LINE_DEDUP_ATOL))
+
+
+def _check_ct(prob, gamma, eta, theta_orient=None):
     if prob.time_domain is not TimeDomain.CONTINUOUS:
         raise ValueError("continuous-time certificate needs a continuous-time problem")
+    _check_gamma_eta(gamma, eta, theta_orient)
+
+
+def _dnc_interval(prob, gamma):
+    # sigma_min((x+iy)I - A) >= x - ||A||, so gamma-level points need
+    # x <= ||A||/(1 - gamma): a proven enclosure, no doubling ever needed
+    return 0.0, 1.1 * max(prob.norm2 / (1.0 - gamma), 4.0 * max(prob.norm2, 1.0))
 
 
 def fixed_distance_test(prob: MatrixProblem, gamma: float, eta: float,
                         theta_orient: float = np.pi / 2,
-                        real_rtol: float = REAL_AXIS_RTOL,
-                        use_dnc: bool = False, dnc_interval=None,
-                        k_per_shift: int = 6, seed: int = 0) -> CertificateReport:
+                        use_dnc: bool = False, seed: int = 0) -> CertificateReport:
     """2D level-set test for fixed-distance pairs (backtracking certificate).
 
     Returns every verified level-set point found on the candidate vertical
@@ -390,91 +390,56 @@ def fixed_distance_test(prob: MatrixProblem, gamma: float, eta: float,
     Any returned point witnesses gamma >= 1/K; emptiness carries no bound
     by itself, which is why the backtracking iteration shrinks eta.
     """
-    _require_ct(prob)
-    pencil = build_fixed_pencil(prob, gamma, eta, theta_orient)
-    if use_dnc:
-        from .dnc import op_fixed_ct
-
-        op = op_fixed_ct(prob, gamma, eta, theta_orient)
-        lo, hi = dnc_interval or (0.0, _default_dnc_hi(prob, gamma))
-        xs, count, tol_used = _real_positive_eigs_dnc(None, op, lo, hi, k_per_shift, seed)
-    else:
-        xs, count, tol_used = _real_positive_eigs_dense(pencil, real_rtol)
-    lines = _augment_with_midpoints(_dedupe_lines(list(xs)))
+    _check_ct(prob, gamma, eta, theta_orient)
+    xs, count, tol_used = _real_eigs(
+        use_dnc, seed,
+        lambda: _real_positive_eigs_dense(build_fixed_pencil(prob, gamma, eta, theta_orient)),
+        lambda: dnc.op_fixed_ct(prob, gamma, eta, theta_orient), _dnc_interval(prob, gamma))
+    lines = _candidate_lines(xs)
     if abs(theta_orient) < np.pi / 2 and eta > 0:
         shifted = [x + eta * np.cos(theta_orient) for x in lines]
-        lines = _dedupe_lines(sorted(lines + shifted))
-    points, rejected = _collect_points(prob, gamma, lines)
-    return CertificateReport(
-        gamma=gamma, eta=eta, variant="fixed", candidate_lines=lines,
-        points=points, large_eig_count=count, real_eig_tol_used=tol_used,
-        theta_orient=theta_orient, rejected_points=rejected,
-    )
+        lines = dnc._dedupe(lines + shifted, LINE_DEDUP_ATOL)
+    return _collect_points(prob, vertical_level_points, CertificateReport(
+        gamma, eta, "fixed", lines, large_eig_count=count, real_eig_tol_used=tol_used,
+        theta_orient=theta_orient))
 
 
 def variable_distance_test(prob: MatrixProblem, gamma: float, eta: float,
-                           real_rtol: float = REAL_AXIS_RTOL,
                            b2inv_tol: Optional[float] = None,
-                           use_dnc: bool = False, dnc_interval=None,
-                           k_per_shift: int = 6, seed: int = 0) -> CertificateReport:
+                           use_dnc: bool = False, seed: int = 0) -> CertificateReport:
     """2D level-set test for vertical pairs a variable distance x*eta apart.
 
     An empty report certifies the coordinate-free bound 1/K > gamma - eta/2;
     a nonempty one returns verified points, each witnessing gamma >= 1/K.
     """
-    _require_ct(prob)
-    pencil = build_variable_pencil(prob, gamma, eta)
-    if use_dnc:
-        from .dnc import op_variable_ct
-
-        op = op_variable_ct(prob, gamma, eta)
-        lo, hi = dnc_interval or (0.0, _default_dnc_hi(prob, gamma))
-        xs, count, tol_used = _real_positive_eigs_dnc(None, op, lo, hi, k_per_shift, seed)
-    else:
-        xs, count, tol_used = _real_positive_eigs_dense(pencil, real_rtol, b2inv_tol)
-    lines = _augment_with_midpoints(_dedupe_lines(list(xs)))
-    points, rejected = _collect_points(prob, gamma, lines)
-    return CertificateReport(
-        gamma=gamma, eta=eta, variant="variable-vertical", candidate_lines=lines,
-        points=points, large_eig_count=count, real_eig_tol_used=tol_used,
-        rejected_points=rejected,
-    )
+    _check_ct(prob, gamma, eta)
+    xs, count, tol_used = _real_eigs(
+        use_dnc, seed,
+        lambda: _real_positive_eigs_dense(build_variable_pencil(prob, gamma, eta), b2inv_tol),
+        lambda: dnc.op_variable_ct(prob, gamma, eta), _dnc_interval(prob, gamma))
+    return _collect_points(prob, vertical_level_points, CertificateReport(
+        gamma, eta, "variable-vertical", _candidate_lines(xs), large_eig_count=count,
+        real_eig_tol_used=tol_used))
 
 
 def horizontal_variable_test(prob: MatrixProblem, gamma: float, eta: float,
-                             real_rtol: float = REAL_AXIS_RTOL,
-                             use_dnc: bool = False, dnc_interval=None,
-                             k_per_shift: int = 6, seed: int = 0) -> CertificateReport:
+                             use_dnc: bool = False, seed: int = 0) -> CertificateReport:
     """Horizontal variable-distance test on pairs (x, y), (beta*x, y).
 
     Same lower-bound semantics as the vertical variable-distance test;
     selectable as an alternative backend.
     """
-    _require_ct(prob)
-    pencil = build_horizontal_pencil(prob, gamma, eta)
-    beta = pencil.beta
-    if use_dnc:
-        from .dnc import op_horizontal_ct
-
-        op = op_horizontal_ct(prob, gamma, eta)
-        lo, hi = dnc_interval or (0.0, _default_dnc_hi(prob, gamma))
-        xs, count, tol_used = _real_positive_eigs_dnc(None, op, lo, hi, k_per_shift, seed)
-    else:
-        xs, count, tol_used = _real_positive_eigs_dense(pencil, real_rtol)
-    base = _augment_with_midpoints(_dedupe_lines(list(xs)))
-    lines = _dedupe_lines(sorted(base + [beta * x for x in base]))
-    points, rejected = _collect_points(prob, gamma, lines)
-    return CertificateReport(
-        gamma=gamma, eta=eta, variant="variable-horizontal", candidate_lines=lines,
-        points=points, large_eig_count=count, real_eig_tol_used=tol_used,
-        rejected_points=rejected,
-    )
-
-
-def _default_dnc_hi(prob, gamma):
-    # sigma_min((x+iy)I - A) >= x - ||A||, so gamma-level points need
-    # x <= ||A||/(1 - gamma): a proven enclosure, no doubling ever needed
-    return 1.1 * max(prob.norm2 / (1.0 - gamma), 4.0 * max(prob.norm2, 1.0))
+    _check_ct(prob, gamma, eta)
+    xs, count, tol_used = _real_eigs(
+        use_dnc, seed,
+        lambda: _real_positive_eigs_dense(build_horizontal_pencil(prob, gamma, eta)),
+        lambda: dnc.op_horizontal_ct(prob, gamma, eta), _dnc_interval(prob, gamma))
+    base = _candidate_lines(xs)
+    beta = 1.0 + eta / (1.0 + gamma)
+    lines = dnc._dedupe(base + [beta * x for x in base], LINE_DEDUP_ATOL)
+    return _collect_points(prob, vertical_level_points, CertificateReport(
+        gamma, eta, "variable-horizontal", lines, large_eig_count=count,
+        real_eig_tol_used=tol_used))
 
 
 # --------------------------------------------------------------------------

@@ -6,11 +6,14 @@ h(r, theta) = h(r + eta, theta) = gamma, or a variable distance
 (r - 1) * eta / (1 + gamma) apart, h(r, theta) = h(beta*r + delta, theta)
 = gamma with delta = -eta/(1+gamma) and beta = 1 - delta.  Either pair
 condition leads to a 4n^2 quadratic eigenvalue problem in r, solved here
-through its companion linearization; candidate radii r > 1 are then probed
-by a 1D circular test built on the symplectic pencil of the ray condition,
-and every detected point is verified by a direct SVD before being
-reported.  The empty outcome of the variable-distance test certifies
-1/K > gamma - eta/2.
+through its companion linearization (or by the opt-in divide-and-conquer
+sweep of ``dnc``); candidate radii r > 1 are then probed by a 1D circular
+test built on the symplectic pencil of the ray condition.  Polishing,
+verification by a direct SVD and point collection are the 1D stage shared
+with the continuous-time tests (``cert_ct._polish``, ``_verify_point`` and
+``_collect_points``); this module keeps only the symplectic 1D eigenproblem
+and the clustering of its unimodular eigenvalues.  The empty outcome of the
+variable-distance test certifies 1/K > gamma - eta/2.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from . import objective
+from . import dnc
 from .cert_ct import (CAPTURE_FACTOR, CertificateReport, LINE_DEDUP_ATOL,
-                      REAL_AXIS_RTOL, VERIFY_RTOL, _augment_with_midpoints,
-                      _capture_band_rel, _merge_close)
-from .errors import IllPosedError, SingularPencilError
+                      REAL_AXIS_RTOL, _augment_with_midpoints, _capture_band_rel,
+                      _collect_points, _merge_close, _polish, _real_eigs)
+from .errors import SingularPencilError
 from .linalg import eig_quadratic
 from .matio import MatrixProblem, TimeDomain
 
@@ -44,8 +47,6 @@ UNIMODULAR_ATOL = 1e-8
 RADIUS_MARGIN = 1e-12
 # gamma closer than this (times max(1, ||A||)) to a singular value of A gets nudged
 GAMMA_SV_GUARD = 1e-8
-# per-candidate-circle 1D tests are independent; >1 enables a thread pool
-WORKERS = 1
 
 
 @dataclass
@@ -74,8 +75,7 @@ def _symplectic_pencil(prob, gamma, r):
     return M, N
 
 
-def circular_level_points(prob: MatrixProblem, gamma: float, r: float,
-                          refine: bool = True) -> list[float]:
+def circular_level_points(prob: MatrixProblem, gamma: float, r: float) -> list[float]:
     """All theta in [0, 2*pi) with gamma a singular value of H(r, theta).
 
     gamma is a singular value of H(r, theta) iff e^{i theta} is an
@@ -101,10 +101,8 @@ def circular_level_points(prob: MatrixProblem, gamma: float, r: float,
     lam = lam[np.abs(np.abs(lam) - 1.0) <= CAPTURE_FACTOR * UNIMODULAR_ATOL]
     if lam.size == 0:
         return []
-    thetas = _cluster_on_circle(lam)
-    if refine:
-        thetas = [_refine_circular(prob, gamma, r, t) for t in thetas]
-    return sorted(float(np.mod(t, 2.0 * np.pi)) for t in thetas)
+    return sorted(float(np.mod(_polish(prob, gamma, r, t, circle=True), 2.0 * np.pi))
+                  for t in _cluster_on_circle(lam))
 
 
 def _cluster_on_circle(lam, atol=1e-6):
@@ -122,40 +120,6 @@ def _cluster_on_circle(lam, atol=1e-6):
     if len(groups) > 1 and abs(groups[0][0] - groups[-1][-1]) <= atol:
         groups[0].extend(groups.pop())
     return [float(np.angle(np.mean(g))) for g in groups]
-
-
-def _sigma_nearest(M, gamma):
-    U, s, Vh = np.linalg.svd(M)
-    j = int(np.argmin(np.abs(s - gamma)))
-    return s[j], U[:, j], Vh[j, :].conj()
-
-
-def _refine_circular(prob, gamma, r, theta, steps=25):
-    n = prob.n
-    eye = np.eye(n)
-    for _ in range(steps):
-        H = (r * np.exp(1j * theta) * eye - prob.A) / (r - 1.0)
-        s, u, v = _sigma_nearest(H, gamma)
-        err = s - gamma
-        if abs(err) <= 1e-15 * max(1.0, gamma):
-            break
-        ds = float(np.real(u.conj() @ ((1j * r * np.exp(1j * theta) / (r - 1.0)) * v)))
-        if abs(ds) < 1e-14:
-            break
-        step = -err / ds
-        if abs(step) > 0.5:
-            break
-        theta = theta + step
-    return theta
-
-
-def _verify_point_dt(prob, gamma, r, theta):
-    pt = objective.h_eval(prob, r, theta)
-    if not pt.feasible:
-        return None
-    if np.min(np.abs(pt._S - gamma)) <= VERIFY_RTOL * prob.norm2:
-        return pt
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -242,115 +206,58 @@ def _nudge_gamma(prob, gamma):
 # the radial tests
 # --------------------------------------------------------------------------
 
-def _require_dt(prob):
+def _radial_test(prob, gamma, eta, variant, use_dnc, seed):
+    """The fixed- or variable-distance radial test: candidate radii from
+    the quadratic problem, both circles of each pair probed in 1D."""
     if prob.time_domain is not TimeDomain.DISCRETE:
         raise ValueError("discrete-time certificate needs a discrete-time problem")
-
-
-def _real_radii(pencil, real_rtol, use_dnc, prob, dnc_interval, k_per_shift, seed):
-    if use_dnc:
-        from .dnc import op_quad_dt, real_eigs_in_interval
-
-        op = op_quad_dt(prob, pencil.gamma, pencil.eta, variant=pencil.variant)
-        lo, hi = dnc_interval or (1.0, _default_radius_hi(prob, pencil.gamma))
-        vals = real_eigs_in_interval(op, lo, hi, k_per_shift=k_per_shift, seed=seed)
-        lam = np.asarray(vals, dtype=float)
-        count = op.dim
+    _check_gamma_eta_dt(gamma, eta)
+    gamma, _ = _nudge_gamma(prob, gamma)
+    if variant == "fixed":
+        build, beta, delta = build_quad_pencil_fixed, 1.0, eta
     else:
+        build, delta = build_quad_pencil_variable, -eta / (1.0 + gamma)
+        beta = 1.0 - delta
+
+    def dense():
+        pencil = build(prob, gamma, eta)
         # eta -> 0 drives the pencil toward singularity by design; results
         # are verified by direct SVD downstream, so skip the regularity probe
         spec = eig_quadratic(pencil.q0, pencil.q1, pencil.q2, check_regular=False)
-        lam_c = spec.finite_values
-        rel = _capture_band_rel(real_rtol, pencil.eta)
-        keep = np.abs(lam_c.imag) <= rel * np.maximum(1.0, np.abs(lam_c.real))
-        lam = lam_c[keep].real
-        count = len(spec)
-    lam = lam[lam > 1.0 + RADIUS_MARGIN]
-    if lam.size == 0:
-        return [], count
-    radii = list(_merge_close(np.sort(lam), atol=LINE_DEDUP_ATOL))
-    return _augment_with_midpoints(radii), count
+        lam = spec.finite_values
+        rel = _capture_band_rel(REAL_AXIS_RTOL, eta)
+        keep = np.abs(lam.imag) <= rel * np.maximum(1.0, np.abs(lam.real))
+        return lam[keep].real, len(spec), REAL_AXIS_RTOL
 
-
-def _default_radius_hi(prob, gamma):
     # sigma_min(r e^{i t} I - A) >= r - ||A||, so gamma-level points need
     # gamma (r - 1) >= r - ||A||, i.e. r <= (||A|| - gamma)/(1 - gamma)
-    return 1.0 + 1.1 * max((prob.norm2 - gamma) / (1.0 - gamma),
-                           4.0 * (prob.norm2 + 1.0))
-
-
-def _collect_points_dt(prob, gamma, radii):
-    from .cert_ct import _fan_out
-
-    def one_circle(r):
-        pts, rej = [], 0
-        for theta in circular_level_points(prob, gamma, r):
-            pt = _verify_point_dt(prob, gamma, r, theta)
-            if pt is None:
-                rej += 1
-            else:
-                pts.append(pt)
-        return pts, rej
-
-    points, rejected = [], 0
-    for pts, rej in _fan_out(one_circle, list(radii), WORKERS):
-        points.extend(pts)
-        rejected += rej
-    return points, rejected
+    hi = 1.0 + 1.1 * max((prob.norm2 - gamma) / (1.0 - gamma), 4.0 * (prob.norm2 + 1.0))
+    lam, count, tol_used = _real_eigs(
+        use_dnc, seed, dense, lambda: dnc.op_quad_dt(prob, gamma, eta, variant=variant),
+        (1.0, hi))
+    lam = lam[lam > 1.0 + RADIUS_MARGIN]
+    radii = []
+    if lam.size:
+        radii = _augment_with_midpoints(list(_merge_close(np.sort(lam), atol=LINE_DEDUP_ATOL)))
+    # the partner circle of r is r + eta (fixed) or beta*r + delta (variable)
+    circles = sorted(set(radii) | {beta * r + delta for r in radii})
+    return _collect_points(prob, circular_level_points, CertificateReport(
+        gamma, eta, f"{variant}-dt", circles, large_eig_count=count,
+        real_eig_tol_used=tol_used))
 
 
 def fixed_distance_test_dt(prob: MatrixProblem, gamma: float, eta: float,
-                           real_rtol: float = REAL_AXIS_RTOL,
-                           use_dnc: bool = False, dnc_interval=None,
-                           k_per_shift: int = 6, seed: int = 0) -> CertificateReport:
+                           use_dnc: bool = False, seed: int = 0) -> CertificateReport:
     """Radial fixed-distance level-set test (discrete-time backtracking).
 
     Candidate circles come from the real roots r > 1 of the quadratic
     problem; the circles r and r + eta are both probed.  Any verified point
     witnesses gamma >= 1/K.
     """
-    _require_dt(prob)
-    _check_gamma_eta_dt(gamma, eta)
-    gamma, _ = _nudge_gamma(prob, gamma)
-    pencil = build_quad_pencil_fixed(prob, gamma, eta)
-    try:
-        radii, count = _real_radii(pencil, real_rtol, use_dnc, prob, dnc_interval,
-                                   k_per_shift, seed)
-    except IllPosedError as exc:
-        raise IllPosedError(
-            f"quadratic problem ill posed at gamma={gamma:.6g} "
-            "(gamma coincides with a singular value of A)"
-        ) from exc
-    circles = sorted(set(radii) | {r + eta for r in radii})
-    points, rejected = _collect_points_dt(prob, gamma, circles)
-    return CertificateReport(
-        gamma=gamma, eta=eta, variant="fixed-dt", candidate_lines=list(circles),
-        points=points, large_eig_count=count, real_eig_tol_used=real_rtol,
-        rejected_points=rejected,
-    )
+    return _radial_test(prob, gamma, eta, "fixed", use_dnc, seed)
 
 
 def variable_distance_test_dt(prob: MatrixProblem, gamma: float, eta: float,
-                              real_rtol: float = REAL_AXIS_RTOL,
-                              use_dnc: bool = False, dnc_interval=None,
-                              k_per_shift: int = 6, seed: int = 0) -> CertificateReport:
+                              use_dnc: bool = False, seed: int = 0) -> CertificateReport:
     """Radial variable-distance test; empty certifies 1/K > gamma - eta/2."""
-    _require_dt(prob)
-    _check_gamma_eta_dt(gamma, eta)
-    gamma, _ = _nudge_gamma(prob, gamma)
-    pencil = build_quad_pencil_variable(prob, gamma, eta)
-    try:
-        radii, count = _real_radii(pencil, real_rtol, use_dnc, prob, dnc_interval,
-                                   k_per_shift, seed)
-    except IllPosedError as exc:
-        raise IllPosedError(
-            f"quadratic problem ill posed at gamma={gamma:.6g} "
-            "(gamma coincides with a singular value of A)"
-        ) from exc
-    circles = sorted(set(radii) | {pencil.beta * r + pencil.delta for r in radii})
-    points, rejected = _collect_points_dt(prob, gamma, circles)
-    return CertificateReport(
-        gamma=gamma, eta=eta, variant="variable-dt", candidate_lines=list(circles),
-        points=points, large_eig_count=count, real_eig_tol_used=real_rtol,
-        rejected_points=rejected,
-    )
+    return _radial_test(prob, gamma, eta, "variable", use_dnc, seed)

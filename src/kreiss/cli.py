@@ -3,7 +3,7 @@
 Subcommands
 -----------
 ``kreiss``   compute the Kreiss constant of a matrix file (JSON on stdout)
-``certify``  run one 2D level-set test directly (JSON on stdout)
+``certify``  run one 2D level-set test (``--variant``) directly (JSON on stdout)
 ``curve``    emit grid-approximated pseudospectral ratio-curve data as CSV
 
 Exit codes: 0 success, 1 malformed flags or invalid parameters, 2 unstable
@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import cert_ct, cert_dt, oracle, solver
+from . import oracle, solver
 from .errors import (
     KreissError,
     NotSquareError,
@@ -29,7 +29,7 @@ from .errors import (
     UnstableError,
     ZeroEigenvalueError,
 )
-from .matio import TimeDomain, load_matrix
+from .matio import load_matrix
 from .solver import SolveStatus
 
 SCHEMA_VERSION = 1
@@ -64,8 +64,6 @@ def _add_input_flags(p):
                    help="time domain (required unless the JSON file embeds it)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all randomized internals (default 0)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads for certificate/grid fan-out (0 = all cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--method", choices=("owr-bt", "owr", "trisection", "grid"),
                     default="owr")
     pk.add_argument("--tol", type=float, default=1e-10,
-                    help="relative tolerance (gamma_tol; eta_tol scale for owr-bt)")
+                    help="relative tolerance gamma_tol of owr and trisection")
     pk.add_argument("--start", default=None,
                     help="starting point 'x,y' (continuous) or 'r,theta' (discrete)")
     pk.add_argument("--certificate",
@@ -130,12 +128,6 @@ def _parse_start(text):
         raise SystemExit(1)
 
 
-def _set_threads(args):
-    workers = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    cert_ct.WORKERS = workers
-    cert_dt.WORKERS = workers
-
-
 def _point_json(pt):
     return {"coords": [float(pt.coords[0]), float(pt.coords[1])],
             "value": float(pt.value)}
@@ -144,21 +136,15 @@ def _point_json(pt):
 def cmd_kreiss(args) -> int:
     prob = _load(args)
     start = _parse_start(args.start)
-    _set_threads(args)
-    certificate = args.certificate
-    if certificate is None:
-        certificate = "fixed-v" if args.method == "owr-bt" else "variable-v"
-    kwargs = dict(start=start, use_dnc=args.dnc == "on", seed=args.seed,
-                  certificate=certificate)
+    kwargs = {}
+    if args.method != "grid":
+        kwargs = dict(start=start, use_dnc=args.dnc == "on", seed=args.seed)
+        if args.certificate is not None:
+            kwargs["certificate"] = args.certificate
+        if args.method != "owr-bt":
+            kwargs["gamma_tol"] = args.tol
     try:
-        if args.method == "owr-bt":
-            result = solver.solve_owr_backtracking(prob, **kwargs)
-        elif args.method == "owr":
-            result = solver.solve_owr(prob, gamma_tol=args.tol, **kwargs)
-        elif args.method == "trisection":
-            result = solver.solve_trisection(prob, gamma_tol=args.tol, **kwargs)
-        else:
-            result = solver.compute_kreiss(prob, method="grid")
+        result = solver.compute_kreiss(prob, method=args.method, **kwargs)
     except (ValueError, KreissError) as exc:
         print(f"kreiss: {exc}", file=sys.stderr)
         return 1
@@ -197,32 +183,9 @@ def cmd_kreiss(args) -> int:
 
 def cmd_certify(args) -> int:
     prob = _load(args)
-    _set_threads(args)
-    use_dnc = args.dnc == "on"
-    continuous = prob.time_domain is TimeDomain.CONTINUOUS
     try:
-        if continuous:
-            if args.variant == "fixed-v":
-                report = cert_ct.fixed_distance_test(
-                    prob, args.gamma, args.eta, theta_orient=np.pi / 2,
-                    use_dnc=use_dnc, seed=args.seed)
-            elif args.variant == "fixed-h":
-                report = cert_ct.fixed_distance_test(
-                    prob, args.gamma, args.eta, theta_orient=0.0,
-                    use_dnc=use_dnc, seed=args.seed)
-            elif args.variant == "variable-v":
-                report = cert_ct.variable_distance_test(
-                    prob, args.gamma, args.eta, use_dnc=use_dnc, seed=args.seed)
-            else:
-                report = cert_ct.horizontal_variable_test(
-                    prob, args.gamma, args.eta, use_dnc=use_dnc, seed=args.seed)
-        else:
-            if args.variant.startswith("fixed"):
-                report = cert_dt.fixed_distance_test_dt(
-                    prob, args.gamma, args.eta, use_dnc=use_dnc, seed=args.seed)
-            else:
-                report = cert_dt.variable_distance_test_dt(
-                    prob, args.gamma, args.eta, use_dnc=use_dnc, seed=args.seed)
+        report = solver.certify(prob, args.variant, args.gamma, args.eta,
+                                use_dnc=args.dnc == "on", seed=args.seed)
     except ValueError as exc:
         print(f"kreiss: invalid certificate parameters: {exc}", file=sys.stderr)
         return 1
@@ -238,6 +201,7 @@ def cmd_certify(args) -> int:
         "candidate_lines": [float(x) for x in report.candidate_lines],
         "points": [_point_json(p) for p in report.points],
         "empty": report.empty,
+        "rejected_points": report.rejected_points,
         "large_eig_count": report.large_eig_count,
         "real_eig_tol_used": report.real_eig_tol_used,
     }

@@ -12,10 +12,14 @@ objective with a 2D level-set globality certificate:
 * ``solve_trisection``: lower/upper bound trisection on the same
   variable-distance certificate, shrinking the bracket by 2/3 per step.
 
-All three support both time domains; the certificate backend is
-selectable, with fixed variants reserved for the backtracking method and
-variable variants for the other two (their termination semantics require
-the coordinate-free lower bound).
+The two restart methods share one loop and differ only in the (gamma, eta)
+levels they test per minimum.  No method accepts a plateau value (>= 1) as
+K = 1 without a certificate: the restart methods test just below 1, and
+trisection caps its upper bound at 1.  All three support both time
+domains; ``certify`` maps a CERTIFICATE_CHOICES variant to its test, with
+fixed variants reserved for the backtracking method and variable variants
+for the other two (their termination semantics require the
+coordinate-free lower bound).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "solve_owr",
     "solve_trisection",
     "compute_kreiss",
+    "certify",
     "CERTIFICATE_CHOICES",
 ]
 
@@ -124,29 +129,76 @@ def default_start(prob: MatrixProblem):
     return (c1, c2)
 
 
-def _certificate_runner(prob, certificate, use_dnc, seed):
-    """Bind the chosen certificate backend to a (gamma, eta) callable."""
-    if certificate not in CERTIFICATE_CHOICES:
+def certify(prob: MatrixProblem, variant: str, gamma: float, eta: float, *,
+            use_dnc: bool = False, seed: int = 0) -> cert_ct.CertificateReport:
+    """Run the 2D level-set test that ``variant`` names at level gamma, distance eta.
+
+    ``variant`` is one of CERTIFICATE_CHOICES: fixed- or variable-distance
+    pairs, vertical (-v) or horizontal (-h).  The discrete-time tests are
+    radial, so both orientations map to the same test there.  ``use_dnc``
+    selects the divide-and-conquer eigenvalue search, seeded by ``seed``.
+    """
+    if variant not in CERTIFICATE_CHOICES:
         raise ValueError(f"certificate must be one of {CERTIFICATE_CHOICES}")
-    continuous = prob.time_domain is TimeDomain.CONTINUOUS
-    if continuous:
-        if certificate == "fixed-v":
-            return lambda g, e: cert_ct.fixed_distance_test(
-                prob, g, e, theta_orient=np.pi / 2, use_dnc=use_dnc, seed=seed)
-        if certificate == "fixed-h":
-            return lambda g, e: cert_ct.fixed_distance_test(
-                prob, g, e, theta_orient=0.0, use_dnc=use_dnc, seed=seed)
-        if certificate == "variable-v":
-            return lambda g, e: cert_ct.variable_distance_test(
-                prob, g, e, use_dnc=use_dnc, seed=seed)
-        return lambda g, e: cert_ct.horizontal_variable_test(
-            prob, g, e, use_dnc=use_dnc, seed=seed)
-    # the discrete tests are radial; both orientations map to the same test
-    if certificate.startswith("fixed"):
-        return lambda g, e: cert_dt.fixed_distance_test_dt(
-            prob, g, e, use_dnc=use_dnc, seed=seed)
-    return lambda g, e: cert_dt.variable_distance_test_dt(
-        prob, g, e, use_dnc=use_dnc, seed=seed)
+    opts = dict(use_dnc=use_dnc, seed=seed)
+    fixed = variant.startswith("fixed")
+    if prob.time_domain is TimeDomain.DISCRETE:
+        if fixed:
+            return cert_dt.fixed_distance_test_dt(prob, gamma, eta, **opts)
+        return cert_dt.variable_distance_test_dt(prob, gamma, eta, **opts)
+    if fixed:
+        theta = np.pi / 2 if variant == "fixed-v" else 0.0
+        return cert_ct.fixed_distance_test(prob, gamma, eta, theta_orient=theta, **opts)
+    if variant == "variable-v":
+        return cert_ct.variable_distance_test(prob, gamma, eta, **opts)
+    return cert_ct.horizontal_variable_test(prob, gamma, eta, **opts)
+
+
+def _check_certificate(method, certificate, kind):
+    if certificate not in CERTIFICATE_CHOICES or not certificate.startswith(kind):
+        raise ValueError(f"{method} needs a {kind}-distance certificate, "
+                         f"one of {CERTIFICATE_CHOICES}")
+
+
+class _Run:
+    """Bookkeeping of one solve: certificate calls, trace, status, result."""
+
+    def __init__(self, prob, method, certificate=None, use_dnc=False, seed=0):
+        self.t0 = time.perf_counter()
+        self.prob, self.method = prob, method
+        self.certificate, self.use_dnc, self.seed = certificate, use_dnc, seed
+        self.trace: list[TraceEntry] = []
+        self.reports: list = []
+        self.status = SolveStatus.CONVERGED
+        self.message = ""
+
+    def certify(self, gamma, eta, phase="certificate"):
+        """The traced report of the certificate at (gamma, eta); None once it failed."""
+        try:
+            report = certify(self.prob, self.certificate, gamma, eta,
+                             use_dnc=self.use_dnc, seed=self.seed)
+        except KreissError as exc:
+            self.fail(f"certificate failure: {exc}")
+            return None
+        self.reports.append(report)
+        self.trace.append(TraceEntry(phase, gamma, eta, "empty" if report.empty else "points",
+                                     len(report.points)))
+        if report.empty and self.certificate.startswith("variable"):
+            # report.gamma, not gamma: the discrete-time tests may nudge it
+            self.message = f"certified 1/K > {report.gamma - 0.5 * eta:.17g}"
+        return report
+
+    def fail(self, message):
+        self.status, self.message = SolveStatus.FAILED, message
+
+    def finish(self, gamma_inv, minimizer, restarts=0, bounds_history=()):
+        kreiss = max(1.0, 1.0 / gamma_inv) if gamma_inv > 0 else np.inf
+        return KreissResult(
+            kreiss=kreiss, gamma_inv=1.0 / kreiss, minimizer=minimizer, restarts=restarts,
+            certificate_calls=len(self.reports), trace=self.trace, status=self.status,
+            wall_time=time.perf_counter() - self.t0, method=self.method,
+            bounds_history=list(bounds_history), message=self.message, reports=self.reports,
+        )
 
 
 def _initial_minimum(prob, start, opt_opts):
@@ -170,13 +222,34 @@ def _usable_restart_points(prob, report, gamma):
     return sorted(out, key=lambda p: p.value)
 
 
-def _finish(result_args, t0):
-    result_args["wall_time"] = time.perf_counter() - t0
-    gamma_inv = result_args.pop("final_gamma_inv")
-    kreiss = max(1.0, 1.0 / gamma_inv) if gamma_inv > 0 else np.inf
-    result_args["kreiss"] = kreiss
-    result_args["gamma_inv"] = 1.0 / kreiss
-    return KreissResult(**result_args)
+def _restart_loop(run, res, levels, opt_opts):
+    """Optimization with restarts from the local minimum ``res``.
+
+    After each local minimum g_k the certificate runs at the (gamma, eta)
+    levels of ``levels(g_k)``, in order.  The first usable point whose
+    descent ends strictly below g_k restarts the iteration; a minimum that
+    no level restarts is the result.
+    """
+    prob = run.prob
+    for restarts in range(_MAX_RESTARTS):
+        g_k = res.value
+        run.trace.append(TraceEntry("optimize", g_k, 0.0, "minimized"))
+        for gamma, eta in levels(g_k):
+            report = run.certify(gamma, eta)
+            if report is None:
+                return run.finish(res.value, res.minimizer, restarts)
+            candidates = _usable_restart_points(prob, report, gamma)
+            if candidates:
+                nxt = localopt.minimize(prob, candidates[0].coords, **opt_opts)
+                if nxt.value < g_k * (1.0 - 1e-14):
+                    res = nxt
+                    break
+        else:
+            if candidates:
+                run.message = "detected points did not improve the minimum; accepting g_k"
+            return run.finish(res.value, res.minimizer, restarts)
+    run.fail("restart budget exhausted")
+    return run.finish(res.value, res.minimizer, _MAX_RESTARTS)
 
 
 def solve_owr_backtracking(
@@ -197,68 +270,26 @@ def solve_owr_backtracking(
     level-set points are found (restart) or eta <= eta_tol (terminate:
     g_k is the global minimum to tolerance, so K = 1/g_k).
     """
-    if not certificate.startswith("fixed"):
-        raise ValueError("the backtracking method needs a fixed-distance certificate")
+    _check_certificate("owr-bt", certificate, "fixed")
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
-    t0 = time.perf_counter()
-    runner = _certificate_runner(prob, certificate, use_dnc, seed)
-    trace: list[TraceEntry] = []
+    run = _Run(prob, "owr-bt", certificate, use_dnc, seed)
     res = _initial_minimum(prob, start, opt_opts)
     lo = 0.0 if prob.time_domain is TimeDomain.CONTINUOUS else 1.0
     if eta0 is None:
         eta0 = 0.1 * (res.minimizer.coords[0] - lo)
     if eta_tol is None:
         eta_tol = 1e-8 * eta0
-    restarts = 0
-    cert_calls = 0
-    status = SolveStatus.CONVERGED
-    message = ""
-    reports: list = []
 
-    for _ in range(_MAX_RESTARTS):
-        g_k = res.value
-        trace.append(TraceEntry("optimize", g_k, 0.0, "minimized"))
-        # a plateau value >= 1 is no proof of normality: probe just below 1,
-        # where the test either finds a way down or backs the value K = 1
-        gamma = min(g_k, 1.0 - _PLATEAU_PROBE_GAP)
-        eta = eta0
-        restarted = False
+    def levels(g_k):
+        gamma, eta = min(g_k, 1.0 - _PLATEAU_PROBE_GAP), eta0
         while True:
-            try:
-                report = runner(gamma, eta)
-            except KreissError as exc:
-                status = SolveStatus.FAILED
-                message = f"certificate failure: {exc}"
-                break
-            cert_calls += 1
-            reports.append(report)
-            trace.append(TraceEntry("certificate", gamma, eta,
-                                    "points" if report.points else "empty",
-                                    len(report.points)))
-            candidates = _usable_restart_points(prob, report, gamma)
-            if candidates:
-                nxt = localopt.minimize(prob, candidates[0].coords, **opt_opts)
-                if nxt.value < g_k * (1.0 - 1e-14):
-                    res = nxt
-                    restarts += 1
-                    restarted = True
-                    break
-                # detection did not lead anywhere lower; keep backtracking
+            yield gamma, eta
             if eta <= eta_tol:
-                break
+                return
             eta = c * eta
-        if status is SolveStatus.FAILED or not restarted:
-            break
-    else:
-        status = SolveStatus.FAILED
-        message = "restart budget exhausted"
 
-    return _finish(dict(
-        final_gamma_inv=res.value, minimizer=res.minimizer, restarts=restarts,
-        certificate_calls=cert_calls, trace=trace, status=status,
-        method="owr-bt", message=message, reports=reports,
-    ), t0)
+    return _restart_loop(run, res, levels, opt_opts)
 
 
 def solve_owr(
@@ -272,63 +303,23 @@ def solve_owr(
 ) -> KreissResult:
     """Optimization-with-restarts without backtracking.
 
-    Each round runs the variable-distance test at
-    gamma = g_k (1 - 0.5 gamma_tol), eta = g_k gamma_tol.  Points restart
-    optimization strictly below the previous minimum; an empty test proves
-    1/K > g_k (1 - gamma_tol) and the iteration stops with 1/g_k.
+    Each round runs the variable-distance test once, at
+    gamma = min(g_k (1 - 0.5 gamma_tol), 1 - _PLATEAU_PROBE_GAP) and
+    eta = g_k gamma_tol.  Points restart optimization strictly below the
+    previous minimum; an empty test proves 1/K > gamma - eta/2, which is
+    g_k (1 - gamma_tol) below the plateau, and the iteration stops with 1/g_k.
     """
-    if not certificate.startswith("variable"):
-        raise ValueError("this method needs a variable-distance certificate")
+    _check_certificate("owr", certificate, "variable")
     if gamma_tol <= 0:
         raise ValueError("gamma_tol must be positive")
-    t0 = time.perf_counter()
-    runner = _certificate_runner(prob, certificate, use_dnc, seed)
-    trace: list[TraceEntry] = []
+    run = _Run(prob, "owr", certificate, use_dnc, seed)
     res = _initial_minimum(prob, start, opt_opts)
-    restarts = 0
-    cert_calls = 0
-    status = SolveStatus.CONVERGED
-    message = ""
-    reports: list = []
 
-    for _ in range(_MAX_RESTARTS):
-        g_k = res.value
-        trace.append(TraceEntry("optimize", g_k, 0.0, "minimized"))
-        if g_k >= 1.0 - _PLATEAU_TOL:
-            message = "objective has no levels below 1 (normal-matrix plateau)"
-            break
-        gamma = g_k * (1.0 - 0.5 * gamma_tol)
-        eta = g_k * gamma_tol
-        try:
-            report = runner(gamma, eta)
-        except KreissError as exc:
-            status = SolveStatus.FAILED
-            message = f"certificate failure: {exc}"
-            break
-        cert_calls += 1
-        reports.append(report)
-        trace.append(TraceEntry("certificate", gamma, eta,
-                                "points" if report.points else "empty",
-                                len(report.points)))
-        candidates = _usable_restart_points(prob, report, gamma)
-        if not candidates:
-            message = f"certified 1/K > {g_k * (1.0 - gamma_tol):.17g}"
-            break
-        nxt = localopt.minimize(prob, candidates[0].coords, **opt_opts)
-        if nxt.value >= g_k * (1.0 - 1e-14):
-            message = "detected points did not improve the minimum; accepting g_k"
-            break
-        res = nxt
-        restarts += 1
-    else:
-        status = SolveStatus.FAILED
-        message = "restart budget exhausted"
+    def levels(g_k):
+        return [(min(g_k * (1.0 - 0.5 * gamma_tol), 1.0 - _PLATEAU_PROBE_GAP),
+                 g_k * gamma_tol)]
 
-    return _finish(dict(
-        final_gamma_inv=res.value, minimizer=res.minimizer, restarts=restarts,
-        certificate_calls=cert_calls, trace=trace, status=status,
-        method="owr", message=message, reports=reports,
-    ), t0)
+    return _restart_loop(run, res, levels, opt_opts)
 
 
 def solve_trisection(
@@ -343,40 +334,27 @@ def solve_trisection(
     """Trisection on [lb, ub] with the variable-distance certificate.
 
     Initialized with lb = 0 and ub = the objective value at the start
-    (optimized below 1 first when necessary).  Each step tests
+    (optimized first when it is at least 1, and capped at 1).  Each step tests
     gamma = lb + (2/3)(ub - lb) with eta = (2/3)(ub - lb): points give
     ub = gamma, emptiness gives lb += (1/3)(ub - lb), so the bracket width
     shrinks by 2/3 per certificate call until ub - lb <= ub * gamma_tol.
     """
-    if not certificate.startswith("variable"):
-        raise ValueError("trisection needs a variable-distance certificate")
+    _check_certificate("trisection", certificate, "variable")
     if gamma_tol <= 0:
         raise ValueError("gamma_tol must be positive")
-    t0 = time.perf_counter()
-    runner = _certificate_runner(prob, certificate, use_dnc, seed)
-    trace: list[TraceEntry] = []
-    cert_calls = 0
-    restarts = 0
-    status = SolveStatus.TOLERANCE_REACHED
-    message = ""
-    reports: list = []
+    run = _Run(prob, "trisection", certificate, use_dnc, seed)
+    run.status = SolveStatus.TOLERANCE_REACHED
 
     start = default_start(prob) if start is None else tuple(map(float, start))
     ub = objective.evaluate(prob, *start).value
     if not np.isfinite(ub):
         raise InfeasibleStartError(f"objective is +inf at start {start}")
     if ub >= 1.0:
-        # the certificate needs gamma < 1; pull the upper bound below it
-        res = localopt.minimize(prob, start, **opt_opts)
-        ub = res.value
-        trace.append(TraceEntry("optimize", ub, 0.0, "minimized"))
-        if ub >= 1.0 - _PLATEAU_TOL:
-            return _finish(dict(
-                final_gamma_inv=ub, minimizer=None, restarts=0,
-                certificate_calls=0, trace=trace, status=SolveStatus.CONVERGED,
-                method="trisection", bounds_history=[],
-                message="objective has no levels below 1 (normal-matrix plateau)",
-            ), t0)
+        # the certificate needs gamma < 1; pull the upper bound down, and
+        # cap it at 1, a valid bound on 1/K since g and h tend to 1 at infinity
+        ub = localopt.minimize(prob, start, **opt_opts).value
+        run.trace.append(TraceEntry("optimize", ub, 0.0, "minimized"))
+        ub = min(ub, 1.0)
     lb = 0.0
     history = [Bounds(lb, ub)]
 
@@ -386,32 +364,18 @@ def solve_trisection(
         diff = ub - lb
         eta = (2.0 / 3.0) * diff
         gamma = lb + eta
-        try:
-            report = runner(gamma, eta)
-        except KreissError as exc:
-            status = SolveStatus.FAILED
-            message = f"certificate failure: {exc}"
+        report = run.certify(gamma, eta, phase="trisection")
+        if report is None:
             break
-        cert_calls += 1
-        reports.append(report)
         if report.points:
             ub = gamma
-            verdict = "points"
         else:
             lb = lb + diff / 3.0
-            verdict = "empty"
-        trace.append(TraceEntry("trisection", gamma, eta, verdict, len(report.points)))
         history.append(Bounds(lb, ub))
     else:
-        status = SolveStatus.FAILED
-        message = "trisection iteration budget exhausted"
+        run.fail("trisection iteration budget exhausted")
 
-    return _finish(dict(
-        final_gamma_inv=ub, minimizer=None, restarts=restarts,
-        certificate_calls=cert_calls, trace=trace, status=status,
-        method="trisection", bounds_history=history, message=message,
-        reports=reports,
-    ), t0)
+    return run.finish(ub, None, bounds_history=history)
 
 
 def compute_kreiss(prob: MatrixProblem, method: str = "owr", **kwargs) -> KreissResult:
@@ -430,14 +394,10 @@ def compute_kreiss(prob: MatrixProblem, method: str = "owr", **kwargs) -> Kreiss
     if method == "grid":
         from . import oracle
 
-        t0 = time.perf_counter()
+        run = _Run(prob, "grid")
         kwargs.pop("start", None)
         val, coords = oracle.grid_min(prob, **kwargs)
-        pt = objective.evaluate(prob, *coords)
-        return _finish(dict(
-            final_gamma_inv=val, minimizer=pt, restarts=0, certificate_calls=0,
-            trace=[TraceEntry("grid", val, 0.0, "minimized")],
-            status=SolveStatus.CONVERGED, method="grid",
-            message="brute-force oracle estimate (no globality certificate)",
-        ), t0)
+        run.trace.append(TraceEntry("grid", val, 0.0, "minimized"))
+        run.message = "brute-force oracle estimate (no globality certificate)"
+        return run.finish(val, objective.evaluate(prob, *coords))
     raise ValueError(f"unknown method {method!r}")

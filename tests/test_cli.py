@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from kreiss import MatrixProblem, gen_test_matrix, save_matrix
+from kreiss import MatrixProblem, certify, gen_test_matrix, save_matrix
 from kreiss.cli import main
+from kreiss.solver import CERTIFICATE_CHOICES
 
 
 def run_cli(*args):
@@ -89,6 +90,25 @@ def test_certify_cmd(jordan_file):
     assert below["empty"]
 
 
+@pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
+@pytest.mark.parametrize("time_domain, eps, gamma", [("continuous", 0.3, 0.9),
+                                                     ("discrete", 0.1, 0.45)])
+def test_certify_variants_match_library(variant, time_domain, eps, gamma, tmp_path, capsys):
+    prob = gen_test_matrix("jordan-shifted", 2, time_domain=time_domain, eps=eps)
+    path = tmp_path / "jordan.json"
+    save_matrix(prob, path, "json")
+    assert main(["certify", "--input", str(path), "--gamma", str(gamma),
+                 "--eta", "0.01", "--variant", variant]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    report = certify(prob, variant, gamma, 0.01)
+    assert doc["points"] and not doc["empty"]
+    assert doc["candidate_lines"] == [float(x) for x in report.candidate_lines]
+    assert doc["points"] == [{"coords": [float(c) for c in p.coords], "value": float(p.value)}
+                             for p in report.points]
+    assert doc["empty"] == report.empty
+    assert doc["rejected_points"] == report.rejected_points
+
+
 def test_certify_gamma_validation(jordan_file):
     proc = run_cli("certify", "--input", jordan_file, "--gamma", "1.5",
                    "--eta", "0.01")
@@ -132,7 +152,7 @@ def test_threads_flag_and_log_env(jordan_file):
     env = dict(os.environ, KREISS_LOG="info")
     proc = subprocess.run(
         [sys.executable, "-m", "kreiss", "kreiss", "--input", jordan_file,
-         "--method", "owr", "--threads", "2"],
+         "--method", "owr"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -7,6 +7,9 @@ from kreiss import (
     build_fixed_pencil,
     build_quad_pencil_fixed,
     build_variable_pencil,
+    cert_ct,
+    cert_dt,
+    certify,
     eig_quadratic,
     eigs_shift_invert,
     fixed_distance_test,
@@ -18,6 +21,7 @@ from kreiss import (
 )
 from kreiss.cert_ct import build_horizontal_pencil
 from kreiss.errors import MaxShiftsError, NearSingularOperatorError, ZeroShiftError
+from kreiss.solver import CERTIFICATE_CHOICES
 
 from conftest import random_stable
 
@@ -184,3 +188,17 @@ def test_certificate_with_dnc_backend(jordan_ct):
     dense = fixed_distance_test(jordan_ct, gamma, 0.01, np.pi / 2)
     via_dnc = fixed_distance_test(jordan_ct, gamma, 0.01, np.pi / 2, use_dnc=True)
     assert not dense.empty and not via_dnc.empty
+
+
+@pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
+def test_dnc_certificates_skip_dense_pencil(variant, jordan_ct, jordan_dt, monkeypatch):
+    def dense_build(*args, **kwargs):
+        raise AssertionError("the DnC path built a dense pencil")
+
+    for name in ("build_fixed_pencil", "build_variable_pencil", "build_horizontal_pencil"):
+        monkeypatch.setattr(cert_ct, name, dense_build)
+    for name in ("build_quad_pencil_fixed", "build_quad_pencil_variable"):
+        monkeypatch.setattr(cert_dt, name, dense_build)
+    for prob, gamma in ((jordan_ct, 1.0 / 1.1333333333333333 + 0.02), (jordan_dt, 0.45)):
+        report = certify(prob, variant, gamma, 0.01, use_dnc=True)
+        assert report.large_eig_count > 0

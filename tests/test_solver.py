@@ -13,7 +13,7 @@ from kreiss.errors import InfeasibleStartError
 from kreiss.oracle import grid_min
 from kreiss.solver import SolveStatus
 
-from conftest import random_stable
+from conftest import random_normal_stable, random_stable
 
 
 def test_scalar_normal_all_methods(scalar_ct):
@@ -23,6 +23,24 @@ def test_scalar_normal_all_methods(scalar_ct):
         assert result.kreiss == pytest.approx(1.0, abs=1e-6)
         assert result.kreiss >= 1.0 - 1e-10
         assert result.status is not SolveStatus.FAILED
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+def test_normal_plateau_certified_by_every_method(time_domain):
+    # g and h exceed 1 everywhere for a normal matrix: K = 1 must come with
+    # an empty certificate, never from the plateau value alone
+    prob = random_normal_stable(3, 4, time_domain)
+    for result in (solve_owr_backtracking(prob), solve_owr(prob),
+                   solve_trisection(prob, gamma_tol=1e-6)):
+        assert result.kreiss == pytest.approx(1.0, abs=1e-8)
+        assert result.status is not SolveStatus.FAILED
+        assert result.certificate_calls >= 1
+        assert result.reports[-1].empty
+        if result.method == "owr":
+            last = result.reports[-1]
+            bound = last.gamma - 0.5 * last.eta
+            assert bound < 1.0
+            assert result.message == f"certified 1/K > {bound:.17g}"
 
 
 def test_discrete_normal_identity():
