@@ -12,7 +12,9 @@ Three tests over the right half-plane domain of g(x, y):
 Each test computes the positive real eigenvalues of a 4n^2 pencil built
 from two Kronecker-structured Sylvester forms (dense QZ, or the opt-in
 divide-and-conquer sweep of ``dnc``, which never builds the pencil), then
-runs a cheap 1D vertical eigenvalue test on every candidate line.
+runs a cheap 1D vertical eigenvalue test on every candidate line.  Dense
+QZ runs on order 2n^2 for the fixed pencil, whose 2n^2 structural infinite
+eigenvalues are deflated first, and on order 4n^2 for the variable ones.
 
 The 1D stage after the large eigenproblem is shared with the discrete-time
 tests of ``cert_dt``: ``_polish`` Newton-polishes a level-set point along
@@ -24,6 +26,7 @@ regardless of how the candidate eigenvalues were obtained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,7 +34,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from . import dnc, objective
+from . import dnc, linalg, objective
 from .errors import SingularDError
 from .matio import MatrixProblem, TimeDomain
 
@@ -96,6 +99,11 @@ class CertificateReport:
     singular value of G (resp. H) to VERIFY_RTOL * ||A||, so the point lies
     on the gamma level set of the objective or below it.  An empty report
     from a variable-distance test certifies 1/K > gamma - eta/2.
+    ``large_eig_count`` is the order of the large eigenproblem actually
+    factored: 2n^2 for the continuous-time fixed pencil and 4n^2 for the
+    variable/horizontal ones (dense QZ), 6n^2 in discrete time (the 8n^2
+    companion pencil less its 2n^2 deflated infinite eigenvalues), and the
+    operator's dimension under divide-and-conquer.
     """
 
     gamma: float
@@ -308,16 +316,56 @@ def _check_gamma_eta(gamma, eta, theta_orient=None):
 # real-eigenvalue extraction and the tests themselves
 # --------------------------------------------------------------------------
 
+def _null_rotation(gamma):
+    """4 x 4 unitary V whose first two columns span the null space of S.
+
+    S = I_2 (x) c + c (x) I_2 with c = [[1, -gamma], [gamma, -1]]; its
+    eigenvalues are 0, 0 and +-2 sqrt(1 - gamma^2).
+    """
+    c = np.array([[1.0, -gamma], [gamma, -1.0]])
+    _, _, Vh = np.linalg.svd(np.kron(np.eye(2), c) + np.kron(c, np.eye(2)))
+    V = Vh.conj().T
+    return np.hstack([V[:, 2:], V[:, :2]])
+
+
+def _rotate_columns(M, V, n):
+    """M Z for the unitary Z = P^T (V (x) I_{n^2}) of the fixed pencil.
+
+    The fixed pencil's m2 = I_{2n} (x) C + C (x) I_{2n}, with C = c (x) I_n,
+    acts on an index (a, i, b, j) as S on (a, b) and as the identity on
+    (i, j); P is the permutation that gathers (a, b).  Column (c, k) of Z
+    has the 4 nonzeros V[:, c] at the positions (a, i, b, j) with
+    (i, j) = k, so with ``_null_rotation`` the first 2n^2 columns of m2 Z
+    vanish.
+    """
+    m = M.shape[0]
+    Mr = M.reshape(m, 2, n, 2, n).transpose(0, 1, 3, 2, 4).reshape(m, 4, n * n)
+    return np.einsum("mpk,pc->mck", Mr, V).reshape(m, 4 * n * n)
+
+
 def _real_positive_eigs_dense(pencil, b2inv_tol=None):
     """Positive real eigenvalues of the pencil via dense QZ.
+
+    The fixed pencil's m2 has rank 2n^2 out of 4n^2.  Its columns are
+    rotated by the unitary Z of ``_rotate_columns``, the 2n^2 columns of
+    m2 Z that vanish mathematically are set exactly to zero, and
+    ``linalg.eig_pencil_deflated`` removes the 2n^2 infinite eigenvalues
+    they carry, so QZ runs on order 2n^2.  The variable-distance pencils
+    have an invertible m2 and go to QZ at order 4n^2.  The returned count
+    is the order QZ factored.
 
     When ``b2inv_tol`` is given (variable-distance pencils only, where m2
     is invertible) the real-axis band is the absolute tolerance
     b2inv_tol * eps_mach * ||m2^{-1} m1||_inf instead of the relative one.
     """
-    alpha, beta = scipy.linalg.eigvals(pencil.m1, pencil.m2, homogeneous_eigvals=True)
-    finite = np.abs(beta) > 1e-14 * (np.abs(alpha) + 1.0)
-    lam = alpha[finite] / beta[finite]
+    M, N = pencil.m1, pencil.m2
+    if pencil.variant == "fixed":
+        n = math.isqrt(M.shape[0] // 4)
+        V = _null_rotation(pencil.gamma)
+        M, N = _rotate_columns(M, V, n), _rotate_columns(N, V, n)
+        N[:, :2 * n * n] = 0.0
+    spec = linalg.eig_pencil_deflated(M, N, check_regular=False)
+    lam = spec.finite_values
     if b2inv_tol is not None:
         T = np.linalg.solve(pencil.m2, pencil.m1)
         band = b2inv_tol * np.finfo(float).eps * np.linalg.norm(T, np.inf)
@@ -330,7 +378,7 @@ def _real_positive_eigs_dense(pencil, b2inv_tol=None):
         tol_used = REAL_AXIS_RTOL
     xs = lam[keep].real
     xs = xs[xs > LINE_DEDUP_ATOL]
-    return np.sort(xs), len(lam), tol_used
+    return np.sort(xs), spec.order, tol_used
 
 
 def _real_eigs(use_dnc, seed, dense, operator, interval):

@@ -6,8 +6,10 @@ h(r, theta) = h(r + eta, theta) = gamma, or a variable distance
 (r - 1) * eta / (1 + gamma) apart, h(r, theta) = h(beta*r + delta, theta)
 = gamma with delta = -eta/(1+gamma) and beta = 1 - delta.  Either pair
 condition leads to a 4n^2 quadratic eigenvalue problem in r, solved here
-through its companion linearization (or by the opt-in divide-and-conquer
-sweep of ``dnc``); candidate radii r > 1 are then probed by a 1D circular
+through its 8n^2 companion linearization (or by the opt-in
+divide-and-conquer sweep of ``dnc``).  q2 has 2n^2 all-zero columns, so
+``eig_quadratic`` deflates 2n^2 infinite eigenvalues and QZ runs on order
+6n^2.  Candidate radii r > 1 are then probed by a 1D circular
 test built on the symplectic pencil of the ray condition.  Polishing,
 verification by a direct SVD and point collection are the 1D stage shared
 with the continuous-time tests (``cert_ct._polish``, ``_verify_point`` and
@@ -227,7 +229,7 @@ def _radial_test(prob, gamma, eta, variant, use_dnc, seed):
         lam = spec.finite_values
         rel = _capture_band_rel(REAL_AXIS_RTOL, eta)
         keep = np.abs(lam.imag) <= rel * np.maximum(1.0, np.abs(lam.real))
-        return lam[keep].real, len(spec), REAL_AXIS_RTOL
+        return lam[keep].real, spec.order, REAL_AXIS_RTOL
 
     # sigma_min(r e^{i t} I - A) >= r - ||A||, so gamma-level points need
     # gamma (r - 1) >= r - ||A||, i.e. r <= (||A|| - gamma)/(1 - gamma)

@@ -33,6 +33,7 @@ __all__ = [
     "svd_min_triple",
     "eig_dense",
     "eig_pencil",
+    "eig_pencil_deflated",
     "eig_quadratic",
     "solve_sylvester",
     "solve_gen_sylvester",
@@ -53,13 +54,24 @@ class SvdTriple:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues as generalized (alpha, beta) pairs; beta == 0 means infinity."""
+    """Eigenvalues as generalized (alpha, beta) pairs; beta == 0 means infinity.
+
+    The first ``deflated`` eigenvalues are infinities known from the pencil's
+    structure (see ``eig_pencil_deflated``); QZ factored a problem of order
+    ``order``, the rest.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
+    deflated: int = 0
 
     def __len__(self):
         return len(self.alpha)
+
+    @property
+    def order(self) -> int:
+        """Order of the eigenproblem the eigensolver actually factored."""
+        return len(self.alpha) - self.deflated
 
     @property
     def is_infinite(self) -> np.ndarray:
@@ -170,14 +182,61 @@ def eig_pencil(M, N, check_regular: bool = True) -> Spectrum:
     return Spectrum(np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex))
 
 
+def eig_pencil_deflated(M, N, check_regular: bool = True) -> Spectrum:
+    """Eigenvalues of M - lambda*N, with the zero columns J of N deflated first.
+
+    Each exactly-zero column of N carries an infinite eigenvalue when the
+    columns M[:, J] are independent.  With the Householder QR
+    M[:, J] = Q [R; 0] = [Q1, Q2] [R; 0], the pencil Q* (M - lambda*N) is block
+    upper triangular with diagonal blocks R - lambda*0 and
+    Q2* M[:, ~J] - lambda*Q2* N[:, ~J], so QZ runs only on the second one,
+    of order m - |J|.  Q is unitary and applied as reflectors, so QZ's
+    backward stability is kept; nothing is inverted.  The |J| deflated
+    eigenvalues come first, as explicit infinities (alpha = 1, beta = 0);
+    ``Spectrum.deflated`` counts them.  Without zero columns, or when
+    M[:, J] is numerically rank-deficient (the pencil is then singular or
+    nearly so), this is ``eig_pencil`` on the whole pencil.
+    """
+    M = np.asarray(M, dtype=complex)
+    N = np.asarray(N, dtype=complex)
+    if M.shape != N.shape or M.shape[0] != M.shape[1]:
+        raise ValueError("pencil matrices must be square and same-shaped")
+    zero = ~N.any(axis=0)
+    k = int(np.count_nonzero(zero))
+    if k == 0:
+        return eig_pencil(M, N, check_regular)
+    geqrf, unmqr, trcon = scipy.linalg.get_lapack_funcs(("geqrf", "unmqr", "trcon"), (M,))
+    qr, tau, _, info = geqrf(M[:, zero])
+    rcond, _ = trcon(qr[:k])
+    if info != 0 or not rcond > M.shape[0] * np.finfo(float).eps:
+        return eig_pencil(M, N, check_regular)
+    p = M.shape[0] - k
+    # Fortran order lets LAPACK overwrite [M, N][:, ~J] in place
+    rest = np.empty((M.shape[0], 2 * p), dtype=complex, order="F")
+    rest[:, :p] = M[:, ~zero]
+    rest[:, p:] = N[:, ~zero]
+    _, work, _ = unmqr("L", "C", qr, tau, rest, -1)
+    rest, _, info = unmqr("L", "C", qr, tau, rest, int(work[0].real), overwrite_c=True)
+    if info != 0:
+        raise ConvergenceFailure(f"applying the deflating reflectors failed (info={info})")
+    spec = eig_pencil(rest[k:, :p], rest[k:, p:], check_regular)
+    return Spectrum(np.concatenate([np.ones(k, dtype=complex), spec.alpha]),
+                    np.concatenate([np.zeros(k, dtype=complex), spec.beta]), deflated=k)
+
+
 def eig_quadratic(Q0, Q1, Q2, check_regular: bool = True) -> Spectrum:
     """Eigenvalues of the quadratic problem (Q0 + r*Q1 + r^2*Q2) w = 0.
 
     Solved via the companion linearization
     ``[[Q1, Q0], [-I, 0]] z = r [[-Q2, 0], [0, -I]] z``; returns all 2m
-    eigenvalues including infinite ones.  Raises IllPosedError when Q0 and
-    Q2 are both singular beyond tolerance (the problem may then have a
-    continuum of solutions).
+    eigenvalues including infinite ones.  Each all-zero column of Q2 is an
+    all-zero column of the right-hand matrix and is deflated by
+    ``eig_pencil_deflated`` (the matching left-hand columns contain -I, so
+    they are always independent): QZ factors a problem of order 2m - k for
+    k zero columns, which is 6n^2 for the discrete-time certificates
+    (m = 4n^2, k = 2n^2).  Raises IllPosedError when Q0 and Q2 are both
+    singular beyond tolerance (the problem may then have a continuum of
+    solutions).
     """
     Q0 = np.asarray(Q0, dtype=complex)
     Q1 = np.asarray(Q1, dtype=complex)
@@ -196,7 +255,7 @@ def eig_quadratic(Q0, Q1, Q2, check_regular: bool = True) -> Spectrum:
     zero = np.zeros((m, m), dtype=complex)
     L = np.block([[Q1, Q0], [-eye, zero]])
     R = np.block([[-Q2, zero], [zero, -eye]])
-    return eig_pencil(L, R, check_regular=check_regular)
+    return eig_pencil_deflated(L, R, check_regular=check_regular)
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import kreiss
 from kreiss import (
@@ -210,6 +211,31 @@ def test_criterion_5_certificate_soundness(corpus_runs):
     assert checked > 0
     print(f"criterion 5: PASS ({checked} returned level-set points, "
           "100% pass direct SVD verification)")
+
+
+def test_kreiss_matrix_theorem_bounds_transient_growth(corpus_runs):
+    """Solver-free check of every K: max ||e^{tA}|| (max ||A^k||) <= e n K.
+
+    The Kreiss Matrix Theorem bounds the supremum by e*n*K.  A grid can
+    only underestimate the supremum, so a failure here means K is too small.
+    """
+    worst = 0.0
+    for run in corpus_runs:
+        A, n = run["prob"].A, run["n"]
+        if run["td"] == "continuous":
+            growth = max(np.linalg.norm(scipy.linalg.expm(t * A), 2)
+                         for t in np.geomspace(1e-2, 1e3, 300))
+        else:
+            power, growth = np.eye(n), 1.0
+            for _ in range(2000):
+                power = power @ A
+                growth = max(growth, np.linalg.norm(power, 2))
+        for method in ("bt", "owr", "tri"):
+            bound = np.e * n * run[method].kreiss
+            assert growth <= bound, \
+                f"{run['td']} n={n} seed={run['seed']} {method}: {growth:.4g} > e n K = {bound:.4g}"
+            worst = max(worst, growth / bound)
+    print(f"Kreiss Matrix Theorem: PASS (60 solves; largest growth / (e n K) = {worst:.3f})")
 
 
 def test_criterion_6_structural_theorems():

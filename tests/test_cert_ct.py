@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kreiss import (
     build_fixed_pencil,
@@ -13,7 +14,17 @@ from kreiss import (
     variable_distance_test,
     vertical_level_points,
 )
-from kreiss.cert_ct import build_horizontal_pencil, _gamma_block, _structured_factors
+from kreiss.cert_ct import (
+    LINE_DEDUP_ATOL,
+    REAL_AXIS_RTOL,
+    _capture_band_rel,
+    _gamma_block,
+    _null_rotation,
+    _real_positive_eigs_dense,
+    _rotate_columns,
+    _structured_factors,
+    build_horizontal_pencil,
+)
 from kreiss.errors import SingularDError
 from kreiss.oracle import grid_min
 
@@ -90,6 +101,35 @@ def test_a2_rank_deficiency_exactly_2nsq():
         s = np.linalg.svd(pen.m2, compute_uv=False)
         rank = int(np.sum(s > 1e-10 * s[0]))
         assert rank == 2 * n * n
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.99, 1.0 - 1e-9])
+def test_fixed_pencil_null_rotation(gamma):
+    n = 3
+    m2 = build_fixed_pencil(random_stable(n, 2, "continuous"), gamma, 0.05).m2
+    Z = _rotate_columns(np.eye(4 * n * n), _null_rotation(gamma), n)
+    assert np.linalg.norm(Z.conj().T @ Z - np.eye(4 * n * n)) <= 1e-13
+    assert np.count_nonzero(Z, axis=0).max() == 4
+    assert np.linalg.norm(m2 @ Z[:, :2 * n * n], 2) <= 1e-13 * np.linalg.norm(m2, 2)
+
+
+def test_fixed_pencil_deflated_matches_full_qz():
+    # the undeflated QZ of the unrotated 4n^2 pencil is the reference
+    n, eta = 3, 0.05
+    prob = random_stable(n, 0, "continuous")
+    val, _ = grid_min(prob, levels=4)
+    for gamma in (val + 0.02, val + 0.1):
+        pencil = build_fixed_pencil(prob, gamma, eta)
+        xs, order, _ = _real_positive_eigs_dense(pencil)
+        alpha, beta = scipy.linalg.eigvals(pencil.m1, pencil.m2, homogeneous_eigvals=True)
+        finite = np.abs(beta) > 1e-14 * (np.abs(alpha) + 1.0)
+        lam = alpha[finite] / beta[finite]
+        rel = _capture_band_rel(REAL_AXIS_RTOL, eta)
+        ref = lam[np.abs(lam.imag) <= rel * np.maximum(1.0, np.abs(lam.real))].real
+        ref = np.sort(ref[ref > LINE_DEDUP_ATOL])
+        assert order == 2 * n * n
+        assert len(ref) > 0 and len(xs) == len(ref)
+        assert np.allclose(xs, ref, rtol=1e-8)
 
 
 def test_gamma_eta_validation(jordan_ct):

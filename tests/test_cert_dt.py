@@ -168,3 +168,19 @@ def test_random_dt_completeness():
             continue
         rep = fixed_distance_test_dt(prob, val + 0.02, 0.01)
         assert not rep.empty, f"no detection for n={n} seed={seed}"
+
+
+def test_variable_dt_finds_points_where_q0_is_ill_conditioned():
+    # cond(q0) grows like 1/eta.  Reducing the quadratic problem by
+    # inverting q0 returned EMPTY here, where QZ finds verified points.
+    rng = np.random.default_rng([7, 1, 0, 3, 0])
+    B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    prob = MatrixProblem(B / (np.max(np.abs(np.linalg.eigvals(B))) / 0.95), "discrete")
+    rep = variable_distance_test_dt(prob, 0.9947763165065634, 0.002611841746718302)
+    assert not rep.empty
+    assert rep.large_eig_count == 6 * 3 * 3  # QZ order after deflating 2n^2 of 8n^2
+    for pt in rep.points:
+        r, theta = pt.coords
+        s = np.linalg.svd((r * np.exp(1j * theta) * np.eye(3) - prob.A) / (r - 1.0),
+                          compute_uv=False)
+        assert np.min(np.abs(s - rep.gamma)) <= 1e-8 * prob.norm2

@@ -201,4 +201,15 @@ def test_dnc_certificates_skip_dense_pencil(variant, jordan_ct, jordan_dt, monke
         monkeypatch.setattr(cert_dt, name, dense_build)
     for prob, gamma in ((jordan_ct, 1.0 / 1.1333333333333333 + 0.02), (jordan_dt, 0.45)):
         report = certify(prob, variant, gamma, 0.01, use_dnc=True)
-        assert report.large_eig_count > 0
+        # the order of the eigenproblem searched: the operator's dimension
+        assert report.large_eig_count == (4 if prob is jordan_ct else 8) * prob.n ** 2
+
+
+@pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
+def test_dense_large_eig_count_is_the_order_qz_factored(variant, jordan_ct, jordan_dt):
+    # ct fixed pencils deflate 2n^2 of 4n^2, the dt companion pencil 2n^2 of 8n^2
+    ct_order = 2 if variant.startswith("fixed") else 4
+    for prob, gamma, order in ((jordan_ct, 1.0 / 1.1333333333333333 + 0.02, ct_order),
+                               (jordan_dt, 0.45, 6)):
+        report = certify(prob, variant, gamma, 0.01)
+        assert report.large_eig_count == order * prob.n ** 2

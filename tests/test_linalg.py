@@ -14,6 +14,7 @@ from kreiss import (
     svd_min_triple,
 )
 from kreiss.cert_dt import _symplectic_pencil
+from kreiss.linalg import eig_pencil_deflated
 from kreiss.errors import (
     IllPosedError,
     NearSingularOperatorError,
@@ -100,6 +101,44 @@ def test_eig_quadratic_degenerate_and_count():
     spec = eig_quadratic(rng.standard_normal((m, m)), rng.standard_normal((m, m)),
                          rng.standard_normal((m, m)))
     assert len(spec) == 2 * m
+
+
+def _companion(Q0, Q1, Q2):
+    m = Q0.shape[0]
+    eye, zero = np.eye(m), np.zeros((m, m))
+    return np.block([[Q1, Q0], [-eye, zero]]), np.block([[-Q2, zero], [zero, -eye]])
+
+
+def test_eig_quadratic_deflates_zero_columns_of_q2():
+    # the undeflated companion QZ is the reference
+    rng = np.random.default_rng(21)
+    m = 6
+    for k in (1, 3, m):
+        Q0, Q1, Q2 = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                      for _ in range(3))
+        Q2[:, rng.choice(m, k, replace=False)] = 0.0
+        spec = eig_quadratic(Q0, Q1, Q2)
+        ref = eig_pencil(*_companion(Q0, Q1, Q2))
+        assert len(spec) == 2 * m
+        assert (spec.deflated, spec.order) == (k, 2 * m - k)
+        assert np.sum(spec.is_infinite) >= k
+        got, want = spec.finite_values, ref.finite_values
+        assert len(got) == len(want)
+        for lam in want:
+            assert np.min(np.abs(got - lam)) <= 1e-8 * max(1.0, abs(lam))
+
+
+def test_eig_pencil_deflated_falls_back():
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((4, 4))
+    N = rng.standard_normal((4, 4))
+    # no zero column: the plain QZ, nothing deflated
+    spec = eig_pencil_deflated(M, N)
+    assert spec.deflated == 0 and spec.order == 4
+    assert np.allclose(np.sort_complex(spec.values), np.sort_complex(eig_pencil(M, N).values))
+    # M[:, J] rank-deficient: the whole pencil goes to QZ, which finds it singular
+    with pytest.raises(SingularPencilError):
+        eig_pencil_deflated(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
 
 
 def test_eig_quadratic_ill_posed():
