@@ -9,10 +9,11 @@ Three tests over the right half-plane domain of g(x, y):
 * a horizontal variable-distance variant (separation x*eta/(1+gamma),
   i.e. the pair (x, y), (beta*x, y)) with the same lower-bound semantics.
 
-Each test computes the positive real eigenvalues of a 4n^2 pencil built
-from two Kronecker-structured Sylvester forms (dense QZ, or the opt-in
-divide-and-conquer sweep of ``dnc``, which never builds the pencil), then
-runs a cheap 1D vertical eigenvalue test on every candidate line.  Dense
+Each test computes the positive real eigenvalues of a 4n^2 pencil, two
+vectorized Sylvester forms whose 2n x 2n blocks ``_pencil_blocks`` defines
+once (dense QZ on the Kronecker form, or the opt-in divide-and-conquer
+sweep of ``dnc`` on the blocks themselves, which never builds the pencil),
+then runs a cheap 1D vertical eigenvalue test on every candidate line.  Dense
 QZ runs on order 2n^2 for the fixed pencil, whose 2n^2 structural infinite
 eigenvalues are deflated first, and on order 4n^2 for the variable ones.
 
@@ -239,6 +240,57 @@ def _gamma_block(n, gamma):
     return np.block([[eye, -gamma * eye], [gamma * eye, -eye]])
 
 
+def _pair_beta(gamma, eta):
+    """Stretch beta = 1 + eta/(1+gamma) of the horizontal pairs (x, y), (beta*x, y)
+    and of the discrete-time variable-distance pairs (``cert_dt._ray_pair``)."""
+    return 1.0 + eta / (1.0 + gamma)
+
+
+def _pencil_blocks(prob, gamma, eta, variant, theta_orient=None):
+    """The 2n x 2n blocks (S1, S2, C, D) that define a certificate pencil.
+
+    Every continuous-time pencil is m1 = I (x) S1 + S2^T (x) I and
+    m2 = I (x) C + D (x) I, the vectorized Sylvester forms
+    W -> S1 W + W S2 and W -> C W + W D^T, with S1 = [[A, 0], [0, -A*]] and
+    C = [[I, -gamma I], [gamma I, -I]].  ``variant`` picks S2 and D:
+
+    * "fixed": S2 carries the pair offset eta at angle theta_orient (the
+      only variant that takes it), D = C;
+    * "variable-vertical": S2 = [[A*, 0], [0, -A]],
+      D = [[(1 - i eta) I, -gamma I], [gamma I, -(1 + i eta) I]];
+    * "variable-horizontal": the same S2, D = beta C (``_pair_beta``).
+    """
+    _check_gamma_eta(gamma, eta, theta_orient)
+    n = prob.n
+    A, Ah = prob.A, prob.A.conj().T
+    eye = np.eye(n)
+    S1 = np.block([[A, 0 * eye], [0 * eye, -Ah]])
+    C = _gamma_block(n, gamma)
+    if variant == "fixed":
+        e_p, e_m = np.exp(1j * theta_orient), np.exp(-1j * theta_orient)
+        ct = np.cos(theta_orient)
+        S2 = np.block([
+            [Ah - eta * e_m * eye, -gamma * eta * ct * eye],
+            [gamma * eta * ct * eye, eta * e_p * eye - A],
+        ])
+        return S1, S2, C, C
+    S2 = np.block([[Ah, 0 * eye], [0 * eye, -A]])
+    if variant == "variable-vertical":
+        D = np.block([
+            [(1 - 1j * eta) * eye, -gamma * eye],
+            [gamma * eye, -(1 + 1j * eta) * eye],
+        ])
+    else:
+        D = _pair_beta(gamma, eta) * C
+    return S1, S2, C, D
+
+
+def _kron_pencil(S1, S2, C, D):
+    """The dense pencil (m1, m2) = (I (x) S1 + S2^T (x) I, I (x) C + D (x) I)."""
+    eye = np.eye(S1.shape[0])
+    return np.kron(eye, S1) + np.kron(S2.T, eye), np.kron(eye, C) + np.kron(D, eye)
+
+
 def build_fixed_pencil(prob: MatrixProblem, gamma: float, eta: float,
                        theta_orient: float = np.pi / 2) -> KroneckerPencil:
     """Assemble the fixed-distance pencil for pairs eta apart at a given angle.
@@ -247,66 +299,29 @@ def build_fixed_pencil(prob: MatrixProblem, gamma: float, eta: float,
     may carry level-set points of the pair condition
     g(x, y) = g(x + eta*cos(theta), y + eta*sin(theta)) = gamma.
     """
-    _check_gamma_eta(gamma, eta, theta_orient)
-    n = prob.n
-    A = prob.A
-    eye = np.eye(n)
-    eye2 = np.eye(2 * n)
-    e_p = np.exp(1j * theta_orient)
-    e_m = np.exp(-1j * theta_orient)
-    ct = np.cos(theta_orient)
-    left = np.block([[A, 0 * eye], [0 * eye, -A.conj().T]])
-    right = np.block([
-        [A.conj() - eta * e_m * eye, gamma * eta * ct * eye],
-        [-gamma * eta * ct * eye, eta * e_p * eye - A.T],
-    ])
-    m1 = np.kron(eye2, left) + np.kron(right, eye2)
-    C = _gamma_block(n, gamma)
-    m2 = np.kron(eye2, C) + np.kron(C, eye2)
+    m1, m2 = _kron_pencil(*_pencil_blocks(prob, gamma, eta, "fixed", theta_orient))
     return KroneckerPencil(m1, m2, gamma, eta, "fixed", theta_orient=theta_orient)
 
 
 def build_variable_pencil(prob: MatrixProblem, gamma: float, eta: float) -> KroneckerPencil:
     """Pencil for vertically oriented pairs a variable distance x*eta apart."""
-    _check_gamma_eta(gamma, eta)
-    n = prob.n
-    A = prob.A
-    eye = np.eye(n)
-    eye2 = np.eye(2 * n)
-    left = np.block([[A, 0 * eye], [0 * eye, -A.conj().T]])
-    right = np.block([[A.conj(), 0 * eye], [0 * eye, -A.T]])
-    m1 = np.kron(eye2, left) + np.kron(right, eye2)
-    C = _gamma_block(n, gamma)
-    D = np.block([
-        [(1 - 1j * eta) * eye, -gamma * eye],
-        [gamma * eye, -(1 + 1j * eta) * eye],
-    ])
-    m2 = np.kron(eye2, C) + np.kron(D, eye2)
+    m1, m2 = _kron_pencil(*_pencil_blocks(prob, gamma, eta, "variable-vertical"))
     return KroneckerPencil(m1, m2, gamma, eta, "variable-vertical")
 
 
 def build_horizontal_pencil(prob: MatrixProblem, gamma: float, eta: float) -> KroneckerPencil:
     """Pencil for horizontal pairs (x, y), (beta*x, y), beta = 1 + eta/(1+gamma)."""
-    _check_gamma_eta(gamma, eta)
-    n = prob.n
-    A = prob.A
-    eye = np.eye(n)
-    eye2 = np.eye(2 * n)
-    beta = 1.0 + eta / (1.0 + gamma)
-    left = np.block([[A, 0 * eye], [0 * eye, -A.conj().T]])
-    right = np.block([[A.conj(), 0 * eye], [0 * eye, -A.T]])
-    m1 = np.kron(eye2, left) + np.kron(right, eye2)
-    C = _gamma_block(n, gamma)
-    m2 = np.kron(eye2, C) + beta * np.kron(C, eye2)
-    return KroneckerPencil(m1, m2, gamma, eta, "variable-horizontal", beta=beta)
+    m1, m2 = _kron_pencil(*_pencil_blocks(prob, gamma, eta, "variable-horizontal"))
+    return KroneckerPencil(m1, m2, gamma, eta, "variable-horizontal",
+                           beta=_pair_beta(gamma, eta))
 
 
 def _check_gamma_eta(gamma, eta, theta_orient=None):
-    """Validate a test's level and distance; fixed-distance pairs (with an
-    orientation theta_orient) also allow eta = 0."""
+    """Validate a test's level gamma in (0, 1) and distance eta > 0, and for
+    fixed-distance pairs in continuous time the orientation theta_orient."""
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0, 1); got {gamma}")
-    if eta < 0.0 or (eta == 0.0 and theta_orient is None):
+    if eta <= 0.0:
         raise ValueError("eta must be positive")
     if theta_orient is not None and not (-np.pi / 2 < theta_orient <= np.pi / 2):
         raise ValueError("theta_orient must lie in (-pi/2, pi/2]")
@@ -322,7 +337,7 @@ def _null_rotation(gamma):
     S = I_2 (x) c + c (x) I_2 with c = [[1, -gamma], [gamma, -1]]; its
     eigenvalues are 0, 0 and +-2 sqrt(1 - gamma^2).
     """
-    c = np.array([[1.0, -gamma], [gamma, -1.0]])
+    c = _gamma_block(1, gamma)
     _, _, Vh = np.linalg.svd(np.kron(np.eye(2), c) + np.kron(c, np.eye(2)))
     V = Vh.conj().T
     return np.hstack([V[:, 2:], V[:, :2]])
@@ -343,7 +358,7 @@ def _rotate_columns(M, V, n):
     return np.einsum("mpk,pc->mck", Mr, V).reshape(m, 4 * n * n)
 
 
-def _real_positive_eigs_dense(pencil, b2inv_tol=None):
+def _real_positive_eigs_dense(pencil):
     """Positive real eigenvalues of the pencil via dense QZ.
 
     The fixed pencil's m2 has rank 2n^2 out of 4n^2.  Its columns are
@@ -353,10 +368,6 @@ def _real_positive_eigs_dense(pencil, b2inv_tol=None):
     they carry, so QZ runs on order 2n^2.  The variable-distance pencils
     have an invertible m2 and go to QZ at order 4n^2.  The returned count
     is the order QZ factored.
-
-    When ``b2inv_tol`` is given (variable-distance pencils only, where m2
-    is invertible) the real-axis band is the absolute tolerance
-    b2inv_tol * eps_mach * ||m2^{-1} m1||_inf instead of the relative one.
     """
     M, N = pencil.m1, pencil.m2
     if pencil.variant == "fixed":
@@ -365,34 +376,30 @@ def _real_positive_eigs_dense(pencil, b2inv_tol=None):
         M, N = _rotate_columns(M, V, n), _rotate_columns(N, V, n)
         N[:, :2 * n * n] = 0.0
     spec = linalg.eig_pencil_deflated(M, N, check_regular=False)
+    xs = _near_real(spec, pencil.eta)
+    return np.sort(xs[xs > LINE_DEDUP_ATOL]), spec.order
+
+
+def _near_real(spec, eta):
+    """Real parts of the finite eigenvalues inside the capture band of the real axis."""
     lam = spec.finite_values
-    if b2inv_tol is not None:
-        T = np.linalg.solve(pencil.m2, pencil.m1)
-        band = b2inv_tol * np.finfo(float).eps * np.linalg.norm(T, np.inf)
-        keep = np.abs(lam.imag) <= max(CAPTURE_FACTOR * band,
-                                       _capture_band_rel(0.0, pencil.eta))
-        tol_used = band
-    else:
-        rel = _capture_band_rel(REAL_AXIS_RTOL, pencil.eta)
-        keep = np.abs(lam.imag) <= rel * np.maximum(1.0, np.abs(lam.real))
-        tol_used = REAL_AXIS_RTOL
-    xs = lam[keep].real
-    xs = xs[xs > LINE_DEDUP_ATOL]
-    return np.sort(xs), spec.order, tol_used
+    rel = _capture_band_rel(REAL_AXIS_RTOL, eta)
+    return lam[np.abs(lam.imag) <= rel * np.maximum(1.0, np.abs(lam.real))].real
 
 
 def _real_eigs(use_dnc, seed, dense, operator, interval):
-    """(sorted real candidate eigenvalues, eigenproblem order, real-axis tolerance).
+    """(sorted real candidate eigenvalues, order of the eigenproblem solved).
 
     ``dense()`` builds the pencil and runs the dense eigensolver.  Under
     ``use_dnc`` the divide-and-conquer sweep searches ``interval`` on the
-    implicit ``operator()`` instead, and no dense pencil is built.
+    implicit ``operator()`` instead, and no dense pencil is built.  A
+    ``MaxShiftsError`` from the sweep propagates to the caller.
     """
     if not use_dnc:
         return dense()
     op = operator()
     vals = dnc.real_eigs_in_interval(op, *interval, seed=seed)
-    return np.sort(np.asarray(vals, dtype=float)), op.dim, REAL_AXIS_RTOL
+    return np.sort(np.asarray(vals, dtype=float)), op.dim
 
 
 def _augment_with_midpoints(xs, window_rel=0.02):
@@ -416,9 +423,9 @@ def _candidate_lines(xs):
     return _augment_with_midpoints(dnc._dedupe(list(xs), LINE_DEDUP_ATOL))
 
 
-def _check_ct(prob, gamma, eta, theta_orient=None):
-    if prob.time_domain is not TimeDomain.CONTINUOUS:
-        raise ValueError("continuous-time certificate needs a continuous-time problem")
+def _check_test(prob, domain, gamma, eta, theta_orient=None):
+    if prob.time_domain is not domain:
+        raise ValueError(f"{domain.value}-time certificate needs a {domain.value}-time problem")
     _check_gamma_eta(gamma, eta, theta_orient)
 
 
@@ -438,36 +445,33 @@ def fixed_distance_test(prob: MatrixProblem, gamma: float, eta: float,
     Any returned point witnesses gamma >= 1/K; emptiness carries no bound
     by itself, which is why the backtracking iteration shrinks eta.
     """
-    _check_ct(prob, gamma, eta, theta_orient)
-    xs, count, tol_used = _real_eigs(
+    _check_test(prob, TimeDomain.CONTINUOUS, gamma, eta, theta_orient)
+    xs, count = _real_eigs(
         use_dnc, seed,
         lambda: _real_positive_eigs_dense(build_fixed_pencil(prob, gamma, eta, theta_orient)),
         lambda: dnc.op_fixed_ct(prob, gamma, eta, theta_orient), _dnc_interval(prob, gamma))
     lines = _candidate_lines(xs)
-    if abs(theta_orient) < np.pi / 2 and eta > 0:
+    if abs(theta_orient) < np.pi / 2:
         shifted = [x + eta * np.cos(theta_orient) for x in lines]
         lines = dnc._dedupe(lines + shifted, LINE_DEDUP_ATOL)
     return _collect_points(prob, vertical_level_points, CertificateReport(
-        gamma, eta, "fixed", lines, large_eig_count=count, real_eig_tol_used=tol_used,
-        theta_orient=theta_orient))
+        gamma, eta, "fixed", lines, large_eig_count=count, theta_orient=theta_orient))
 
 
 def variable_distance_test(prob: MatrixProblem, gamma: float, eta: float,
-                           b2inv_tol: Optional[float] = None,
                            use_dnc: bool = False, seed: int = 0) -> CertificateReport:
     """2D level-set test for vertical pairs a variable distance x*eta apart.
 
     An empty report certifies the coordinate-free bound 1/K > gamma - eta/2;
     a nonempty one returns verified points, each witnessing gamma >= 1/K.
     """
-    _check_ct(prob, gamma, eta)
-    xs, count, tol_used = _real_eigs(
+    _check_test(prob, TimeDomain.CONTINUOUS, gamma, eta)
+    xs, count = _real_eigs(
         use_dnc, seed,
-        lambda: _real_positive_eigs_dense(build_variable_pencil(prob, gamma, eta), b2inv_tol),
+        lambda: _real_positive_eigs_dense(build_variable_pencil(prob, gamma, eta)),
         lambda: dnc.op_variable_ct(prob, gamma, eta), _dnc_interval(prob, gamma))
     return _collect_points(prob, vertical_level_points, CertificateReport(
-        gamma, eta, "variable-vertical", _candidate_lines(xs), large_eig_count=count,
-        real_eig_tol_used=tol_used))
+        gamma, eta, "variable-vertical", _candidate_lines(xs), large_eig_count=count))
 
 
 def horizontal_variable_test(prob: MatrixProblem, gamma: float, eta: float,
@@ -477,17 +481,16 @@ def horizontal_variable_test(prob: MatrixProblem, gamma: float, eta: float,
     Same lower-bound semantics as the vertical variable-distance test;
     selectable as an alternative backend.
     """
-    _check_ct(prob, gamma, eta)
-    xs, count, tol_used = _real_eigs(
+    _check_test(prob, TimeDomain.CONTINUOUS, gamma, eta)
+    xs, count = _real_eigs(
         use_dnc, seed,
         lambda: _real_positive_eigs_dense(build_horizontal_pencil(prob, gamma, eta)),
         lambda: dnc.op_horizontal_ct(prob, gamma, eta), _dnc_interval(prob, gamma))
     base = _candidate_lines(xs)
-    beta = 1.0 + eta / (1.0 + gamma)
+    beta = _pair_beta(gamma, eta)
     lines = dnc._dedupe(base + [beta * x for x in base], LINE_DEDUP_ATOL)
     return _collect_points(prob, vertical_level_points, CertificateReport(
-        gamma, eta, "variable-horizontal", lines, large_eig_count=count,
-        real_eig_tol_used=tol_used))
+        gamma, eta, "variable-horizontal", lines, large_eig_count=count))
 
 
 # --------------------------------------------------------------------------

@@ -21,15 +21,15 @@ variable-distance test certifies 1/K > gamma - eta/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from . import dnc
 from .cert_ct import (CAPTURE_FACTOR, CertificateReport, LINE_DEDUP_ATOL,
-                      REAL_AXIS_RTOL, _augment_with_midpoints, _capture_band_rel,
-                      _collect_points, _merge_close, _polish, _real_eigs)
+                      _augment_with_midpoints, _check_gamma_eta, _check_test,
+                      _collect_points, _merge_close, _near_real, _pair_beta, _polish,
+                      _real_eigs)
 from .errors import SingularPencilError
 from .linalg import eig_quadratic
 from .matio import MatrixProblem, TimeDomain
@@ -53,7 +53,8 @@ GAMMA_SV_GUARD = 1e-8
 
 @dataclass
 class QuadPencil:
-    """Coefficients of the 4n^2 quadratic problem (q0 + r q1 + r^2 q2) w = 0."""
+    """Coefficients of the 4n^2 quadratic problem (q0 + r q1 + r^2 q2) w = 0
+    of the ray pairs (r, beta*r + delta)."""
 
     q0: np.ndarray
     q1: np.ndarray
@@ -61,8 +62,8 @@ class QuadPencil:
     gamma: float
     eta: float
     variant: str
-    delta: Optional[float] = None
-    beta: Optional[float] = None
+    delta: float
+    beta: float
 
 
 # --------------------------------------------------------------------------
@@ -128,65 +129,66 @@ def _cluster_on_circle(lam, atol=1e-6):
 # quadratic pencil assembly
 # --------------------------------------------------------------------------
 
-def _ray_factor_blocks(prob, gamma, eta):
-    """Constant/linear factors of M(r), Mt(r+eta)*, N(r), Nt(r+eta)*."""
+def _ray_factor_blocks(prob, gamma, delta):
+    """Constant/linear factors of M(r), Mt(r + delta)*, N(r), Nt(r + delta)*."""
     n = prob.n
     A = prob.A
     eye = np.eye(n)
     Z = 0 * eye
     C0 = np.block([[A, -gamma * eye], [Z, Z]])
     C1 = np.block([[Z, gamma * eye], [Z, eye]])
-    D0 = np.block([[A.conj().T, Z], [gamma * (eta - 1.0) * eye, eta * eye]])
+    D0 = np.block([[A.conj().T, Z], [gamma * (delta - 1.0) * eye, delta * eye]])
     D1 = np.block([[Z, Z], [gamma * eye, eye]])
     E0 = np.block([[Z, Z], [-gamma * eye, A.conj().T]])
     E1 = np.block([[eye, Z], [gamma * eye, Z]])
-    F0 = np.block([[eta * eye, gamma * (eta - 1.0) * eye], [Z, A]])
+    F0 = np.block([[delta * eye, gamma * (delta - 1.0) * eye], [Z, A]])
     F1 = np.block([[eye, gamma * eye], [Z, Z]])
     return C0, C1, D0, D1, E0, E1, F0, F1
+
+
+def _ray_pair(gamma, eta, variant):
+    """(delta, beta) of the ray pair (r, beta*r + delta) that ``variant`` tests:
+    (eta, 1) for fixed distance, (-eta/(1+gamma), 1 + eta/(1+gamma)) for variable."""
+    if variant == "fixed":
+        return eta, 1.0
+    return -eta / (1.0 + gamma), _pair_beta(gamma, eta)
+
+
+def _quad_pencil(prob, gamma, eta, variant):
+    """The quadratic problem of ray pairs (r, beta*r + delta) (``_ray_pair``).
+
+    Built from vec(M(r) W Mt(beta*r + delta)* - N(r) W Nt(beta*r + delta)*)
+    = 0 with the symplectic-pencil factors of the 1D circular test: q0 takes
+    the factors at offset delta, and beta scales the parts of q1 and q2
+    that are linear in the partner radius.
+    """
+    _check_gamma_eta(gamma, eta)
+    delta, beta = _ray_pair(gamma, eta, variant)
+    C0, C1, D0, D1, E0, E1, F0, F1 = _ray_factor_blocks(prob, gamma, delta)
+    kr = np.kron
+    q0 = kr(D0.T, C0) - kr(F0.T, E0)
+    q1 = beta * (kr(D1.T, C0) - kr(F1.T, E0)) + (kr(D0.T, C1) - kr(F0.T, E1))
+    q2 = beta * (kr(D1.T, C1) - kr(F1.T, E1))
+    return QuadPencil(q0, q1, q2, gamma, eta, variant, delta=delta, beta=beta)
 
 
 def build_quad_pencil_fixed(prob: MatrixProblem, gamma: float, eta: float) -> QuadPencil:
     """Quadratic problem whose real roots r > 1 locate fixed-distance ray pairs.
 
-    Built from vec(M(r) W Mt(r+eta)* - N(r) W Nt(r+eta)*) = 0 with the
-    symplectic-pencil factors of the 1D circular test; q2 is structurally
-    singular while q0 is nonsingular exactly when gamma is not a singular
-    value of A (A itself is nonsingular by the problem invariant), which
-    keeps the companion linearization regular.
+    q2 is structurally singular while q0 is nonsingular exactly when gamma
+    is not a singular value of A (A itself is nonsingular by the problem
+    invariant), which keeps the companion linearization regular.
     """
-    _check_gamma_eta_dt(gamma, eta)
-    C0, C1, D0, D1, E0, E1, F0, F1 = _ray_factor_blocks(prob, gamma, eta)
-    kr = np.kron
-    q0 = kr(D0.T, C0) - kr(F0.T, E0)
-    q1 = kr(D1.T, C0) + kr(D0.T, C1) - kr(F1.T, E0) - kr(F0.T, E1)
-    q2 = kr(D1.T, C1) - kr(F1.T, E1)
-    return QuadPencil(q0, q1, q2, gamma, eta, "fixed")
+    return _quad_pencil(prob, gamma, eta, "fixed")
 
 
 def build_quad_pencil_variable(prob: MatrixProblem, gamma: float, eta: float) -> QuadPencil:
     """Quadratic problem for variable-distance ray pairs (r, beta*r + delta).
 
-    delta = -eta/(1+gamma) < 0 and beta = 1 - delta > 1; the pair
-    separation is (beta*r + delta) - r = (r-1)*eta/(1+gamma).  q0 equals
-    the fixed build's q0 with eta replaced by delta, and q2 is beta times
-    the fixed q2.
+    q0 equals the fixed build's q0 with eta replaced by delta < 0, and q2 is
+    beta > 1 times the fixed q2.
     """
-    _check_gamma_eta_dt(gamma, eta)
-    delta = -eta / (1.0 + gamma)
-    beta = 1.0 - delta
-    C0, C1, D0d, D1, E0, E1, F0d, F1 = _ray_factor_blocks(prob, gamma, delta)
-    kr = np.kron
-    q0 = kr(D0d.T, C0) - kr(F0d.T, E0)
-    q1 = beta * (kr(D1.T, C0) - kr(F1.T, E0)) + (kr(D0d.T, C1) - kr(F0d.T, E1))
-    q2 = beta * (kr(D1.T, C1) - kr(F1.T, E1))
-    return QuadPencil(q0, q1, q2, gamma, eta, "variable", delta=delta, beta=beta)
-
-
-def _check_gamma_eta_dt(gamma, eta):
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must be in (0, 1); got {gamma}")
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    return _quad_pencil(prob, gamma, eta, "variable")
 
 
 def _nudge_gamma(prob, gamma):
@@ -211,41 +213,32 @@ def _nudge_gamma(prob, gamma):
 def _radial_test(prob, gamma, eta, variant, use_dnc, seed):
     """The fixed- or variable-distance radial test: candidate radii from
     the quadratic problem, both circles of each pair probed in 1D."""
-    if prob.time_domain is not TimeDomain.DISCRETE:
-        raise ValueError("discrete-time certificate needs a discrete-time problem")
-    _check_gamma_eta_dt(gamma, eta)
+    _check_test(prob, TimeDomain.DISCRETE, gamma, eta)
     gamma, _ = _nudge_gamma(prob, gamma)
-    if variant == "fixed":
-        build, beta, delta = build_quad_pencil_fixed, 1.0, eta
-    else:
-        build, delta = build_quad_pencil_variable, -eta / (1.0 + gamma)
-        beta = 1.0 - delta
+    delta, beta = _ray_pair(gamma, eta, variant)
 
     def dense():
+        build = build_quad_pencil_fixed if variant == "fixed" else build_quad_pencil_variable
         pencil = build(prob, gamma, eta)
         # eta -> 0 drives the pencil toward singularity by design; results
         # are verified by direct SVD downstream, so skip the regularity probe
         spec = eig_quadratic(pencil.q0, pencil.q1, pencil.q2, check_regular=False)
-        lam = spec.finite_values
-        rel = _capture_band_rel(REAL_AXIS_RTOL, eta)
-        keep = np.abs(lam.imag) <= rel * np.maximum(1.0, np.abs(lam.real))
-        return lam[keep].real, spec.order, REAL_AXIS_RTOL
+        return np.sort(_near_real(spec, eta)), spec.order
 
     # sigma_min(r e^{i t} I - A) >= r - ||A||, so gamma-level points need
     # gamma (r - 1) >= r - ||A||, i.e. r <= (||A|| - gamma)/(1 - gamma)
     hi = 1.0 + 1.1 * max((prob.norm2 - gamma) / (1.0 - gamma), 4.0 * (prob.norm2 + 1.0))
-    lam, count, tol_used = _real_eigs(
+    lam, count = _real_eigs(
         use_dnc, seed, dense, lambda: dnc.op_quad_dt(prob, gamma, eta, variant=variant),
         (1.0, hi))
     lam = lam[lam > 1.0 + RADIUS_MARGIN]
     radii = []
     if lam.size:
-        radii = _augment_with_midpoints(list(_merge_close(np.sort(lam), atol=LINE_DEDUP_ATOL)))
+        radii = _augment_with_midpoints(list(_merge_close(lam, atol=LINE_DEDUP_ATOL)))
     # the partner circle of r is r + eta (fixed) or beta*r + delta (variable)
     circles = sorted(set(radii) | {beta * r + delta for r in radii})
     return _collect_points(prob, circular_level_points, CertificateReport(
-        gamma, eta, f"{variant}-dt", circles, large_eig_count=count,
-        real_eig_tol_used=tol_used))
+        gamma, eta, f"{variant}-dt", circles, large_eig_count=count))
 
 
 def fixed_distance_test_dt(prob: MatrixProblem, gamma: float, eta: float,

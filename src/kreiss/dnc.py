@@ -1,25 +1,28 @@
 """Divide-and-conquer real-eigenvalue search on implicit certificate pencils.
 
 The certificate eigenproblems have orders 4n^2 (continuous) and 8n^2
-(discrete companion linearization), but both arose from vectorized
-2n x 2n Sylvester forms, so applying the pencil matrices or a shifted
-inverse to a vector costs O(n^3): the shifted inverse "unvectorizes" into
-a (generalized) Sylvester equation.  A recursive interval sweep then finds
-all real eigenvalues in [lo, hi] with shift-and-invert queries: each shift
-clears a disk whose radius is a conservative fraction of the distance to
-the k-th converged Ritz value, and uncovered subintervals are recursed on.
+(discrete companion linearization), but both are vectorized 2n x 2n
+Sylvester forms, so applying the pencil matrices or a shifted inverse to a
+vector costs O(n^3).  One operator serves the three continuous-time
+pencils, built from the same blocks (S1, S2, C, D) as the dense pencils
+(``cert_ct._pencil_blocks``); its shifted inverse is one Sylvester solve.
+The discrete-time operator shares the ray factors and pair rule of
+``cert_dt``; its shifted inverse is one generalized Sylvester solve.  A
+recursive interval sweep then finds all real eigenvalues in [lo, hi] with
+shift-and-invert queries: each shift clears a disk whose radius is a
+conservative fraction of the distance to the k-th converged Ritz value,
+and uncovered subintervals are recursed on.
 
 Dense QZ remains the default certificate backend; this layer is opt-in
 because shift-and-invert solvers can miss nearby eigenvalues, a failure
-mode the test suite checks for explicitly rather than masks.
-"""
+mode the test suite checks for explicitly rather than masks."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse
 
-from .errors import MaxShiftsError, NearSingularOperatorError, ZeroShiftError
+from .errors import KreissError, MaxShiftsError, NearSingularOperatorError, ZeroShiftError
 from .linalg import eigs_shift_invert, solve_gen_sylvester, solve_sylvester
 from .matio import MatrixProblem, TimeDomain
 
@@ -100,138 +103,51 @@ class MatrixOperator(LinearOperator):
         return w
 
 
-def _sparse_gamma_block(n, gamma):
-    eye = scipy.sparse.identity(n, dtype=complex, format="csr")
-    return scipy.sparse.bmat([[eye, -gamma * eye], [gamma * eye, -eye]], format="csr")
-
-
 class _SylvesterOperatorCT(LinearOperator):
-    """Shared continuous-time machinery: A1 w = vec(S1 W + W S2)."""
+    """A continuous-time certificate pencil applied in its Sylvester form.
 
-    def __init__(self, prob, S2, mass):
-        n = prob.n
-        self.n = n
-        self.dim = 4 * n * n
-        A = prob.A
-        self.S1 = np.block([[A, 0 * A], [0 * A, -A.conj().T]])
-        self.S2 = S2
-        self.mass_matrix = mass.tocsr()
-        self.prob = prob
+    With the blocks (S1, S2, C, D) of ``cert_ct._pencil_blocks``,
+    A1 w = vec(S1 W + W S2) and A2 w = vec(C W + W D^T) for the 2n x 2n
+    matrix W = unvec(w), so the shifted solve (A1 - s A2) w = y is the
+    Sylvester equation (S1 - s C) W + W (S2 - s D^T) = unvec(y).  The mass
+    matrix kron(I, C) + kron(D, I) is kept explicit and sparse.
+    """
+
+    def __init__(self, prob, gamma, eta, variant, theta_orient=None):
+        from .cert_ct import _pencil_blocks  # deferred: cert_ct imports this module
+
+        _require(prob, TimeDomain.CONTINUOUS)
+        self.S1, self.S2, self.C, self.D = _pencil_blocks(prob, gamma, eta, variant, theta_orient)
+        self._m = 2 * prob.n
+        self.dim = self._m * self._m
+        eye = np.eye(self._m)
+        self.mass_matrix = (scipy.sparse.kron(eye, self.C)
+                            + scipy.sparse.kron(self.D, eye)).tocsr()
 
     def apply(self, v):
-        W = _unvec(v, 2 * self.n)
+        W = _unvec(v, self._m)
         return _vec(self.S1 @ W + W @ self.S2)
 
-    def _shift_blocks(self, s):
-        raise NotImplementedError
-
     def shifted_inverse_apply(self, shift, y):
-        P, Q = self._shift_blocks(shift)
-        Y = _unvec(y, 2 * self.n)
-        W = solve_sylvester(P, Q, Y)
-        return _vec(W)
-
-
-class _FixedCTOperator(_SylvesterOperatorCT):
-    def __init__(self, prob, gamma, eta, theta):
-        n = prob.n
-        A = prob.A
-        eye = np.eye(n)
-        e_p, e_m, ct = np.exp(1j * theta), np.exp(-1j * theta), np.cos(theta)
-        S2 = np.block([
-            [A.conj().T - eta * e_m * eye, -gamma * eta * ct * eye],
-            [gamma * eta * ct * eye, eta * e_p * eye - A],
-        ])
-        C = _sparse_gamma_block(n, gamma)
-        eye2 = scipy.sparse.identity(2 * n, dtype=complex, format="csr")
-        mass = scipy.sparse.kron(eye2, C) + scipy.sparse.kron(C, eye2)
-        super().__init__(prob, S2, mass)
-        self.gamma, self.eta, self.theta = gamma, eta, theta
-
-    def _shift_blocks(self, s):
-        n = self.n
-        A = self.prob.A
-        eye = np.eye(n)
-        g, eta, th = self.gamma, self.eta, self.theta
-        P = np.block([[A - s * eye, g * s * eye], [-g * s * eye, s * eye - A.conj().T]])
-        Q = np.block([
-            [A.conj().T - (eta * np.exp(-1j * th) + s) * eye, -g * (eta * np.cos(th) + s) * eye],
-            [g * (eta * np.cos(th) + s) * eye, (eta * np.exp(1j * th) + s) * eye - A],
-        ])
-        return P, Q
-
-
-class _VariableCTOperator(_SylvesterOperatorCT):
-    def __init__(self, prob, gamma, eta):
-        n = prob.n
-        A = prob.A
-        S2 = np.block([[A.conj().T, 0 * A], [0 * A, -A]])
-        C = _sparse_gamma_block(n, gamma)
-        eye_n = scipy.sparse.identity(n, dtype=complex, format="csr")
-        D = scipy.sparse.bmat([
-            [(1 - 1j * eta) * eye_n, -gamma * eye_n],
-            [gamma * eye_n, -(1 + 1j * eta) * eye_n],
-        ], format="csr")
-        eye2 = scipy.sparse.identity(2 * n, dtype=complex, format="csr")
-        mass = scipy.sparse.kron(eye2, C) + scipy.sparse.kron(D, eye2)
-        super().__init__(prob, S2, mass)
-        self.gamma, self.eta = gamma, eta
-
-    def _shift_blocks(self, s):
-        n = self.n
-        A = self.prob.A
-        eye = np.eye(n)
-        g, eta = self.gamma, self.eta
-        P = np.block([[A - s * eye, g * s * eye], [-g * s * eye, s * eye - A.conj().T]])
-        Q = np.block([
-            [A.conj().T - s * (1 - 1j * eta) * eye, -g * s * eye],
-            [g * s * eye, s * (1 + 1j * eta) * eye - A],
-        ])
-        return P, Q
-
-
-class _HorizontalCTOperator(_SylvesterOperatorCT):
-    def __init__(self, prob, gamma, eta):
-        n = prob.n
-        A = prob.A
-        beta = 1.0 + eta / (1.0 + gamma)
-        S2 = np.block([[A.conj().T, 0 * A], [0 * A, -A]])
-        C = _sparse_gamma_block(n, gamma)
-        eye2 = scipy.sparse.identity(2 * n, dtype=complex, format="csr")
-        mass = scipy.sparse.kron(eye2, C) + beta * scipy.sparse.kron(C, eye2)
-        super().__init__(prob, S2, mass)
-        self.gamma, self.eta, self.beta = gamma, eta, beta
-
-    def _shift_blocks(self, s):
-        n = self.n
-        A = self.prob.A
-        eye = np.eye(n)
-        g, b = self.gamma, self.beta
-        P = np.block([[A - s * eye, g * s * eye], [-g * s * eye, s * eye - A.conj().T]])
-        Q = np.block([
-            [A.conj().T - b * s * eye, -g * b * s * eye],
-            [g * b * s * eye, b * s * eye - A],
-        ])
-        return P, Q
+        P = self.S1 - shift * self.C
+        Q = self.S2 - shift * self.D.T
+        return _vec(solve_sylvester(P, Q, _unvec(y, self._m)))
 
 
 def op_fixed_ct(prob: MatrixProblem, gamma: float, eta: float,
                 theta_orient: float = np.pi / 2) -> LinearOperator:
     """Implicit operator for the continuous-time fixed-distance pencil."""
-    _require(prob, TimeDomain.CONTINUOUS)
-    return _FixedCTOperator(prob, gamma, eta, theta_orient)
+    return _SylvesterOperatorCT(prob, gamma, eta, "fixed", theta_orient)
 
 
 def op_variable_ct(prob: MatrixProblem, gamma: float, eta: float) -> LinearOperator:
     """Implicit operator for the continuous-time variable-distance pencil."""
-    _require(prob, TimeDomain.CONTINUOUS)
-    return _VariableCTOperator(prob, gamma, eta)
+    return _SylvesterOperatorCT(prob, gamma, eta, "variable-vertical")
 
 
 def op_horizontal_ct(prob: MatrixProblem, gamma: float, eta: float) -> LinearOperator:
     """Implicit operator for the horizontal variable-distance pencil."""
-    _require(prob, TimeDomain.CONTINUOUS)
-    return _HorizontalCTOperator(prob, gamma, eta)
+    return _SylvesterOperatorCT(prob, gamma, eta, "variable-horizontal")
 
 
 def _require(prob, domain):
@@ -250,33 +166,23 @@ class _QuadDTOperator(LinearOperator):
     """
 
     def __init__(self, prob, gamma, eta, variant="fixed"):
-        from .cert_dt import _ray_factor_blocks  # shares the verified factor blocks
+        from .cert_dt import _ray_factor_blocks, _ray_pair  # deferred: cert_dt imports this module
 
         if variant not in ("fixed", "variable"):
             raise ValueError("variant must be 'fixed' or 'variable'")
         n = prob.n
-        self.n = n
+        self._m = 2 * n
         self.half = 4 * n * n  # length of vec(W) with W of order 2n
         self.dim = 2 * self.half
-        self.prob = prob
-        self.gamma, self.eta, self.variant = gamma, eta, variant
-        if variant == "fixed":
-            self.beta = 1.0
-            blocks = _ray_factor_blocks(prob, gamma, eta)
-        else:
-            self.delta = -eta / (1.0 + gamma)
-            self.beta = 1.0 - self.delta
-            blocks = _ray_factor_blocks(prob, gamma, self.delta)
+        delta, self.beta = _ray_pair(gamma, eta, variant)
         (self.C0, self.C1, self.D0, self.D1,
-         self.E0, self.E1, self.F0, self.F1) = blocks
-        m = 2 * n
+         self.E0, self.E1, self.F0, self.F1) = _ray_factor_blocks(prob, gamma, delta)
         sp = scipy.sparse.csr_matrix
         q2 = scipy.sparse.kron(sp(self.D1.T), sp(self.C1)) \
             - scipy.sparse.kron(sp(self.F1.T), sp(self.E1))
         q2 = self.beta * q2
         eye_h = scipy.sparse.identity(self.half, dtype=complex, format="csr")
         self.mass_matrix = scipy.sparse.bmat([[-q2, None], [None, -eye_h]], format="csr")
-        self._m = m
 
     def _q0w(self, W):
         return self.C0 @ W @ self.D0 - self.E0 @ W @ self.F0
@@ -285,9 +191,6 @@ class _QuadDTOperator(LinearOperator):
         lead = self.C1 @ W @ self.D0 - self.E1 @ W @ self.F0
         trail = self.C0 @ W @ self.D1 - self.E0 @ W @ self.F1
         return self.beta * trail + lead
-
-    def _q2w(self, W):
-        return self.beta * (self.C1 @ W @ self.D1 - self.E1 @ W @ self.F1)
 
     def apply(self, v):
         v = np.asarray(v, dtype=complex)
@@ -337,8 +240,9 @@ def real_eigs_in_interval(op: LinearOperator, lo: float, hi: float,
     further), and recurse on what remains uncovered.  Every reported
     eigenvalue passed its own residual test.
 
-    Raises MaxShiftsError when the budget (default 4 * dim) is exhausted;
-    callers are expected to fall back to the dense path.
+    Raises MaxShiftsError when the budget (default 4 * dim) is exhausted.
+    No caller catches it: it propagates out of the certificate test, and a
+    solve that meets it reports ``SolveStatus.FAILED``.
     """
     if lo >= hi:
         raise ValueError("need lo < hi")
@@ -406,8 +310,6 @@ def real_eigs_in_interval(op: LinearOperator, lo: float, hi: float,
 
 
 def _query(op, shift, k, rng):
-    from .errors import KreissError
-
     try:
         return eigs_shift_invert(op, shift, k, seed=int(rng.integers(2**31)))
     except KreissError:

@@ -1,9 +1,12 @@
 """Dense linear-algebra kernels the certificate and solver layers build on.
 
 Everything here is dense and sized for desk-scale matrices (n up to a few
-tens); the large certificate eigenproblems of order 4n^2 / 8n^2 are still
-cheap at that scale.  The shift-and-invert path additionally works with
-implicit operators so the divide-and-conquer layer can avoid forming them.
+tens); the large certificate eigenproblems, which QZ factors at order 2n^2
+(continuous-time fixed distance), 4n^2 (continuous-time variable distance)
+or 6n^2 (discrete time: the 8n^2 companion pencil less its deflated
+infinite eigenvalues), are still cheap at that scale.  The shift-and-invert
+path additionally works with implicit operators so the divide-and-conquer
+layer can avoid forming them.
 """
 
 from __future__ import annotations
@@ -367,9 +370,11 @@ def _operator_norm_estimate(op, rng):
 def eigs_shift_invert(op, shift, k, tol=1e-10, maxiter=None, seed=0):
     """The k eigenvalues of an implicit (generalized) problem nearest a shift.
 
-    ``op`` must provide ``dim``, ``apply(v)`` (action of the stiffness
-    matrix), ``apply_mass(v)`` (action of the mass matrix; identity if the
-    problem is standard), and ``shifted_inverse_apply(shift, y)``.
+    ``op`` is a ``dnc.LinearOperator``: it provides ``dim``, ``apply(v)``
+    (action of the stiffness matrix), ``apply_mass(v)`` (action of the mass
+    matrix; identity if the problem is standard),
+    ``shifted_inverse_apply(shift, y)``, and ``to_dense()`` for problems too
+    small for ARPACK.
 
     Works on the transformed operator T = (A1 - s*A2)^{-1} A2, whose
     largest-magnitude eigenvalues correspond to the pencil eigenvalues
@@ -406,10 +411,7 @@ def eigs_shift_invert(op, shift, k, tol=1e-10, maxiter=None, seed=0):
 
     # Tiny problems (or k too large for ARPACK): materialize and use dense QZ.
     if k >= dim - 1 or dim <= 8:
-        eye = np.eye(dim, dtype=complex)
-        A1 = np.column_stack([op.apply(eye[:, j]) for j in range(dim)])
-        A2 = np.column_stack([op.apply_mass(eye[:, j]) for j in range(dim)])
-        vals, vecs = scipy.linalg.eig(A1, A2)
+        vals, vecs = scipy.linalg.eig(*op.to_dense())
         finite = np.isfinite(vals)
         vals, vecs = vals[finite], vecs[:, finite]
         order = np.argsort(np.abs(vals - shift))[:k]

@@ -113,6 +113,10 @@ def test_certify_gamma_validation(jordan_file):
     proc = run_cli("certify", "--input", jordan_file, "--gamma", "1.5",
                    "--eta", "0.01")
     assert proc.returncode == 1
+    proc = run_cli("certify", "--input", jordan_file, "--gamma", "0.9",
+                   "--eta", "0", "--variant", "fixed-v")
+    assert proc.returncode == 1
+    assert "eta must be positive" in proc.stderr
 
 
 def test_curve_cmd(jordan_file, tmp_path):

@@ -35,9 +35,11 @@ def _companion(pen):
     return L, R
 
 
-def test_fixed_ct_operator_matches_dense():
-    prob = random_stable(2, 1, "continuous")
-    g, eta, th = 0.7, 0.3, np.pi / 2
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("th", [np.pi / 2, 0.0, 0.7], ids=["vertical", "horizontal", "oblique"])
+def test_fixed_ct_operator_matches_dense(th, n):
+    prob = random_stable(n, 1, "continuous")
+    g, eta = 0.7, 0.3
     op = op_fixed_ct(prob, g, eta, th)
     pen = build_fixed_pencil(prob, g, eta, th)
     A1, A2 = op.to_dense()
