@@ -29,7 +29,7 @@ print(f"mass matrix nonzeros: {op.mass_matrix.nnz} (sparse)")
 rng = np.random.default_rng(0)
 y = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
 s = 0.8 + 0.1j
-w_op = op.shifted_inverse_apply(s, y)
+w_op = op.shifted_solver(s)(y)
 w_ref = np.linalg.solve(pen.m1 - s * pen.m2, y)
 print(f"shifted-inverse apply relative error: "
       f"{np.linalg.norm(w_op - w_ref)/np.linalg.norm(w_ref):.2e}")

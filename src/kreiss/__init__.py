@@ -28,10 +28,12 @@ from .linalg import (  # noqa: F401
     eig_pencil,
     eig_quadratic,
     eigs_shift_invert,
+    gen_sylvester_solver,
     solve_gen_sylvester,
     solve_sylvester,
     svd_full,
     svd_min_triple,
+    sylvester_solver,
 )
 from .matio import (  # noqa: F401
     MatrixKind,

@@ -113,7 +113,6 @@ class CertificateReport:
     candidate_lines: list[float] = field(default_factory=list)
     points: list[objective.EvalPoint] = field(default_factory=list)
     large_eig_count: int = 0
-    real_eig_tol_used: float = REAL_AXIS_RTOL
     theta_orient: Optional[float] = None
     rejected_points: int = 0
 

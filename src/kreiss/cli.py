@@ -32,7 +32,7 @@ from .errors import (
 from .matio import load_matrix
 from .solver import SolveStatus
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _log = logging.getLogger("kreiss")
 
@@ -203,7 +203,6 @@ def cmd_certify(args) -> int:
         "empty": report.empty,
         "rejected_points": report.rejected_points,
         "large_eig_count": report.large_eig_count,
-        "real_eig_tol_used": report.real_eig_tol_used,
     }
     print(json.dumps(doc))
     return 0

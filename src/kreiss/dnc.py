@@ -7,7 +7,10 @@ vector costs O(n^3).  One operator serves the three continuous-time
 pencils, built from the same blocks (S1, S2, C, D) as the dense pencils
 (``cert_ct._pencil_blocks``); its shifted inverse is one Sylvester solve.
 The discrete-time operator shares the ray factors and pair rule of
-``cert_dt``; its shifted inverse is one generalized Sylvester solve.  A
+``cert_dt``; its shifted inverse is one generalized Sylvester solve.
+``shifted_solver(shift)`` factors that solve once per shift (two Schur
+forms, or two QZ forms), so each of the many right-hand sides an ARPACK
+query sends at that shift costs only triangular solves.  A
 recursive interval sweep then finds all real eigenvalues in [lo, hi] with
 shift-and-invert queries: each shift clears a disk whose radius is a
 conservative fraction of the distance to the k-th converged Ritz value,
@@ -19,11 +22,16 @@ mode the test suite checks for explicitly rather than masks."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .errors import KreissError, MaxShiftsError, NearSingularOperatorError, ZeroShiftError
-from .linalg import eigs_shift_invert, solve_gen_sylvester, solve_sylvester
+from .linalg import eigs_shift_invert, gen_sylvester_solver, sylvester_solver
+# the one-shot solvers stay importable here: bench/tracing.py wraps them by these names
+from .linalg import solve_gen_sylvester, solve_sylvester  # noqa: F401
 from .matio import MatrixProblem, TimeDomain
 
 __all__ = [
@@ -54,7 +62,8 @@ class LinearOperator:
     """Implicit square operator for a (possibly generalized) eigenproblem.
 
     Subclasses provide ``apply`` (stiffness action), ``apply_mass`` (mass
-    action; identity for standard problems) and ``shifted_inverse_apply``.
+    action; identity for standard problems) and ``shifted_solver(shift)``,
+    which factors A1 - shift*A2 once and returns y -> (A1 - shift*A2)^{-1} y.
     ``mass_matrix`` is the explicit sparse mass matrix when the problem is
     generalized, else None.
     """
@@ -70,7 +79,7 @@ class LinearOperator:
             return np.asarray(v, dtype=complex)
         return self.mass_matrix @ v
 
-    def shifted_inverse_apply(self, shift, y):
+    def shifted_solver(self, shift):
         raise NotImplementedError
 
     def to_dense(self):
@@ -91,16 +100,22 @@ class MatrixOperator(LinearOperator):
     def apply(self, v):
         return self.A1 @ v
 
-    def shifted_inverse_apply(self, shift, y):
+    def shifted_solver(self, shift):
         A2 = np.eye(self.dim) if self.mass_matrix is None else self.mass_matrix.toarray()
-        M = self.A1 - shift * A2
-        try:
-            w = np.linalg.solve(M, np.asarray(y, dtype=complex))
-        except np.linalg.LinAlgError as exc:
-            raise NearSingularOperatorError(f"shifted solve failed: {exc}") from exc
-        if not np.all(np.isfinite(w)):
-            raise NearSingularOperatorError("shifted solve overflowed")
-        return w
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                lu, piv = scipy.linalg.lu_factor(self.A1 - shift * A2)
+            except scipy.linalg.LinAlgWarning as exc:  # an exactly zero pivot
+                raise NearSingularOperatorError(f"shifted solve failed: {exc}") from exc
+
+        def solve(y):
+            w = scipy.linalg.lu_solve((lu, piv), np.asarray(y, dtype=complex))
+            if not np.all(np.isfinite(w)):
+                raise NearSingularOperatorError("shifted solve overflowed")
+            return w
+
+        return solve
 
 
 class _SylvesterOperatorCT(LinearOperator):
@@ -128,10 +143,10 @@ class _SylvesterOperatorCT(LinearOperator):
         W = _unvec(v, self._m)
         return _vec(self.S1 @ W + W @ self.S2)
 
-    def shifted_inverse_apply(self, shift, y):
-        P = self.S1 - shift * self.C
-        Q = self.S2 - shift * self.D.T
-        return _vec(solve_sylvester(P, Q, _unvec(y, self._m)))
+    def shifted_solver(self, shift):
+        solve = sylvester_solver(self.S1 - shift * self.C, self.S2 - shift * self.D.T)
+        m = self._m
+        return lambda y: _vec(solve(_unvec(y, m)))
 
 
 def op_fixed_ct(prob: MatrixProblem, gamma: float, eta: float,
@@ -199,23 +214,26 @@ class _QuadDTOperator(LinearOperator):
         top = _vec(self._q1w(W1)) + _vec(self._q0w(W2))
         return np.concatenate([top, -v[:self.half]])
 
-    def shifted_inverse_apply(self, shift, y):
+    def shifted_solver(self, shift):
         if shift == 0.0:
             raise ZeroShiftError("the companion back-substitution divides by the shift")
         s = complex(shift)
-        y = np.asarray(y, dtype=complex)
-        y1, y2 = y[:self.half], y[self.half:]
-        Y2 = _unvec(y2, self._m)
-        yhat = s * y1 - _vec(self._q0w(Y2))
         M = self.C0 + s * self.C1
         N = self.E0 + s * self.E1
         # Mt*, Nt* evaluated at the partner radius (s + eta, or beta*s + delta)
         MtH = self.D0 + self.beta * s * self.D1
         NtH = self.F0 + self.beta * s * self.F1
-        W1 = solve_gen_sylvester(M, MtH.conj().T, N, NtH.conj().T, _unvec(yhat, self._m))
-        w1 = _vec(W1)
-        w2 = (y2 + w1) / s
-        return np.concatenate([w1, w2])
+        solve_w1 = gen_sylvester_solver(M, MtH.conj().T, N, NtH.conj().T)
+
+        def solve(y):
+            y = np.asarray(y, dtype=complex)
+            y1, y2 = y[:self.half], y[self.half:]
+            yhat = s * y1 - _vec(self._q0w(_unvec(y2, self._m)))
+            w1 = _vec(solve_w1(_unvec(yhat, self._m)))
+            w2 = (y2 + w1) / s
+            return np.concatenate([w1, w2])
+
+        return solve
 
 
 def op_quad_dt(prob: MatrixProblem, gamma: float, eta: float,

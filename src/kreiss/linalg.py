@@ -38,7 +38,9 @@ __all__ = [
     "eig_pencil",
     "eig_pencil_deflated",
     "eig_quadratic",
+    "sylvester_solver",
     "solve_sylvester",
+    "gen_sylvester_solver",
     "solve_gen_sylvester",
     "eigs_shift_invert",
 ]
@@ -265,16 +267,19 @@ def eig_quadratic(Q0, Q1, Q2, check_regular: bool = True) -> Spectrum:
 # Sylvester solvers
 # --------------------------------------------------------------------------
 
-def solve_sylvester(P, Q, C):
-    """Solve the Sylvester equation P W + W Q = C.
+def sylvester_solver(P, Q):
+    """Factor the Sylvester operator W -> P W + W Q once; returns ``solve(C)``.
 
-    Requires Lambda(P) and Lambda(-Q) disjoint; raises
-    NearSingularOperatorError when the eigenvalue separation (or the
-    residual of the computed solution) indicates a near-singular operator.
+    Bartels-Stewart: the separation check, the scale and the Schur forms
+    P = U R U*, Q* = V S V* are computed here, once; each ``solve(C)``
+    then costs one triangular Sylvester solve (LAPACK ``trsyl``, as in
+    ``scipy.linalg.solve_sylvester``) and two back-transforms.  Requires
+    Lambda(P) and Lambda(-Q) disjoint; raises NearSingularOperatorError
+    when the eigenvalue separation (or, per solve, the residual of the
+    computed solution) indicates a near-singular operator.
     """
     P = np.asarray(P, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
-    C = np.asarray(C, dtype=complex)
     scale = np.linalg.norm(P, 2) + np.linalg.norm(Q, 2)
     sep = np.min(np.abs(np.linalg.eigvals(P)[:, None] + np.linalg.eigvals(Q)[None, :]))
     if sep <= 1e-12 * max(scale, 1e-300):
@@ -282,70 +287,103 @@ def solve_sylvester(P, Q, C):
             f"Lambda(P) and Lambda(-Q) separated by only {sep:.3e}"
         )
     try:
-        W = scipy.linalg.solve_sylvester(P, Q, C)
+        R, U = scipy.linalg.schur(P, output="real")
+        S, V = scipy.linalg.schur(Q.conj().transpose(), output="real")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NearSingularOperatorError(f"Sylvester solve failed: {exc}") from exc
-    if not np.all(np.isfinite(W)):
-        raise NearSingularOperatorError("Sylvester solution overflowed")
-    resid = np.linalg.norm(P @ W + W @ Q - C)
-    wnorm = np.linalg.norm(W)
-    if resid > 1e-12 * max(scale * wnorm, np.linalg.norm(C)):
-        raise NearSingularOperatorError(
-            f"Sylvester residual {resid:.3e} too large (separation likely tiny)"
-        )
-    return W
+    UH, VH = U.conj().transpose(), V.conj().transpose()
+    trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (R, S))
+
+    def solve(C):
+        C = np.asarray(C, dtype=complex)
+        # R Y + Y S* = U* C V, then W = U Y V*
+        F = np.dot(np.dot(UH, C), V)
+        Y, s, info = trsyl(R, S, F, tranb="C")
+        if info < 0:
+            raise NearSingularOperatorError(
+                f"Sylvester solve failed: illegal value in the {-info} term")
+        W = np.dot(np.dot(U, s * Y), VH)
+        if not np.all(np.isfinite(W)):
+            raise NearSingularOperatorError("Sylvester solution overflowed")
+        resid = np.linalg.norm(P @ W + W @ Q - C)
+        wnorm = np.linalg.norm(W)
+        if resid > 1e-12 * max(scale * wnorm, np.linalg.norm(C)):
+            raise NearSingularOperatorError(
+                f"Sylvester residual {resid:.3e} too large (separation likely tiny)"
+            )
+        return W
+
+    return solve
 
 
-def solve_gen_sylvester(M, Mt, N, Nt, Y):
-    """Solve the two-sided generalized Sylvester equation M W Mt* - N W Nt* = Y.
+def solve_sylvester(P, Q, C):
+    """Solve the Sylvester equation P W + W Q = C (see ``sylvester_solver``)."""
+    return sylvester_solver(P, Q)(C)
 
-    Uses QZ decompositions of (M, N) and (Mt*, Nt*) followed by a
-    column-by-column triangular substitution; O(n^3) overall.  Requires the
-    pencils M - lambda*N and Nt* - lambda*Mt* to be regular with disjoint
-    spectra.
+
+def gen_sylvester_solver(M, Mt, N, Nt):
+    """Factor W -> M W Mt* - N W Nt* once; returns ``solve(Y)``.
+
+    The QZ decompositions of (M, N) and (Mt*, Nt*), the scale and every
+    column's triangular coefficient, with its singularity check, are
+    computed here, once; each ``solve(Y)`` is a column-by-column triangular
+    substitution, O(n^3).  Requires the pencils M - lambda*N and
+    Nt* - lambda*Mt* to be regular with disjoint spectra.
     """
     M = np.asarray(M, dtype=complex)
     N = np.asarray(N, dtype=complex)
     MtH = np.asarray(Mt, dtype=complex).conj().T
     NtH = np.asarray(Nt, dtype=complex).conj().T
-    Y = np.asarray(Y, dtype=complex)
     p = M.shape[0]
     q = MtH.shape[0]
-    if Y.shape != (p, q):
-        raise ValueError("right-hand side has incompatible shape")
-
     try:
         TM, TN, QL, ZL = scipy.linalg.qz(M, N, output="complex")
         SM, SN, QR, ZR = scipy.linalg.qz(MtH, NtH, output="complex")
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"QZ failed: {exc}") from exc
     # M = QL TM ZL*, N = QL TN ZL*;  Mt* = QR SM ZR*, Nt* = QR SN ZR*
-    C = QL.conj().T @ Y @ ZR
-    X = np.zeros((p, q), dtype=complex)
+    QLH, QRH = QL.conj().T, QR.conj().T
     scale = (np.linalg.norm(M, np.inf) + np.linalg.norm(N, np.inf)) * \
         (np.linalg.norm(MtH, np.inf) + np.linalg.norm(NtH, np.inf))
+    T = []  # column j of X solves T[j] x = rhs
     for j in range(q):
-        if j > 0:
-            rm = X[:, :j] @ SM[:j, j]
-            rn = X[:, :j] @ SN[:j, j]
-        else:
-            rm = rn = np.zeros(p, dtype=complex)
-        rhs = C[:, j] - TM @ rm + TN @ rn
-        T = SM[j, j] * TM - SN[j, j] * TN
-        diag = np.abs(np.diag(T))
-        if np.any(diag <= 1e-14 * max(np.linalg.norm(T, np.inf), 1e-300)):
+        Tj = SM[j, j] * TM - SN[j, j] * TN
+        diag = np.abs(np.diag(Tj))
+        if np.any(diag <= 1e-14 * max(np.linalg.norm(Tj, np.inf), 1e-300)):
             raise NearSingularOperatorError(
                 "generalized Sylvester operator is numerically singular "
                 "(pencil spectra too close)"
             )
-        X[:, j] = scipy.linalg.solve_triangular(T, rhs, lower=False)
-    W = ZL @ X @ QR.conj().T
-    resid = np.linalg.norm(M @ W @ MtH - N @ W @ NtH - Y)
-    if not np.all(np.isfinite(W)) or resid > 1e-10 * max(scale * np.linalg.norm(W), np.linalg.norm(Y)):
-        raise NearSingularOperatorError(
-            f"generalized Sylvester residual {resid:.3e} too large"
-        )
-    return W
+        T.append(Tj)
+
+    def solve(Y):
+        Y = np.asarray(Y, dtype=complex)
+        if Y.shape != (p, q):
+            raise ValueError("right-hand side has incompatible shape")
+        C = QLH @ Y @ ZR
+        X = np.zeros((p, q), dtype=complex)
+        for j in range(q):
+            if j > 0:
+                rm = X[:, :j] @ SM[:j, j]
+                rn = X[:, :j] @ SN[:j, j]
+            else:
+                rm = rn = np.zeros(p, dtype=complex)
+            rhs = C[:, j] - TM @ rm + TN @ rn
+            X[:, j] = scipy.linalg.solve_triangular(T[j], rhs, lower=False)
+        W = ZL @ X @ QRH
+        resid = np.linalg.norm(M @ W @ MtH - N @ W @ NtH - Y)
+        if not np.all(np.isfinite(W)) or resid > 1e-10 * max(scale * np.linalg.norm(W), np.linalg.norm(Y)):
+            raise NearSingularOperatorError(
+                f"generalized Sylvester residual {resid:.3e} too large"
+            )
+        return W
+
+    return solve
+
+
+def solve_gen_sylvester(M, Mt, N, Nt, Y):
+    """Solve M W Mt* - N W Nt* = Y (see ``gen_sylvester_solver``)."""
+    return gen_sylvester_solver(M, Mt, N, Nt)(Y)
 
 
 # --------------------------------------------------------------------------
@@ -372,9 +410,10 @@ def eigs_shift_invert(op, shift, k, tol=1e-10, maxiter=None, seed=0):
 
     ``op`` is a ``dnc.LinearOperator``: it provides ``dim``, ``apply(v)``
     (action of the stiffness matrix), ``apply_mass(v)`` (action of the mass
-    matrix; identity if the problem is standard),
-    ``shifted_inverse_apply(shift, y)``, and ``to_dense()`` for problems too
-    small for ARPACK.
+    matrix; identity if the problem is standard), ``shifted_solver(shift)``
+    (factors A1 - shift*A2 once and returns y -> (A1 - shift*A2)^{-1} y;
+    called once per query, so every ARPACK matvec reuses the factorization),
+    and ``to_dense()`` for problems too small for ARPACK.
 
     Works on the transformed operator T = (A1 - s*A2)^{-1} A2, whose
     largest-magnitude eigenvalues correspond to the pencil eigenvalues
@@ -417,8 +456,10 @@ def eigs_shift_invert(op, shift, k, tol=1e-10, maxiter=None, seed=0):
         order = np.argsort(np.abs(vals - shift))[:k]
         return [make_ritz(vals[j], vecs[:, j]) for j in order]
 
+    solve = op.shifted_solver(shift)
+
     def T_matvec(y):
-        return op.shifted_inverse_apply(shift, op.apply_mass(y))
+        return solve(op.apply_mass(y))
 
     T = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=T_matvec, dtype=complex)
     ncv = min(dim, max(4 * k + 1, 20))

@@ -32,7 +32,7 @@ def test_kreiss_scalar(tmp_path):
     proc = run_cli("kreiss", "--input", str(path), "--method", "owr")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["kreiss"] == pytest.approx(1.0, abs=1e-6)
     assert doc["status"] in ("converged", "tolerance-reached")
 
