@@ -23,16 +23,12 @@ from .errors import *  # noqa: F401,F403
 from .linalg import (  # noqa: F401
     RitzValue,
     Spectrum,
-    SvdTriple,
-    eig_dense,
     eig_pencil,
     eig_quadratic,
     eigs_shift_invert,
     gen_sylvester_solver,
     solve_gen_sylvester,
     solve_sylvester,
-    svd_full,
-    svd_min_triple,
     sylvester_solver,
 )
 from .matio import (  # noqa: F401
@@ -79,7 +75,6 @@ from .cert_dt import (  # noqa: F401
 )
 from .dnc import (  # noqa: F401
     LinearOperator,
-    MatrixOperator,
     op_fixed_ct,
     op_horizontal_ct,
     op_quad_dt,

@@ -145,6 +145,7 @@ def vertical_level_points(prob: MatrixProblem, gamma: float, x: float) -> list[f
     symmetric pair, whose mean restores the root) and each y is polished by
     a 1D Newton iteration on sigma(G(x, .)) = gamma.
     """
+    objective.check_domain(prob, TimeDomain.CONTINUOUS, "vertical_level_points")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if x == 0.0:
@@ -157,7 +158,7 @@ def vertical_level_points(prob: MatrixProblem, gamma: float, x: float) -> list[f
     if ys.size == 0:
         return []
     ys = _merge_close(ys, atol=1e-6 * max(1.0, float(np.max(np.abs(ys)))))
-    return [float(_polish(prob, gamma, x, y, circle=False)) for y in ys]
+    return [float(_polish(prob, gamma, x, y)) for y in ys]
 
 
 def _merge_close(vals, atol):
@@ -172,33 +173,29 @@ def _merge_close(vals, atol):
     return np.array([np.mean(g) for g in groups])
 
 
-def _polish(prob, gamma, c1, t, circle, steps=25):
+def _polish(prob, gamma, c1, t, steps=25):
     """Newton-polish t so that the singular value nearest gamma hits gamma.
 
-    The 1D test runs along a curve z(t) at fixed first coordinate c1: the
-    vertical line z = c1 + i t with scale d = c1 (continuous time), or with
-    ``circle`` the circle z = c1 e^{it} with d = c1 - 1 (discrete time).
-    The singular values are those of (z(t) I - A)/d, whose t-derivative is
-    (z'(t)/d) I.  A step longer than 0.5 (0.5 * max(1, |t|) on a line) ends
-    the polish.
+    The 1D test runs along the domain's curve z(t) = point(c1, t) at fixed
+    first coordinate c1: the vertical line z = c1 + i t (continuous time)
+    or the circle z = c1 e^{it} (discrete time), with d = scale(c1).  The
+    singular values are those of (z(t) I - A)/d, whose t-derivative is
+    (z'(t)/d) I.  A step longer than ``polish_cap(t)`` (0.5 * max(1, |t|)
+    on a line, 0.5 on a circle) ends the polish.
     """
-    eye = np.eye(prob.n)
-    d = c1 - 1.0 if circle else c1
+    dom = objective.domain(prob)
+    d = dom.scale(c1)
     for _ in range(steps):
-        if circle:
-            z, dz = c1 * np.exp(1j * t), 1j * c1 * np.exp(1j * t)
-        else:
-            z, dz = c1 + 1j * t, 1j
-        U, s, Vh = np.linalg.svd((z * eye - prob.A) / d)
+        U, s, Vh = np.linalg.svd(dom.matrix(prob.A, c1, t))
         j = int(np.argmin(np.abs(s - gamma)))
         err = s[j] - gamma
         if abs(err) <= 1e-15 * max(1.0, gamma):
             break
-        ds = float(np.real(U[:, j].conj() @ ((dz / d) * Vh[j, :].conj())))
+        ds = float(np.real(U[:, j].conj() @ ((dom.dpoint(c1, t) / d) * Vh[j, :].conj())))
         if abs(ds) < 1e-14:
             break
         step = -err / ds
-        if abs(step) > (0.5 if circle else 0.5 * max(1.0, abs(t))):
+        if abs(step) > dom.polish_cap(t):
             break
         t = t + step
     return t
@@ -374,7 +371,7 @@ def _real_positive_eigs_dense(pencil):
         V = _null_rotation(pencil.gamma)
         M, N = _rotate_columns(M, V, n), _rotate_columns(N, V, n)
         N[:, :2 * n * n] = 0.0
-    spec = linalg.eig_pencil_deflated(M, N, check_regular=False)
+    spec = linalg.eig_pencil_deflated(M, N)
     xs = _near_real(spec, pencil.eta)
     return np.sort(xs[xs > LINE_DEDUP_ATOL]), spec.order
 
@@ -386,18 +383,20 @@ def _near_real(spec, eta):
     return lam[np.abs(lam.imag) <= rel * np.maximum(1.0, np.abs(lam.real))].real
 
 
-def _real_eigs(use_dnc, seed, dense, operator, interval):
+def _real_eigs(prob, gamma, use_dnc, seed, dense, operator):
     """(sorted real candidate eigenvalues, order of the eigenproblem solved).
 
     ``dense()`` builds the pencil and runs the dense eigensolver.  Under
-    ``use_dnc`` the divide-and-conquer sweep searches ``interval`` on the
-    implicit ``operator()`` instead, and no dense pencil is built.  A
-    ``MaxShiftsError`` from the sweep propagates to the caller.
+    ``use_dnc`` the divide-and-conquer sweep searches the domain's
+    ``search_interval`` at level gamma on the implicit ``operator()``
+    instead, and no dense pencil is built.  A ``MaxShiftsError`` from the
+    sweep propagates to the caller.
     """
     if not use_dnc:
         return dense()
     op = operator()
-    vals = dnc.real_eigs_in_interval(op, *interval, seed=seed)
+    lo, hi = objective.domain(prob).search_interval(prob.norm2, gamma)
+    vals = dnc.real_eigs_in_interval(op, lo, hi, seed=seed)
     return np.sort(np.asarray(vals, dtype=float)), op.dim
 
 
@@ -422,16 +421,9 @@ def _candidate_lines(xs):
     return _augment_with_midpoints(dnc._dedupe(list(xs), LINE_DEDUP_ATOL))
 
 
-def _check_test(prob, domain, gamma, eta, theta_orient=None):
-    if prob.time_domain is not domain:
-        raise ValueError(f"{domain.value}-time certificate needs a {domain.value}-time problem")
+def _check_test(prob, time_domain, gamma, eta, theta_orient=None):
+    objective.check_domain(prob, time_domain, f"{time_domain.value}-time certificate")
     _check_gamma_eta(gamma, eta, theta_orient)
-
-
-def _dnc_interval(prob, gamma):
-    # sigma_min((x+iy)I - A) >= x - ||A||, so gamma-level points need
-    # x <= ||A||/(1 - gamma): a proven enclosure, no doubling ever needed
-    return 0.0, 1.1 * max(prob.norm2 / (1.0 - gamma), 4.0 * max(prob.norm2, 1.0))
 
 
 def fixed_distance_test(prob: MatrixProblem, gamma: float, eta: float,
@@ -446,9 +438,9 @@ def fixed_distance_test(prob: MatrixProblem, gamma: float, eta: float,
     """
     _check_test(prob, TimeDomain.CONTINUOUS, gamma, eta, theta_orient)
     xs, count = _real_eigs(
-        use_dnc, seed,
+        prob, gamma, use_dnc, seed,
         lambda: _real_positive_eigs_dense(build_fixed_pencil(prob, gamma, eta, theta_orient)),
-        lambda: dnc.op_fixed_ct(prob, gamma, eta, theta_orient), _dnc_interval(prob, gamma))
+        lambda: dnc.op_fixed_ct(prob, gamma, eta, theta_orient))
     lines = _candidate_lines(xs)
     if abs(theta_orient) < np.pi / 2:
         shifted = [x + eta * np.cos(theta_orient) for x in lines]
@@ -466,9 +458,9 @@ def variable_distance_test(prob: MatrixProblem, gamma: float, eta: float,
     """
     _check_test(prob, TimeDomain.CONTINUOUS, gamma, eta)
     xs, count = _real_eigs(
-        use_dnc, seed,
+        prob, gamma, use_dnc, seed,
         lambda: _real_positive_eigs_dense(build_variable_pencil(prob, gamma, eta)),
-        lambda: dnc.op_variable_ct(prob, gamma, eta), _dnc_interval(prob, gamma))
+        lambda: dnc.op_variable_ct(prob, gamma, eta))
     return _collect_points(prob, vertical_level_points, CertificateReport(
         gamma, eta, "variable-vertical", _candidate_lines(xs), large_eig_count=count))
 
@@ -482,9 +474,9 @@ def horizontal_variable_test(prob: MatrixProblem, gamma: float, eta: float,
     """
     _check_test(prob, TimeDomain.CONTINUOUS, gamma, eta)
     xs, count = _real_eigs(
-        use_dnc, seed,
+        prob, gamma, use_dnc, seed,
         lambda: _real_positive_eigs_dense(build_horizontal_pencil(prob, gamma, eta)),
-        lambda: dnc.op_horizontal_ct(prob, gamma, eta), _dnc_interval(prob, gamma))
+        lambda: dnc.op_horizontal_ct(prob, gamma, eta))
     base = _candidate_lines(xs)
     beta = _pair_beta(gamma, eta)
     lines = dnc._dedupe(base + [beta * x for x in base], LINE_DEDUP_ATOL)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import dnc
+from . import dnc, objective
 from .cert_ct import (CAPTURE_FACTOR, CertificateReport, LINE_DEDUP_ATOL,
                       _augment_with_midpoints, _check_gamma_eta, _check_test,
                       _collect_points, _merge_close, _near_real, _pair_beta, _polish,
@@ -89,6 +89,7 @@ def circular_level_points(prob: MatrixProblem, gamma: float, r: float) -> list[f
     symmetrically; the circular mean restores them) and polished by a 1D
     Newton iteration on sigma(H(r, .)) = gamma.
     """
+    objective.check_domain(prob, TimeDomain.DISCRETE, "circular_level_points")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if r == 1.0 or r == 0.0:
@@ -104,8 +105,8 @@ def circular_level_points(prob: MatrixProblem, gamma: float, r: float) -> list[f
     lam = lam[np.abs(np.abs(lam) - 1.0) <= CAPTURE_FACTOR * UNIMODULAR_ATOL]
     if lam.size == 0:
         return []
-    return sorted(float(np.mod(_polish(prob, gamma, r, t, circle=True), 2.0 * np.pi))
-                  for t in _cluster_on_circle(lam))
+    wrap = objective.domain(prob).wrap
+    return sorted(wrap(_polish(prob, gamma, r, t)) for t in _cluster_on_circle(lam))
 
 
 def _cluster_on_circle(lam, atol=1e-6):
@@ -220,17 +221,11 @@ def _radial_test(prob, gamma, eta, variant, use_dnc, seed):
     def dense():
         build = build_quad_pencil_fixed if variant == "fixed" else build_quad_pencil_variable
         pencil = build(prob, gamma, eta)
-        # eta -> 0 drives the pencil toward singularity by design; results
-        # are verified by direct SVD downstream, so skip the regularity probe
-        spec = eig_quadratic(pencil.q0, pencil.q1, pencil.q2, check_regular=False)
+        spec = eig_quadratic(pencil.q0, pencil.q1, pencil.q2)
         return np.sort(_near_real(spec, eta)), spec.order
 
-    # sigma_min(r e^{i t} I - A) >= r - ||A||, so gamma-level points need
-    # gamma (r - 1) >= r - ||A||, i.e. r <= (||A|| - gamma)/(1 - gamma)
-    hi = 1.0 + 1.1 * max((prob.norm2 - gamma) / (1.0 - gamma), 4.0 * (prob.norm2 + 1.0))
-    lam, count = _real_eigs(
-        use_dnc, seed, dense, lambda: dnc.op_quad_dt(prob, gamma, eta, variant=variant),
-        (1.0, hi))
+    lam, count = _real_eigs(prob, gamma, use_dnc, seed, dense,
+                            lambda: dnc.op_quad_dt(prob, gamma, eta, variant=variant))
     lam = lam[lam > 1.0 + RADIUS_MARGIN]
     radii = []
     if lam.size:

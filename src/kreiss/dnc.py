@@ -22,21 +22,18 @@ mode the test suite checks for explicitly rather than masks."""
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
-from .errors import KreissError, MaxShiftsError, NearSingularOperatorError, ZeroShiftError
+from .errors import KreissError, MaxShiftsError, ZeroShiftError
 from .linalg import eigs_shift_invert, gen_sylvester_solver, sylvester_solver
 # the one-shot solvers stay importable here: bench/tracing.py wraps them by these names
 from .linalg import solve_gen_sylvester, solve_sylvester  # noqa: F401
 from .matio import MatrixProblem, TimeDomain
+from .objective import check_domain
 
 __all__ = [
     "LinearOperator",
-    "MatrixOperator",
     "op_fixed_ct",
     "op_variable_ct",
     "op_horizontal_ct",
@@ -59,24 +56,20 @@ def _unvec(w, m):
 
 
 class LinearOperator:
-    """Implicit square operator for a (possibly generalized) eigenproblem.
+    """Implicit square operator for a generalized eigenproblem A1 x = lambda A2 x.
 
-    Subclasses provide ``apply`` (stiffness action), ``apply_mass`` (mass
-    action; identity for standard problems) and ``shifted_solver(shift)``,
-    which factors A1 - shift*A2 once and returns y -> (A1 - shift*A2)^{-1} y.
-    ``mass_matrix`` is the explicit sparse mass matrix when the problem is
-    generalized, else None.
+    Subclasses provide ``apply`` (the action of A1), ``mass_matrix`` (A2,
+    explicit and sparse) and ``shifted_solver(shift)``, which factors
+    A1 - shift*A2 once and returns y -> (A1 - shift*A2)^{-1} y.
     """
 
     dim: int
-    mass_matrix = None
+    mass_matrix: scipy.sparse.spmatrix
 
     def apply(self, v):
         raise NotImplementedError
 
     def apply_mass(self, v):
-        if self.mass_matrix is None:
-            return np.asarray(v, dtype=complex)
         return self.mass_matrix @ v
 
     def shifted_solver(self, shift):
@@ -87,35 +80,6 @@ class LinearOperator:
         A1 = np.column_stack([self.apply(eye[:, j]) for j in range(self.dim)])
         A2 = np.column_stack([self.apply_mass(eye[:, j]) for j in range(self.dim)])
         return A1, A2
-
-
-class MatrixOperator(LinearOperator):
-    """Dense-backed operator; mostly for tests and the dense fallback."""
-
-    def __init__(self, A1, A2=None):
-        self.A1 = np.asarray(A1, dtype=complex)
-        self.dim = self.A1.shape[0]
-        self.mass_matrix = None if A2 is None else scipy.sparse.csr_matrix(A2)
-
-    def apply(self, v):
-        return self.A1 @ v
-
-    def shifted_solver(self, shift):
-        A2 = np.eye(self.dim) if self.mass_matrix is None else self.mass_matrix.toarray()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            try:
-                lu, piv = scipy.linalg.lu_factor(self.A1 - shift * A2)
-            except scipy.linalg.LinAlgWarning as exc:  # an exactly zero pivot
-                raise NearSingularOperatorError(f"shifted solve failed: {exc}") from exc
-
-        def solve(y):
-            w = scipy.linalg.lu_solve((lu, piv), np.asarray(y, dtype=complex))
-            if not np.all(np.isfinite(w)):
-                raise NearSingularOperatorError("shifted solve overflowed")
-            return w
-
-        return solve
 
 
 class _SylvesterOperatorCT(LinearOperator):
@@ -131,7 +95,7 @@ class _SylvesterOperatorCT(LinearOperator):
     def __init__(self, prob, gamma, eta, variant, theta_orient=None):
         from .cert_ct import _pencil_blocks  # deferred: cert_ct imports this module
 
-        _require(prob, TimeDomain.CONTINUOUS)
+        check_domain(prob, TimeDomain.CONTINUOUS, "operator")
         self.S1, self.S2, self.C, self.D = _pencil_blocks(prob, gamma, eta, variant, theta_orient)
         self._m = 2 * prob.n
         self.dim = self._m * self._m
@@ -163,11 +127,6 @@ def op_variable_ct(prob: MatrixProblem, gamma: float, eta: float) -> LinearOpera
 def op_horizontal_ct(prob: MatrixProblem, gamma: float, eta: float) -> LinearOperator:
     """Implicit operator for the horizontal variable-distance pencil."""
     return _SylvesterOperatorCT(prob, gamma, eta, "variable-horizontal")
-
-
-def _require(prob, domain):
-    if prob.time_domain is not domain:
-        raise ValueError(f"operator needs a {domain.value}-time problem")
 
 
 class _QuadDTOperator(LinearOperator):
@@ -239,7 +198,7 @@ class _QuadDTOperator(LinearOperator):
 def op_quad_dt(prob: MatrixProblem, gamma: float, eta: float,
                variant: str = "fixed") -> LinearOperator:
     """Implicit companion-linearization operator for the discrete tests."""
-    _require(prob, TimeDomain.DISCRETE)
+    check_domain(prob, TimeDomain.DISCRETE, "operator")
     return _QuadDTOperator(prob, gamma, eta, variant)
 
 

@@ -41,10 +41,6 @@ class SingularPencilError(KreissError):
     """The matrix pencil was detected to be non-regular."""
 
 
-class IllPosedError(KreissError):
-    """A quadratic eigenvalue problem has both endpoint matrices singular."""
-
-
 class NearSingularOperatorError(KreissError):
     """A (shifted) linear operator is too close to singular to solve with."""
 
@@ -75,10 +71,6 @@ class DegenerateGapError(KreissError):
 
 class InfeasibleStartError(KreissError):
     """The starting point is outside the feasible search domain."""
-
-
-class CertificateFailure(KreissError):
-    """A globality certificate could not be completed."""
 
 
 # --- structured inverses / divide-and-conquer -------------------------------

@@ -22,19 +22,13 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 from .errors import (
     ArnoldiBreakdownError,
     ConvergenceFailure,
-    IllPosedError,
     MaxIterationsError,
     NearSingularOperatorError,
-    SingularPencilError,
 )
 
 __all__ = [
-    "SvdTriple",
     "Spectrum",
     "RitzValue",
-    "svd_full",
-    "svd_min_triple",
-    "eig_dense",
     "eig_pencil",
     "eig_pencil_deflated",
     "eig_quadratic",
@@ -46,15 +40,6 @@ __all__ = [
 ]
 
 _BETA_ZERO_RTOL = 1e-14  # |beta| below this (relative) means an infinite eigenvalue
-
-
-@dataclass(frozen=True)
-class SvdTriple:
-    """One singular value with its unit left/right singular vectors."""
-
-    sigma: float
-    u: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,11 +82,6 @@ class Spectrum:
     def finite_values(self) -> np.ndarray:
         return self.alpha[~self.is_infinite] / self.beta[~self.is_infinite]
 
-    @classmethod
-    def from_values(cls, values) -> "Spectrum":
-        values = np.asarray(values, dtype=complex)
-        return cls(values, np.ones_like(values))
-
 
 @dataclass(frozen=True)
 class RitzValue:
@@ -112,67 +92,14 @@ class RitzValue:
     converged: bool
 
 
-# --------------------------------------------------------------------------
-# SVD and dense eigenvalues
-# --------------------------------------------------------------------------
-
-def svd_full(M):
-    """Full SVD ``M = U @ diag(s) @ Vh`` with nonincreasing singular values.
-
-    Returns
-    -------
-    U, s, Vh : ndarray
-        As from LAPACK; columns of U / rows of Vh are the singular vectors.
-    """
-    M = np.asarray(M, dtype=complex)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("svd_full requires finite entries")
-    try:
-        return np.linalg.svd(M)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-
-
-def svd_min_triple(M) -> SvdTriple:
-    """Smallest singular value of M with its singular vectors."""
-    U, s, Vh = svd_full(M)
-    return SvdTriple(float(s[-1]), U[:, -1].copy(), Vh[-1, :].conj().copy())
-
-
-def eig_dense(M, vectors: bool = False):
-    """All eigenvalues of a dense square matrix (optionally with eigenvectors)."""
-    M = np.asarray(M, dtype=complex)
-    try:
-        if vectors:
-            vals, vecs = scipy.linalg.eig(M)
-            return Spectrum.from_values(vals), vecs
-        return Spectrum.from_values(scipy.linalg.eig(M, right=False))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-
-
-def _pencil_is_regular(M, N, rng=None, samples=3):
-    """Probe det(M - lam*N) at random unimodular-scaled shifts."""
-    rng = np.random.default_rng(0 if rng is None else rng)
-    scale = np.linalg.norm(M, np.inf) + np.linalg.norm(N, np.inf)
-    if scale == 0.0:
-        return False
-    for _ in range(samples):
-        lam = scale * np.exp(2j * np.pi * rng.random()) * (0.5 + rng.random())
-        smin = np.linalg.svd(M - lam * N, compute_uv=False)[-1]
-        if smin > 1e-10 * (np.linalg.norm(M, np.inf) + abs(lam) * np.linalg.norm(N, np.inf)):
-            return True
-    return False
-
-
-def eig_pencil(M, N, check_regular: bool = True) -> Spectrum:
+def eig_pencil(M, N) -> Spectrum:
     """Generalized eigenvalues of the pencil M - lambda*N, infinities included.
 
-    Regularity is detected (by sampling det(M - lambda N)) rather than
-    assumed; a non-regular pencil raises SingularPencilError.  Callers that
-    knowingly operate near the singular boundary (the certificates with
-    eta -> 0, whose results are verified independently downstream) can pass
-    ``check_regular=False``.
+    Regularity is not checked.  The certificate pencils approach the
+    singular boundary by design as eta -> 0, and every candidate they yield
+    is verified by a direct SVD downstream.  A singular pencil shows up as
+    pairs with alpha and beta both at rounding level, which ``is_infinite``
+    classes as infinite.
     """
     M = np.asarray(M, dtype=complex)
     N = np.asarray(N, dtype=complex)
@@ -182,12 +109,10 @@ def eig_pencil(M, N, check_regular: bool = True) -> Spectrum:
         alpha, beta = scipy.linalg.eigvals(M, N, homogeneous_eigvals=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"QZ failed: {exc}") from exc
-    if check_regular and not _pencil_is_regular(M, N):
-        raise SingularPencilError("pencil appears to be singular (non-regular)")
     return Spectrum(np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex))
 
 
-def eig_pencil_deflated(M, N, check_regular: bool = True) -> Spectrum:
+def eig_pencil_deflated(M, N) -> Spectrum:
     """Eigenvalues of M - lambda*N, with the zero columns J of N deflated first.
 
     Each exactly-zero column of N carries an infinite eigenvalue when the
@@ -209,12 +134,12 @@ def eig_pencil_deflated(M, N, check_regular: bool = True) -> Spectrum:
     zero = ~N.any(axis=0)
     k = int(np.count_nonzero(zero))
     if k == 0:
-        return eig_pencil(M, N, check_regular)
+        return eig_pencil(M, N)
     geqrf, unmqr, trcon = scipy.linalg.get_lapack_funcs(("geqrf", "unmqr", "trcon"), (M,))
     qr, tau, _, info = geqrf(M[:, zero])
     rcond, _ = trcon(qr[:k])
     if info != 0 or not rcond > M.shape[0] * np.finfo(float).eps:
-        return eig_pencil(M, N, check_regular)
+        return eig_pencil(M, N)
     p = M.shape[0] - k
     # Fortran order lets LAPACK overwrite [M, N][:, ~J] in place
     rest = np.empty((M.shape[0], 2 * p), dtype=complex, order="F")
@@ -224,12 +149,12 @@ def eig_pencil_deflated(M, N, check_regular: bool = True) -> Spectrum:
     rest, _, info = unmqr("L", "C", qr, tau, rest, int(work[0].real), overwrite_c=True)
     if info != 0:
         raise ConvergenceFailure(f"applying the deflating reflectors failed (info={info})")
-    spec = eig_pencil(rest[k:, :p], rest[k:, p:], check_regular)
+    spec = eig_pencil(rest[k:, :p], rest[k:, p:])
     return Spectrum(np.concatenate([np.ones(k, dtype=complex), spec.alpha]),
                     np.concatenate([np.zeros(k, dtype=complex), spec.beta]), deflated=k)
 
 
-def eig_quadratic(Q0, Q1, Q2, check_regular: bool = True) -> Spectrum:
+def eig_quadratic(Q0, Q1, Q2) -> Spectrum:
     """Eigenvalues of the quadratic problem (Q0 + r*Q1 + r^2*Q2) w = 0.
 
     Solved via the companion linearization
@@ -239,9 +164,10 @@ def eig_quadratic(Q0, Q1, Q2, check_regular: bool = True) -> Spectrum:
     ``eig_pencil_deflated`` (the matching left-hand columns contain -I, so
     they are always independent): QZ factors a problem of order 2m - k for
     k zero columns, which is 6n^2 for the discrete-time certificates
-    (m = 4n^2, k = 2n^2).  Raises IllPosedError when Q0 and Q2 are both
-    singular beyond tolerance (the problem may then have a continuum of
-    solutions).
+    (m = 4n^2, k = 2n^2).  Regularity is not checked: when Q0 and Q2 are
+    both singular the problem may have a continuum of solutions, which the
+    discrete-time certificates rule out by nudging gamma off the singular
+    values of A (``cert_dt._nudge_gamma``).
     """
     Q0 = np.asarray(Q0, dtype=complex)
     Q1 = np.asarray(Q1, dtype=complex)
@@ -249,18 +175,11 @@ def eig_quadratic(Q0, Q1, Q2, check_regular: bool = True) -> Spectrum:
     m = Q0.shape[0]
     if Q0.shape != (m, m) or Q1.shape != (m, m) or Q2.shape != (m, m):
         raise ValueError("coefficient matrices must be square and same-shaped")
-
-    def _near_singular(Q):
-        s = np.linalg.svd(Q, compute_uv=False)
-        return s[0] == 0.0 or s[-1] <= 1e-12 * s[0]
-
-    if check_regular and _near_singular(Q0) and _near_singular(Q2):
-        raise IllPosedError("Q0 and Q2 are both (numerically) singular")
     eye = np.eye(m, dtype=complex)
     zero = np.zeros((m, m), dtype=complex)
     L = np.block([[Q1, Q0], [-eye, zero]])
     R = np.block([[-Q2, zero], [zero, -eye]])
-    return eig_pencil_deflated(L, R, check_regular=check_regular)
+    return eig_pencil_deflated(L, R)
 
 
 # --------------------------------------------------------------------------
@@ -410,7 +329,7 @@ def eigs_shift_invert(op, shift, k, tol=1e-10, maxiter=None, seed=0):
 
     ``op`` is a ``dnc.LinearOperator``: it provides ``dim``, ``apply(v)``
     (action of the stiffness matrix), ``apply_mass(v)`` (action of the mass
-    matrix; identity if the problem is standard), ``shifted_solver(shift)``
+    matrix), ``shifted_solver(shift)``
     (factors A1 - shift*A2 once and returns y -> (A1 - shift*A2)^{-1} y;
     called once per query, so every ARPACK matvec reuses the factorization),
     and ``to_dense()`` for problems too small for ARPACK.

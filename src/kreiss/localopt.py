@@ -22,7 +22,7 @@ from .errors import (
     NonsimpleSigmaError,
     ZeroSigmaError,
 )
-from .matio import MatrixProblem, TimeDomain
+from .matio import MatrixProblem
 
 __all__ = ["OptStatus", "OptResult", "minimize", "COORD_CAP"]
 
@@ -51,11 +51,8 @@ class OptResult:
 
 
 def _clip_coords(prob, c1, c2):
-    lo = 0.0 if prob.time_domain is TimeDomain.CONTINUOUS else 1.0
-    c1 = min(c1, lo + COORD_CAP)
-    if prob.time_domain is TimeDomain.DISCRETE:
-        c2 = float(np.mod(c2, 2.0 * np.pi))
-    return c1, c2
+    dom = objective.domain(prob)
+    return min(c1, dom.barrier + COORD_CAP), dom.wrap(c2)
 
 
 def _newton_direction(grad, hess):
@@ -222,8 +219,7 @@ def _armijo(prob, pt, grad, direction, max_halvings=60):
         c1 = pt.coords[0] + t * direction[0]
         c2 = pt.coords[1] + t * direction[1]
         c1, c2 = _clip_coords(prob, c1, c2)
-        lo = 0.0 if prob.time_domain is TimeDomain.CONTINUOUS else 1.0
-        if c1 > lo:
+        if c1 > objective.domain(prob).barrier:
             trial = objective.evaluate(prob, c1, c2)
             if trial.feasible and trial.value <= pt.value + _ARMIJO_C * t * slope:
                 return trial, True

@@ -13,6 +13,7 @@ is assembled for free from the full SVD.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -41,8 +42,6 @@ DEGENERATE_GAP_ATOL = 1e-12
 # sigma_min below this times sigma_1 counts as zero
 ZERO_SIGMA_RTOL = 1e-14
 
-_CACHE_FIELDS = {"_U", "_S", "_Vh"}
-
 
 @dataclass
 class EvalPoint:
@@ -58,7 +57,6 @@ class EvalPoint:
     u: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
     simple: bool = True
-    polar: bool = False
     _U: Optional[np.ndarray] = field(default=None, repr=False)
     _S: Optional[np.ndarray] = field(default=None, repr=False)
     _Vh: Optional[np.ndarray] = field(default=None, repr=False)
@@ -82,19 +80,136 @@ class Derivatives:
     subgradient: bool = False
 
 
-def _theta_mod(theta: float) -> float:
-    return float(np.mod(theta, 2.0 * np.pi))
+class Domain:
+    """The geometry of one time domain, defined once for every layer.
+
+    Coordinates (c1, c2) name the point z = ``point(c1, c2)``: z = x + iy
+    in continuous time, z = r e^{i theta} in discrete time.  The objective
+    is sigma_min of ``matrix(A, c1, c2)`` = (z I - A)/``scale(c1)``, with
+    ``scale(c1)`` = c1 - ``barrier`` (x, or r - 1); it is +inf for
+    c1 <= barrier.  ``wrap`` normalizes c2 (theta into [0, 2*pi)).  The 1D
+    level-set tests run along the curve c2 -> point(c1, c2), with tangent
+    ``dpoint`` and Newton steps at most ``polish_cap(c2)`` long.
+    ``search_interval(||A||, gamma)`` = [barrier, hi] is a proven enclosure
+    of every c1 with a point at level gamma or below, and ``start(prob)`` a
+    heuristic starting point.  The two instances are immutable and reached
+    through ``domain(prob)``.
+    """
+
+    __slots__ = ()
+    barrier: float
+
+    def scale(self, c1):
+        return c1 - self.barrier
+
+    def matrix(self, A, c1, c2):
+        """G(x, y) or H(r, theta): (z I - A)/scale(c1) at z = point(c1, c2)."""
+        return (self.point(c1, c2) * np.eye(A.shape[0]) - A) / self.scale(c1)
 
 
-def _matrix_ct(prob, x, y):
-    return ((x + 1j * y) * np.eye(prob.n) - prob.A) / x
+class _Continuous(Domain):
+    """The open right half-plane, z = x + iy, scale x."""
+
+    __slots__ = ()
+    barrier = 0.0
+
+    def point(self, x, y):
+        return x + 1j * y
+
+    def dpoint(self, x, y):
+        return 1j
+
+    def wrap(self, y):
+        return y
+
+    def first_partials(self, prob, x, y):
+        n = prob.n
+        Gx = (prob.A - 1j * y * np.eye(n)) / x**2
+        Gy = (1j / x) * np.eye(n)
+        return Gx, Gy
+
+    def second_partials(self, prob, x, y):
+        n = prob.n
+        Gxx = -2.0 * (prob.A - 1j * y * np.eye(n)) / x**3
+        Gyy = np.zeros((n, n), dtype=complex)
+        Gxy = (-1j / x**2) * np.eye(n)
+        return Gxx, Gyy, Gxy
+
+    def start(self, prob):
+        eigs = prob.eigenvalues
+        lead = eigs[int(np.argmax(eigs.real))]
+        return max(1.0, -2.0 * prob.spectral_abscissa), float(lead.imag)
+
+    def search_interval(self, norm, gamma):
+        # sigma_min((x+iy)I - A) >= x - ||A||, so gamma-level points need
+        # x <= ||A||/(1 - gamma): a proven enclosure, no doubling ever needed
+        return self.barrier, 1.1 * max(norm / (1.0 - gamma), 4.0 * max(norm, 1.0))
+
+    def polish_cap(self, y):
+        return 0.5 * max(1.0, abs(y))
 
 
-def _matrix_dt(prob, r, theta):
-    return (r * np.exp(1j * theta) * np.eye(prob.n) - prob.A) / (r - 1.0)
+class _Discrete(Domain):
+    """The exterior of the unit disk, z = r e^{i theta}, scale r - 1."""
+
+    __slots__ = ()
+    barrier = 1.0
+
+    def point(self, r, theta):
+        return r * np.exp(1j * theta)
+
+    def dpoint(self, r, theta):
+        return 1j * r * np.exp(1j * theta)
+
+    def wrap(self, theta):
+        return float(np.mod(theta, 2.0 * np.pi))
+
+    def first_partials(self, prob, r, theta):
+        n = prob.n
+        e = np.exp(1j * theta)
+        Hr = (prob.A - e * np.eye(n)) / (r - 1.0) ** 2
+        Ht = (1j * r * e / (r - 1.0)) * np.eye(n)
+        return Hr, Ht
+
+    def second_partials(self, prob, r, theta):
+        n = prob.n
+        e = np.exp(1j * theta)
+        Hrr = -2.0 * (prob.A - e * np.eye(n)) / (r - 1.0) ** 3
+        Htt = (-r * e / (r - 1.0)) * np.eye(n)
+        Hrt = (-1j * e / (r - 1.0) ** 2) * np.eye(n)
+        return Hrr, Htt, Hrt
+
+    def start(self, prob):
+        eigs = prob.eigenvalues
+        lead = eigs[int(np.argmax(np.abs(eigs)))]
+        return 1.0 + 0.5 * (1.0 / prob.spectral_radius - 1.0), float(np.angle(lead))
+
+    def search_interval(self, norm, gamma):
+        # sigma_min(r e^{i t} I - A) >= r - ||A||, so gamma-level points need
+        # gamma (r - 1) >= r - ||A||, i.e. r <= (||A|| - gamma)/(1 - gamma)
+        return self.barrier, 1.0 + 1.1 * max((norm - gamma) / (1.0 - gamma), 4.0 * (norm + 1.0))
+
+    def polish_cap(self, theta):
+        return 0.5
 
 
-def _eval_from_matrix(coords, M, polar):
+_DOMAINS = MappingProxyType({TimeDomain.CONTINUOUS: _Continuous(),
+                             TimeDomain.DISCRETE: _Discrete()})
+
+
+def domain(prob: MatrixProblem) -> Domain:
+    """The geometry of the problem's time domain."""
+    return _DOMAINS[prob.time_domain]
+
+
+def check_domain(prob: MatrixProblem, time_domain: TimeDomain, what: str) -> None:
+    """Raise ValueError unless ``prob`` is posed in ``time_domain``; ``what``
+    names the caller in the message."""
+    if prob.time_domain is not time_domain:
+        raise ValueError(f"{what} needs a {time_domain.value}-time problem")
+
+
+def _eval_from_matrix(coords, M):
     U, S, Vh = np.linalg.svd(M)
     n = M.shape[0]
     sigma = float(S[-1])
@@ -107,64 +222,30 @@ def _eval_from_matrix(coords, M, polar):
         u=U[:, -1].copy(),
         v=Vh[-1, :].conj().copy(),
         simple=bool(simple),
-        polar=polar,
         _U=U,
         _S=S,
         _Vh=Vh,
     )
 
 
+def _eval(prob, time_domain, what, c1, c2):
+    check_domain(prob, time_domain, what)
+    dom = domain(prob)
+    c1, c2 = float(c1), dom.wrap(float(c2))
+    if c1 <= dom.barrier:
+        return EvalPoint(coords=(c1, c2), value=np.inf)
+    return _eval_from_matrix((c1, c2), dom.matrix(prob.A, c1, c2))
+
+
 def g_eval(prob: MatrixProblem, x: float, y: float) -> EvalPoint:
     """Evaluate g(x, y); returns value +inf for x <= 0."""
-    if prob.time_domain is not TimeDomain.CONTINUOUS:
-        raise ValueError("g_eval needs a continuous-time problem")
-    x, y = float(x), float(y)
-    if x <= 0.0:
-        return EvalPoint(coords=(x, y), value=np.inf, polar=False)
-    return _eval_from_matrix((x, y), _matrix_ct(prob, x, y), polar=False)
+    return _eval(prob, TimeDomain.CONTINUOUS, "g_eval", x, y)
 
 
 def h_eval(prob: MatrixProblem, r: float, theta: float) -> EvalPoint:
     """Evaluate h(r, theta); returns value +inf for r <= 1.  theta is
     normalized into [0, 2*pi)."""
-    if prob.time_domain is not TimeDomain.DISCRETE:
-        raise ValueError("h_eval needs a discrete-time problem")
-    r, theta = float(r), _theta_mod(theta)
-    if r <= 1.0:
-        return EvalPoint(coords=(r, theta), value=np.inf, polar=True)
-    return _eval_from_matrix((r, theta), _matrix_dt(prob, r, theta), polar=True)
-
-
-def _first_partials_ct(prob, x, y):
-    n = prob.n
-    Gx = (prob.A - 1j * y * np.eye(n)) / x**2
-    Gy = (1j / x) * np.eye(n)
-    return Gx, Gy
-
-
-def _second_partials_ct(prob, x, y):
-    n = prob.n
-    Gxx = -2.0 * (prob.A - 1j * y * np.eye(n)) / x**3
-    Gyy = np.zeros((n, n), dtype=complex)
-    Gxy = (-1j / x**2) * np.eye(n)
-    return Gxx, Gyy, Gxy
-
-
-def _first_partials_dt(prob, r, theta):
-    n = prob.n
-    e = np.exp(1j * theta)
-    Hr = (prob.A - e * np.eye(n)) / (r - 1.0) ** 2
-    Ht = (1j * r * e / (r - 1.0)) * np.eye(n)
-    return Hr, Ht
-
-
-def _second_partials_dt(prob, r, theta):
-    n = prob.n
-    e = np.exp(1j * theta)
-    Hrr = -2.0 * (prob.A - e * np.eye(n)) / (r - 1.0) ** 3
-    Htt = (-r * e / (r - 1.0)) * np.eye(n)
-    Hrt = (-1j * e / (r - 1.0) ** 2) * np.eye(n)
-    return Hrr, Htt, Hrt
+    return _eval(prob, TimeDomain.DISCRETE, "h_eval", r, theta)
 
 
 def _check_derivative_preconditions(pt, allow_subgradient):
@@ -183,22 +264,24 @@ def _grad_from_partials(pt, D1, D2):
     return np.array([np.real(u.conj() @ (D1 @ v)), np.real(u.conj() @ (D2 @ v))])
 
 
+def _grad(pt, prob, allow_subgradient):
+    _check_derivative_preconditions(pt, allow_subgradient)
+    D1, D2 = domain(prob).first_partials(prob, *pt.coords)
+    return Derivatives(grad=_grad_from_partials(pt, D1, D2), subgradient=not pt.simple)
+
+
 def g_grad(pt: EvalPoint, prob: MatrixProblem, allow_subgradient: bool = False) -> Derivatives:
     """Gradient of g at a previously evaluated point.
 
     With ``allow_subgradient`` a nonsimple sigma_min yields a flagged
     subgradient element instead of NonsimpleSigmaError.
     """
-    _check_derivative_preconditions(pt, allow_subgradient)
-    Gx, Gy = _first_partials_ct(prob, *pt.coords)
-    return Derivatives(grad=_grad_from_partials(pt, Gx, Gy), subgradient=not pt.simple)
+    return _grad(pt, prob, allow_subgradient)
 
 
 def h_grad(pt: EvalPoint, prob: MatrixProblem, allow_subgradient: bool = False) -> Derivatives:
     """Gradient of h at a previously evaluated point (polar coordinates)."""
-    _check_derivative_preconditions(pt, allow_subgradient)
-    Hr, Ht = _first_partials_dt(prob, *pt.coords)
-    return Derivatives(grad=_grad_from_partials(pt, Hr, Ht), subgradient=not pt.simple)
+    return _grad(pt, prob, allow_subgradient)
 
 
 def _augmented_hessian(pt, D1, D2, D11, D22, D12):
@@ -254,24 +337,23 @@ def _augmented_hessian(pt, D1, D2, D11, D22, D12):
     return H
 
 
+def _hess(pt, prob):
+    _check_derivative_preconditions(pt, allow_subgradient=False)
+    dom = domain(prob)
+    D1, D2 = dom.first_partials(prob, *pt.coords)
+    D11, D22, D12 = dom.second_partials(prob, *pt.coords)
+    grad = _grad_from_partials(pt, D1, D2)
+    return Derivatives(grad=grad, hess=_augmented_hessian(pt, D1, D2, D11, D22, D12))
+
+
 def g_hess(pt: EvalPoint, prob: MatrixProblem) -> Derivatives:
     """Gradient and Hessian of g; requires a simple, nonzero sigma_min."""
-    _check_derivative_preconditions(pt, allow_subgradient=False)
-    Gx, Gy = _first_partials_ct(prob, *pt.coords)
-    Gxx, Gyy, Gxy = _second_partials_ct(prob, *pt.coords)
-    grad = _grad_from_partials(pt, Gx, Gy)
-    hess = _augmented_hessian(pt, Gx, Gy, Gxx, Gyy, Gxy)
-    return Derivatives(grad=grad, hess=hess)
+    return _hess(pt, prob)
 
 
 def h_hess(pt: EvalPoint, prob: MatrixProblem) -> Derivatives:
     """Gradient and Hessian of h; requires a simple, nonzero sigma_min."""
-    _check_derivative_preconditions(pt, allow_subgradient=False)
-    Hr, Ht = _first_partials_dt(prob, *pt.coords)
-    Hrr, Htt, Hrt = _second_partials_dt(prob, *pt.coords)
-    grad = _grad_from_partials(pt, Hr, Ht)
-    hess = _augmented_hessian(pt, Hr, Ht, Hrr, Htt, Hrt)
-    return Derivatives(grad=grad, hess=hess)
+    return _hess(pt, prob)
 
 
 # --------------------------------------------------------------------------

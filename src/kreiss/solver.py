@@ -104,7 +104,7 @@ class KreissResult:
 
 
 def default_start(prob: MatrixProblem):
-    """Heuristic feasible starting coordinates.
+    """Heuristic feasible starting coordinates: the domain's ``start``.
 
     Continuous: x0 = max(1, -2 alpha(A)) on the height of the rightmost
     eigenvalue; discrete: radius halfway to 1/rho(A) at the angle of a
@@ -112,20 +112,12 @@ def default_start(prob: MatrixProblem):
     from the barrier) while the objective is infinite, which cannot happen
     for stable problems but keeps the helper total.
     """
-    eigs = prob.eigenvalues
-    if prob.time_domain is TimeDomain.CONTINUOUS:
-        lead = eigs[int(np.argmax(eigs.real))]
-        c1, c2 = max(1.0, -2.0 * prob.spectral_abscissa), float(lead.imag)
-        lo = 0.0
-    else:
-        lead = eigs[int(np.argmax(np.abs(eigs)))]
-        c1 = 1.0 + 0.5 * (1.0 / prob.spectral_radius - 1.0)
-        c2 = float(np.angle(lead))
-        lo = 1.0
+    dom = objective.domain(prob)
+    c1, c2 = dom.start(prob)
     for _ in range(200):
         if np.isfinite(objective.evaluate(prob, c1, c2).value):
             break
-        c1 = lo + 2.0 * (c1 - lo)
+        c1 = dom.barrier + 2.0 * dom.scale(c1)
     return (c1, c2)
 
 
@@ -275,9 +267,8 @@ def solve_owr_backtracking(
         raise ValueError("c must lie in (0, 1)")
     run = _Run(prob, "owr-bt", certificate, use_dnc, seed)
     res = _initial_minimum(prob, start, opt_opts)
-    lo = 0.0 if prob.time_domain is TimeDomain.CONTINUOUS else 1.0
     if eta0 is None:
-        eta0 = 0.1 * (res.minimizer.coords[0] - lo)
+        eta0 = 0.1 * objective.domain(prob).scale(res.minimizer.coords[0])
     if eta_tol is None:
         eta_tol = 1e-8 * eta0
 

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from kreiss import MatrixProblem, gen_test_matrix
+from kreiss import LinearOperator, MatrixProblem, gen_test_matrix
+from kreiss.errors import NearSingularOperatorError
 
 
 @pytest.fixture
@@ -40,3 +44,34 @@ def random_normal_stable(n, seed, time_domain):
     else:
         lam = (0.1 + 0.85 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
     return MatrixProblem(Q @ np.diag(lam) @ Q.conj().T, time_domain)
+
+
+class MatrixOperator(LinearOperator):
+    """Dense standard eigenproblem A1 x = lambda x behind the implicit-operator
+    interface, for testing the shift-and-invert sweep on known spectra."""
+
+    def __init__(self, A1):
+        self.A1 = np.asarray(A1, dtype=complex)
+        self.dim = self.A1.shape[0]
+
+    def apply(self, v):
+        return self.A1 @ v
+
+    def apply_mass(self, v):
+        return np.asarray(v, dtype=complex)
+
+    def shifted_solver(self, shift):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                lu, piv = scipy.linalg.lu_factor(self.A1 - shift * np.eye(self.dim))
+            except scipy.linalg.LinAlgWarning as exc:  # an exactly zero pivot
+                raise NearSingularOperatorError(f"shifted solve failed: {exc}") from exc
+
+        def solve(y):
+            w = scipy.linalg.lu_solve((lu, piv), np.asarray(y, dtype=complex))
+            if not np.all(np.isfinite(w)):
+                raise NearSingularOperatorError("shifted solve overflowed")
+            return w
+
+        return solve

@@ -5,6 +5,7 @@ import scipy.linalg
 from kreiss import (
     build_fixed_pencil,
     build_variable_pencil,
+    circular_level_points,
     fixed_distance_test,
     gen_test_matrix,
     horizontal_variable_test,
@@ -60,6 +61,15 @@ def test_vertical_points_really_carry_gamma(jordan_ct):
             G = ((x + 1j * y) * np.eye(2) - jordan_ct.A) / x
             s = np.linalg.svd(G, compute_uv=False)
             assert np.min(np.abs(s - gamma)) <= 1e-8 * jordan_ct.norm2
+
+
+def test_level_points_reject_the_other_domain(jordan_ct, jordan_dt):
+    # the 1D tests polish along the curve of the problem's own domain, so a
+    # problem of the other domain is an error rather than a silent answer
+    with pytest.raises(ValueError, match="continuous-time problem"):
+        vertical_level_points(jordan_dt, 0.5, 2.0)
+    with pytest.raises(ValueError, match="discrete-time problem"):
+        circular_level_points(jordan_ct, 0.5, 2.0)
 
 
 # --------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_q0_singular_exactly_at_singular_values(jordan_dt):
 def test_quadratic_well_posed_under_theorem_hypotheses(jordan_dt):
     # A nonsingular, gamma not a singular value: the linearization is regular
     pen = build_quad_pencil_fixed(jordan_dt, 0.5, 0.25)
-    spec = eig_quadratic(pen.q0, pen.q1, pen.q2)  # regularity checks enabled
+    spec = eig_quadratic(pen.q0, pen.q1, pen.q2)
     assert len(spec) == 2 * pen.q0.shape[0]
 
 

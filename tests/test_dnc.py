@@ -4,7 +4,6 @@ import scipy.linalg
 
 import kreiss.dnc as dnc_mod
 from kreiss import (
-    MatrixOperator,
     MatrixProblem,
     build_fixed_pencil,
     build_quad_pencil_fixed,
@@ -27,7 +26,7 @@ from kreiss.cert_ct import build_horizontal_pencil
 from kreiss.errors import MaxShiftsError, NearSingularOperatorError, ZeroShiftError
 from kreiss.solver import CERTIFICATE_CHOICES
 
-from conftest import random_stable
+from conftest import MatrixOperator, random_stable
 
 
 def _companion(pen):
@@ -137,7 +136,7 @@ def test_quad_dt_operator_matches_dense():
 def test_quad_dt_shift_invert_matches_dense_eigs():
     prob = random_stable(2, 8, "discrete")
     pen = build_quad_pencil_fixed(prob, 0.55, 0.3)
-    dense = eig_quadratic(pen.q0, pen.q1, pen.q2, check_regular=False).finite_values
+    dense = eig_quadratic(pen.q0, pen.q1, pen.q2).finite_values
     op = op_quad_dt(prob, 0.55, 0.3, "fixed")
     shift = 1.3
     ritz = eigs_shift_invert(op, shift, 4)

@@ -3,63 +3,19 @@ import pytest
 import scipy.linalg
 
 from kreiss import (
-    MatrixOperator,
-    eig_dense,
     eig_pencil,
     eig_quadratic,
     eigs_shift_invert,
     gen_test_matrix,
     solve_gen_sylvester,
     solve_sylvester,
-    svd_full,
-    svd_min_triple,
     sylvester_solver,
 )
 from kreiss.cert_dt import _symplectic_pencil
 from kreiss.linalg import eig_pencil_deflated
-from kreiss.errors import (
-    IllPosedError,
-    NearSingularOperatorError,
-    SingularPencilError,
-)
+from kreiss.errors import NearSingularOperatorError
 
-
-def test_svd_diag():
-    U, s, Vh = svd_full(np.diag([3.0, 1.0]))
-    assert np.allclose(s, [3.0, 1.0])
-    assert np.allclose(np.abs(U), np.eye(2))
-    assert np.allclose(np.abs(Vh), np.eye(2))
-
-
-def test_svd_zero():
-    _, s, _ = svd_full(np.zeros((3, 3)))
-    assert np.allclose(s, 0.0)
-
-
-def test_svd_reconstruction():
-    rng = np.random.default_rng(11)
-    M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    U, s, Vh = svd_full(M)
-    assert np.linalg.norm(U @ np.diag(s) @ Vh - M) <= 1e-13 * np.linalg.norm(M)
-    assert np.all(np.diff(s) <= 0)
-    trip = svd_min_triple(M)
-    assert np.allclose(M @ trip.v, trip.sigma * trip.u, atol=1e-12 * s[0])
-    assert np.allclose(M.conj().T @ trip.u, trip.sigma * trip.v, atol=1e-12 * s[0])
-
-
-def test_eig_dense_rotationlike():
-    r5 = np.sqrt(5.0)
-    spec = eig_dense(np.array([[-2.0, r5], [-r5, 2.0]]))
-    vals = spec.values[np.argsort(spec.values.imag)]
-    assert np.allclose(vals, [-1j, 1j], atol=1e-14)
-
-
-def test_eig_dense_diag_and_companion():
-    assert np.allclose(np.sort(eig_dense(np.diag([1.0, 2.0, 3.0])).values.real),
-                       [1, 2, 3])
-    companion = np.array([[3.0, -2.0], [1.0, 0.0]])  # lambda^2 - 3 lambda + 2
-    vals = np.sort(eig_dense(companion).values.real)
-    assert np.allclose(vals, [1.0, 2.0], atol=1e-12)
+from conftest import MatrixOperator
 
 
 def test_eig_pencil_double_root():
@@ -74,13 +30,6 @@ def test_eig_pencil_identity_and_infinite():
     spec = eig_pencil(np.eye(2), np.zeros((2, 2)))
     assert np.all(spec.is_infinite)
     assert np.all(np.isinf(spec.values.real))
-
-
-def test_eig_pencil_singular_detected():
-    M = np.diag([1.0, 0.0])
-    N = np.diag([1.0, 0.0])  # det(M - lam N) == 0 identically
-    with pytest.raises(SingularPencilError):
-        eig_pencil(M, N)
 
 
 def test_eig_quadratic_scalar_cases():
@@ -138,15 +87,9 @@ def test_eig_pencil_deflated_falls_back():
     spec = eig_pencil_deflated(M, N)
     assert spec.deflated == 0 and spec.order == 4
     assert np.allclose(np.sort_complex(spec.values), np.sort_complex(eig_pencil(M, N).values))
-    # M[:, J] rank-deficient: the whole pencil goes to QZ, which finds it singular
-    with pytest.raises(SingularPencilError):
-        eig_pencil_deflated(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
-
-
-def test_eig_quadratic_ill_posed():
-    Z = np.zeros((2, 2))
-    with pytest.raises(IllPosedError):
-        eig_quadratic(Z, np.eye(2), Z)
+    # M[:, J] rank-deficient: nothing is deflated, the whole pencil goes to QZ
+    spec = eig_pencil_deflated(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+    assert spec.deflated == 0 and spec.order == 2
 
 
 def test_sylvester_scalar_and_diag():

@@ -3,17 +3,19 @@ import pytest
 
 from kreiss import (
     MatrixProblem,
+    evaluate,
     g_eval,
     g_grad,
     g_hess,
+    gen_test_matrix,
     h_eval,
     h_grad,
     h_hess,
 )
 from kreiss.errors import NonsimpleSigmaError, ZeroSigmaError
-from kreiss.objective import _eval_from_matrix
+from kreiss.objective import _eval_from_matrix, domain
 
-from conftest import random_stable
+from conftest import random_normal_stable, random_stable
 
 
 def test_g_scalar_values(scalar_ct):
@@ -157,6 +159,30 @@ def test_nonsimple_sigma_flagged_and_refused():
 
 
 def test_zero_sigma_rejected(scalar_ct):
-    pt = _eval_from_matrix((1.0, 0.0), np.array([[0.0]]), polar=False)
+    pt = _eval_from_matrix((1.0, 0.0), np.array([[0.0]]))
     with pytest.raises(ZeroSigmaError):
         g_grad(pt, scalar_ct)
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+def test_search_interval_encloses_the_sublevel_set(time_domain):
+    # the divide-and-conquer sweep finds only the candidates inside
+    # search_interval, so its soundness rests on g (or h) > gamma beyond hi
+    probs = [gen_test_matrix("jordan-shifted", n, time_domain=time_domain, eps=eps)
+             for n in (2, 4) for eps in (0.1, 0.3)]
+    probs += [random_stable(n, seed, time_domain) for n, seed in ((2, 1), (3, 2), (5, 3))]
+    probs.append(random_normal_stable(3, 4, time_domain))
+    for prob in probs:
+        dom = domain(prob)
+        eigs = prob.eigenvalues
+        if time_domain == "continuous":
+            c2s = np.concatenate([np.linspace(-3.0, 3.0, 61) * prob.norm2, eigs.imag])
+        else:
+            c2s = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False),
+                                  np.angle(eigs)])
+        for gamma in (0.1, 0.5, 0.9, 0.999):
+            lo, hi = dom.search_interval(prob.norm2, gamma)
+            assert lo == dom.barrier
+            for c1 in (hi, dom.barrier + 3.0 * dom.scale(hi)):
+                vals = [evaluate(prob, c1, c2).value for c2 in c2s]
+                assert min(vals) > gamma, (prob.A, gamma, c1)
