@@ -102,9 +102,9 @@ class CertificateReport:
     from a variable-distance test certifies 1/K > gamma - eta/2.
     ``large_eig_count`` is the order of the large eigenproblem actually
     factored: 2n^2 for the continuous-time fixed pencil and 4n^2 for the
-    variable/horizontal ones (dense QZ), 6n^2 in discrete time (the 8n^2
-    companion pencil less its 2n^2 deflated infinite eigenvalues), and the
-    operator's dimension under divide-and-conquer.
+    variable/horizontal ones (dense QZ), 6n^2 in discrete time (the trimmed
+    linearization of ``linalg.eig_quadratic``), and the operator's
+    dimension under divide-and-conquer.
     """
 
     gamma: float
@@ -389,15 +389,17 @@ def _real_eigs(prob, gamma, use_dnc, seed, dense, operator):
     ``dense()`` builds the pencil and runs the dense eigensolver.  Under
     ``use_dnc`` the divide-and-conquer sweep searches the domain's
     ``search_interval`` at level gamma on the implicit ``operator()``
-    instead, and no dense pencil is built.  A ``MaxShiftsError`` from the
-    sweep propagates to the caller.
+    instead, and no dense pencil is built; like the dense continuous-time
+    path it drops values at or below ``LINE_DEDUP_ATOL``, since the sweep's
+    interval starts at the domain's barrier (x = 0 in continuous time).  A
+    ``MaxShiftsError`` from the sweep propagates to the caller.
     """
     if not use_dnc:
         return dense()
     op = operator()
     lo, hi = objective.domain(prob).search_interval(prob.norm2, gamma)
-    vals = dnc.real_eigs_in_interval(op, lo, hi, seed=seed)
-    return np.sort(np.asarray(vals, dtype=float)), op.dim
+    vals = np.asarray(dnc.real_eigs_in_interval(op, lo, hi, seed=seed), dtype=float)
+    return np.sort(vals[vals > LINE_DEDUP_ATOL]), op.dim
 
 
 def _augment_with_midpoints(xs, window_rel=0.02):

@@ -5,11 +5,12 @@ pairs are sought along rays from the origin: a fixed distance eta apart,
 h(r, theta) = h(r + eta, theta) = gamma, or a variable distance
 (r - 1) * eta / (1 + gamma) apart, h(r, theta) = h(beta*r + delta, theta)
 = gamma with delta = -eta/(1+gamma) and beta = 1 - delta.  Either pair
-condition leads to a 4n^2 quadratic eigenvalue problem in r, solved here
-through its 8n^2 companion linearization (or by the opt-in
+condition leads to a 4n^2 quadratic eigenvalue problem in r (q0, q1, q2
+are real whenever A is), solved by dense QZ (or by the opt-in
 divide-and-conquer sweep of ``dnc``).  q2 has 2n^2 all-zero columns, so
-``eig_quadratic`` deflates 2n^2 infinite eigenvalues and QZ runs on order
-6n^2.  Candidate radii r > 1 are then probed by a 1D circular
+``eig_quadratic``'s trimmed linearization has order 6n^2, with the 2n^2
+structural infinite eigenvalues of the 8n^2 companion pencil never formed.
+Candidate radii r > 1 are then probed by a 1D circular
 test built on the symplectic pencil of the ray condition.  Polishing,
 verification by a direct SVD and point collection are the 1D stage shared
 with the continuous-time tests (``cert_ct._polish``, ``_verify_point`` and
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import dnc, objective
 from .cert_ct import (CAPTURE_FACTOR, CertificateReport, LINE_DEDUP_ATOL,
@@ -31,7 +31,7 @@ from .cert_ct import (CAPTURE_FACTOR, CertificateReport, LINE_DEDUP_ATOL,
                       _collect_points, _merge_close, _near_real, _pair_beta, _polish,
                       _real_eigs)
 from .errors import SingularPencilError
-from .linalg import eig_quadratic
+from .linalg import eig_pencil, eig_quadratic
 from .matio import MatrixProblem, TimeDomain
 
 __all__ = [
@@ -95,9 +95,7 @@ def circular_level_points(prob: MatrixProblem, gamma: float, r: float) -> list[f
     if r == 1.0 or r == 0.0:
         raise ValueError("r must differ from 0 and 1")
     M, N = _symplectic_pencil(prob, gamma, r)
-    alpha, beta = scipy.linalg.eigvals(M, N, homogeneous_eigvals=True)
-    finite = np.abs(beta) > 1e-14 * (np.abs(alpha) + 1.0)
-    lam = alpha[finite] / beta[finite]
+    lam = eig_pencil(M, N).finite_values
     if lam.size < M.shape[0] // 4:
         # mostly infinite eigenvalues would mean a (near-)singular pencil
         if not np.isfinite(lam).any():

@@ -132,7 +132,7 @@ def op_horizontal_ct(prob: MatrixProblem, gamma: float, eta: float) -> LinearOpe
 class _QuadDTOperator(LinearOperator):
     """Companion linearization of the discrete-time quadratic problem.
 
-    State is z = [r*w; w] with w of length 2n^2 (dim 8n^2 total).  The
+    State is z = [r*w; w] with w of length 4n^2 (dim 8n^2 total).  The
     stiffness is [[Q1, Q0], [-I, 0]], the mass diag(-Q2, -I); coefficient
     products go through the 2n x 2n factor blocks, and the shifted inverse
     solves the generalized Sylvester equation M W Mt* - N W Nt* = Yhat

@@ -3,8 +3,10 @@
 Everything here is dense and sized for desk-scale matrices (n up to a few
 tens); the large certificate eigenproblems, which QZ factors at order 2n^2
 (continuous-time fixed distance), 4n^2 (continuous-time variable distance)
-or 6n^2 (discrete time: the 8n^2 companion pencil less its deflated
-infinite eigenvalues), are still cheap at that scale.  The shift-and-invert
+or 6n^2 (discrete time: the trimmed linearization of the 4n^2 quadratic
+problem), are still cheap at that scale.  One dtype rule holds for every
+eigensolver here: a pencil whose entries all have zero imaginary part runs
+in real LAPACK, any other in complex LAPACK.  The shift-and-invert
 path additionally works with implicit operators so the divide-and-conquer
 layer can avoid forming them.
 """
@@ -92,24 +94,51 @@ class RitzValue:
     converged: bool
 
 
+def _lapack_dtype(*mats):
+    """The matrices as real arrays when no entry has a nonzero imaginary part,
+    else as complex ones.
+
+    ``MatrixProblem`` stores A as complex, so a real problem's pencils
+    arrive complex-typed with an all-zero imaginary part; the test
+    ``not X.imag.any()`` sends them to real LAPACK (``dggev``), whose QZ is
+    several times cheaper than complex QZ at the same order and returns
+    real eigenvalues exactly real.
+    """
+    mats = [np.asarray(X) for X in mats]
+    if any(np.iscomplexobj(X) and X.imag.any() for X in mats):
+        return [X.astype(complex, copy=False) for X in mats]
+    return [np.asarray(X.real, dtype=float) for X in mats]
+
+
+def _check_pencil(M, N):
+    if M.shape != N.shape or M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("pencil matrices must be square and same-shaped")
+
+
 def eig_pencil(M, N) -> Spectrum:
     """Generalized eigenvalues of the pencil M - lambda*N, infinities included.
 
-    Regularity is not checked.  The certificate pencils approach the
-    singular boundary by design as eta -> 0, and every candidate they yield
-    is verified by a direct SVD downstream.  A singular pencil shows up as
-    pairs with alpha and beta both at rounding level, which ``is_infinite``
-    classes as infinite.
+    Real LAPACK runs when M and N are real (see ``_lapack_dtype``), complex
+    LAPACK otherwise.  Regularity is not checked.  The certificate pencils
+    approach the singular boundary by design as eta -> 0, and every
+    candidate they yield is verified by a direct SVD downstream.  A
+    singular pencil shows up as pairs with alpha and beta both at rounding
+    level, which ``is_infinite`` classes as infinite.
     """
-    M = np.asarray(M, dtype=complex)
-    N = np.asarray(N, dtype=complex)
-    if M.shape != N.shape or M.shape[0] != M.shape[1]:
-        raise ValueError("pencil matrices must be square and same-shaped")
+    M, N = _lapack_dtype(M, N)
+    _check_pencil(M, N)
     try:
         alpha, beta = scipy.linalg.eigvals(M, N, homogeneous_eigvals=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"QZ failed: {exc}") from exc
     return Spectrum(np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex))
+
+
+def _with_infinities(k, spec) -> Spectrum:
+    """``spec`` preceded by k explicit infinities (alpha = 1, beta = 0), counted
+    as ``Spectrum.deflated``."""
+    return Spectrum(np.concatenate([np.ones(k, dtype=complex), spec.alpha]),
+                    np.concatenate([np.zeros(k, dtype=complex), spec.beta]), deflated=k)
 
 
 def eig_pencil_deflated(M, N) -> Spectrum:
@@ -120,66 +149,78 @@ def eig_pencil_deflated(M, N) -> Spectrum:
     M[:, J] = Q [R; 0] = [Q1, Q2] [R; 0], the pencil Q* (M - lambda*N) is block
     upper triangular with diagonal blocks R - lambda*0 and
     Q2* M[:, ~J] - lambda*Q2* N[:, ~J], so QZ runs only on the second one,
-    of order m - |J|.  Q is unitary and applied as reflectors, so QZ's
-    backward stability is kept; nothing is inverted.  The |J| deflated
-    eigenvalues come first, as explicit infinities (alpha = 1, beta = 0);
-    ``Spectrum.deflated`` counts them.  Without zero columns, or when
-    M[:, J] is numerically rank-deficient (the pencil is then singular or
-    nearly so), this is ``eig_pencil`` on the whole pencil.
+    of order m - |J|.  Q is unitary (orthogonal for a real pencil, which
+    stays in real arithmetic as in ``eig_pencil``) and applied as
+    reflectors, so QZ's backward stability is kept; nothing is inverted.
+    The |J| deflated eigenvalues come first, as explicit infinities
+    (alpha = 1, beta = 0); ``Spectrum.deflated`` counts them.  Without zero
+    columns, or when M[:, J] is numerically rank-deficient (the pencil is
+    then singular or nearly so), this is ``eig_pencil`` on the whole pencil.
     """
-    M = np.asarray(M, dtype=complex)
-    N = np.asarray(N, dtype=complex)
-    if M.shape != N.shape or M.shape[0] != M.shape[1]:
-        raise ValueError("pencil matrices must be square and same-shaped")
+    M, N = _lapack_dtype(M, N)
+    _check_pencil(M, N)
     zero = ~N.any(axis=0)
     k = int(np.count_nonzero(zero))
     if k == 0:
         return eig_pencil(M, N)
-    geqrf, unmqr, trcon = scipy.linalg.get_lapack_funcs(("geqrf", "unmqr", "trcon"), (M,))
+    real = M.dtype == float
+    geqrf, mqr, trcon = scipy.linalg.get_lapack_funcs(
+        ("geqrf", "ormqr" if real else "unmqr", "trcon"), (M,))
+    trans = "T" if real else "C"
     qr, tau, _, info = geqrf(M[:, zero])
     rcond, _ = trcon(qr[:k])
     if info != 0 or not rcond > M.shape[0] * np.finfo(float).eps:
         return eig_pencil(M, N)
     p = M.shape[0] - k
     # Fortran order lets LAPACK overwrite [M, N][:, ~J] in place
-    rest = np.empty((M.shape[0], 2 * p), dtype=complex, order="F")
+    rest = np.empty((M.shape[0], 2 * p), dtype=M.dtype, order="F")
     rest[:, :p] = M[:, ~zero]
     rest[:, p:] = N[:, ~zero]
-    _, work, _ = unmqr("L", "C", qr, tau, rest, -1)
-    rest, _, info = unmqr("L", "C", qr, tau, rest, int(work[0].real), overwrite_c=True)
+    _, work, _ = mqr("L", trans, qr, tau, rest, -1)
+    rest, _, info = mqr("L", trans, qr, tau, rest, int(work[0].real), overwrite_c=True)
     if info != 0:
         raise ConvergenceFailure(f"applying the deflating reflectors failed (info={info})")
-    spec = eig_pencil(rest[k:, :p], rest[k:, p:])
-    return Spectrum(np.concatenate([np.ones(k, dtype=complex), spec.alpha]),
-                    np.concatenate([np.zeros(k, dtype=complex), spec.beta]), deflated=k)
+    return _with_infinities(k, eig_pencil(rest[k:, :p], rest[k:, p:]))
 
 
 def eig_quadratic(Q0, Q1, Q2) -> Spectrum:
     """Eigenvalues of the quadratic problem (Q0 + r*Q1 + r^2*Q2) w = 0.
 
-    Solved via the companion linearization
-    ``[[Q1, Q0], [-I, 0]] z = r [[-Q2, 0], [0, -I]] z``; returns all 2m
-    eigenvalues including infinite ones.  Each all-zero column of Q2 is an
-    all-zero column of the right-hand matrix and is deflated by
-    ``eig_pencil_deflated`` (the matching left-hand columns contain -I, so
-    they are always independent): QZ factors a problem of order 2m - k for
-    k zero columns, which is 6n^2 for the discrete-time certificates
-    (m = 4n^2, k = 2n^2).  Regularity is not checked: when Q0 and Q2 are
-    both singular the problem may have a continuum of solutions, which the
-    discrete-time certificates rule out by nudging gamma off the singular
-    values of A (``cert_dt._nudge_gamma``).
+    Let J be the all-zero columns of Q2 (k of them), K the other p = m - k
+    and E_K the columns K of I_m.  QZ runs on the trimmed linearization
+    (Byers, Mehrmann & Xu, LAA 2008) of order m + p,
+
+        L = [[Q0, 0], [0, I_p]],   R = [[-Q1, -Q2[:, K]], [E_K^T, 0]],
+
+    whose eigenvector for r is [w; r w_K].  The Schur complement on the
+    I_p block gives det(L - r R) = det(Q0 + r Q1 + r^2 Q2) exactly, so
+    nothing is inverted and no QR runs.  The returned Spectrum has all 2m
+    eigenvalues of the companion linearization: the k structural
+    infinities of the zero columns come first as explicit infinities
+    (``Spectrum.deflated`` == k), then the m + p from QZ
+    (``Spectrum.order``).  That is order 6n^2 for the discrete-time
+    certificates (m = 4n^2, k = 2n^2) instead of the 8n^2 companion
+    pencil.  Real LAPACK runs when Q0, Q1 and Q2 are all real (see
+    ``_lapack_dtype``), complex LAPACK otherwise.  Regularity is not
+    checked: when Q0 and Q2 are both singular the problem may have a
+    continuum of solutions, which the discrete-time certificates rule out
+    by nudging gamma off the singular values of A
+    (``cert_dt._nudge_gamma``).
     """
-    Q0 = np.asarray(Q0, dtype=complex)
-    Q1 = np.asarray(Q1, dtype=complex)
-    Q2 = np.asarray(Q2, dtype=complex)
+    Q0, Q1, Q2 = _lapack_dtype(Q0, Q1, Q2)
     m = Q0.shape[0]
     if Q0.shape != (m, m) or Q1.shape != (m, m) or Q2.shape != (m, m):
         raise ValueError("coefficient matrices must be square and same-shaped")
-    eye = np.eye(m, dtype=complex)
-    zero = np.zeros((m, m), dtype=complex)
-    L = np.block([[Q1, Q0], [-eye, zero]])
-    R = np.block([[-Q2, zero], [zero, -eye]])
-    return eig_pencil_deflated(L, R)
+    K = np.flatnonzero(Q2.any(axis=0))
+    p = len(K)
+    L = np.zeros((m + p, m + p), dtype=Q0.dtype)
+    R = np.zeros((m + p, m + p), dtype=Q0.dtype)
+    L[:m, :m] = Q0
+    L[m:, m:] = np.eye(p)
+    R[:m, :m] = -Q1
+    R[:m, m:] = -Q2[:, K]
+    R[m + np.arange(p), K] = 1.0
+    return _with_infinities(m - p, eig_pencil(L, R))
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import pytest
 import scipy.linalg
 
 from kreiss import (
+    MatrixProblem,
     build_fixed_pencil,
     build_variable_pencil,
     circular_level_points,
+    default_start,
     fixed_distance_test,
     gen_test_matrix,
     horizontal_variable_test,
@@ -341,3 +343,16 @@ def test_cross_variant_verdict_agreement(jordan_ct):
         v = variable_distance_test(jordan_ct, gamma, 0.01)
         h = horizontal_variable_test(jordan_ct, gamma, 0.01)
         assert v.empty == h.empty
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_horizontal_real_and_complex_qz_agree_on_a_shifted_matrix(n):
+    # g is invariant under A -> A + i s I (a vertical shift of the domain); the
+    # horizontal pencil of the Jordan block is real, that of its shift complex
+    prob = gen_test_matrix("jordan-shifted", n, time_domain="continuous")
+    shifted = MatrixProblem(prob.A + 0.5j * np.eye(n), "continuous")
+    g = minimize(prob, default_start(prob)).value
+    for gamma, eta, empty in ((2.0 * g / 3.0, 2.0 * g / 3.0, True),
+                              (g + 0.5 * (1.0 - g), 0.25 * (1.0 - g), False)):
+        for p in (prob, shifted):
+            assert horizontal_variable_test(p, gamma, eta).empty is empty

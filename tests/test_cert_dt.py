@@ -6,8 +6,10 @@ from kreiss import (
     build_quad_pencil_fixed,
     build_quad_pencil_variable,
     circular_level_points,
+    compute_kreiss,
     eig_quadratic,
     fixed_distance_test_dt,
+    gen_test_matrix,
     solve_owr,
     variable_distance_test_dt,
 )
@@ -184,3 +186,14 @@ def test_variable_dt_finds_points_where_q0_is_ill_conditioned():
         s = np.linalg.svd((r * np.exp(1j * theta) * np.eye(3) - prob.A) / (r - 1.0),
                           compute_uv=False)
         assert np.min(np.abs(s - rep.gamma)) <= 1e-8 * prob.norm2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_real_and_complex_qz_agree_on_a_rotated_matrix(n):
+    # K is invariant under A -> e^{i phi} A; the Jordan block runs real QZ,
+    # its rotation complex QZ
+    prob = gen_test_matrix("jordan-shifted", n, time_domain="discrete")
+    rotated = MatrixProblem(np.exp(0.7j) * prob.A, "discrete")
+    real, cplx = (compute_kreiss(p, "owr-bt", c=0.25) for p in (prob, rotated))
+    assert real.kreiss == pytest.approx(cplx.kreiss, rel=1e-8)
+    assert real.reports[-1].large_eig_count == 6 * n * n

@@ -270,12 +270,21 @@ def test_dnc_certificates_skip_dense_pencil(variant, jordan_ct, jordan_dt, monke
 
 @pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
 def test_dense_large_eig_count_is_the_order_qz_factored(variant, jordan_ct, jordan_dt):
-    # ct fixed pencils deflate 2n^2 of 4n^2, the dt companion pencil 2n^2 of 8n^2
+    # ct fixed pencils deflate 2n^2 of 4n^2; the dt trimmed linearization has order 6n^2
     ct_order = 2 if variant.startswith("fixed") else 4
     for prob, gamma, order in ((jordan_ct, 1.0 / 1.1333333333333333 + 0.02, ct_order),
                                (jordan_dt, 0.45, 6)):
         report = certify(prob, variant, gamma, 0.01)
         assert report.large_eig_count == order * prob.n ** 2
+
+
+def test_dnc_drops_the_barrier_root_as_dense_qz_does():
+    # the sweep of [0, hi] returns x = 0 exactly, which has no vertical line
+    prob = random_stable(2, 1, "continuous")
+    dense = certify(prob, "variable-v", 0.5, 0.1)
+    via_dnc = certify(prob, "variable-v", 0.5, 0.1, use_dnc=True, seed=3)
+    assert via_dnc.candidate_lines == dense.candidate_lines == []
+    assert via_dnc.empty and dense.empty
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

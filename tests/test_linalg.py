@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from kreiss import (
+    MatrixProblem,
+    build_quad_pencil_variable,
     eig_pencil,
     eig_quadratic,
     eigs_shift_invert,
@@ -61,11 +65,11 @@ def _companion(Q0, Q1, Q2):
 
 
 def test_eig_quadratic_deflates_zero_columns_of_q2():
-    # the undeflated companion QZ is the reference
+    # the undeflated companion QZ is the reference for the trimmed linearization
     rng = np.random.default_rng(21)
     m = 6
-    for k in (1, 3, m):
-        Q0, Q1, Q2 = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    for imag, k in itertools.product((1.0, 0.0), (1, 3, m)):
+        Q0, Q1, Q2 = (rng.standard_normal((m, m)) + imag * 1j * rng.standard_normal((m, m))
                       for _ in range(3))
         Q2[:, rng.choice(m, k, replace=False)] = 0.0
         spec = eig_quadratic(Q0, Q1, Q2)
@@ -77,6 +81,63 @@ def test_eig_quadratic_deflates_zero_columns_of_q2():
         assert len(got) == len(want)
         for lam in want:
             assert np.min(np.abs(got - lam)) <= 1e-8 * max(1.0, abs(lam))
+
+
+def _record_qz(monkeypatch):
+    """(dtype, order) of every pencil handed to QZ from here on."""
+    calls = []
+    eigvals = scipy.linalg.eigvals
+
+    def record(M, N, **kwargs):
+        calls.append((M.dtype, M.shape[0]))
+        return eigvals(M, N, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", record)
+    return calls
+
+
+def _conjugation_closed(vals):
+    # real QZ returns each pair's alpha exactly conjugate; the two betas
+    # differ by rounding
+    gap = np.min(np.abs(vals[:, None] - vals.conj()[None, :]), axis=1)
+    return bool(np.all(gap <= 1e-14 * np.maximum(1.0, np.abs(vals))))
+
+
+def test_real_valued_complex_pencils_run_real_qz(monkeypatch):
+    calls = _record_qz(monkeypatch)
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((5, 5))
+    T = np.zeros((5, 5))
+    T[:3, :3] = np.diag([1.0, 2.0, 3.0])
+    T[3:, 3:] = [[0.5, 2.0], [-2.0, 0.5]]
+    M = (X @ T @ np.linalg.inv(X)).astype(complex)  # complex-typed, imaginary part zero
+    N = np.eye(5, dtype=complex)
+    vals = eig_pencil(M, N).finite_values
+    assert calls[-1] == (np.float64, 5)
+    assert _conjugation_closed(vals)
+    real = vals[vals.imag == 0.0].real
+    assert np.allclose(np.sort(real), [1.0, 2.0, 3.0])
+    # one nonzero imaginary entry keeps the complex path
+    M[0, 1] += 1e-3j
+    eig_pencil(M, N)
+    assert calls[-1] == (np.complex128, 5)
+    # the deflated pencil and the quadratic problem follow the same rule
+    N[:, 0] = 0.0
+    eig_pencil_deflated(M, N)
+    assert calls[-1] == (np.complex128, 4)
+    eig_pencil_deflated(M.real.astype(complex), N)
+    assert calls[-1] == (np.float64, 4)
+    A = gen_test_matrix("jordan-shifted", 3, time_domain="discrete").A
+    pen = build_quad_pencil_variable(MatrixProblem(A, "discrete"), 0.5, 0.01)
+    assert pen.q0.dtype == complex
+    spec = eig_quadratic(pen.q0, pen.q1, pen.q2)
+    # the trimmed linearization, order 6n^2: no 8n^2 companion reaches QZ
+    assert calls[-1] == (np.float64, 54) and spec.order == 54 and spec.deflated == 18
+    assert _conjugation_closed(spec.finite_values)
+    assert np.any(spec.finite_values.imag == 0.0)
+    rotated = build_quad_pencil_variable(MatrixProblem(np.exp(0.7j) * A, "discrete"), 0.5, 0.01)
+    eig_quadratic(rotated.q0, rotated.q1, rotated.q2)
+    assert calls[-1] == (np.complex128, 54)
 
 
 def test_eig_pencil_deflated_falls_back():

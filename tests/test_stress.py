@@ -1,7 +1,8 @@
 """Known wrong answers of the certificates and solvers: the stress set.
 
 Each case is an input on which the program is known to be wrong, pinned as
-a strict xfail, so that a change of behaviour on it shows up as XPASS.
+a strict xfail, so that a change of behaviour on it shows up as XPASS; a
+case that came right by rounding alone is kept as a plain test.
 The matrices are the benchmark's seeded draws: ``workloads.random_matrix``
 with the generator ``default_rng([seed, time-domain id, 0, n, 0])``.  The
 grid oracle is the reference; its values are attained, so no certified
@@ -57,10 +58,21 @@ def test_empty_certificate_bounds_the_oracle(time_domain, n, seed, level, g_min,
     assert not report.empty or g_grid > report.gamma - 0.5 * eta
 
 
-@_KNOWN_WRONG
-@pytest.mark.parametrize("method", ["owr-bt", "owr"])
-@pytest.mark.parametrize("n, seed, k_oracle", [(5, 109, 1.0394616), (4, 1025, 1.0120221)],
-                         ids=["dt-n5-seed109", "dt-n4-seed1025"])
+_N5_SEED109 = (5, 109, 1.0394616)
+_N4_SEED1025 = (4, 1025, 1.0120221)
+
+
+# dt-n5-seed109-owr passes since its first certificate (gamma = 1 - 1e-9)
+# captures a circle near r = 43.69 that carries verified points.  The
+# eigenvalue behind it is so ill-conditioned that rounding alone moves it
+# into the capture band (6n^2 trimmed linearization) or out of it (8n^2
+# companion pencil): the map from eigenvalues to candidates is still unsound.
+@pytest.mark.parametrize("method, n, seed, k_oracle", [
+    pytest.param("owr", *_N5_SEED109, id="dt-n5-seed109-owr"),
+    pytest.param("owr-bt", *_N5_SEED109, id="dt-n5-seed109-owr-bt", marks=_KNOWN_WRONG),
+    pytest.param("owr-bt", *_N4_SEED1025, id="dt-n4-seed1025-owr-bt", marks=_KNOWN_WRONG),
+    pytest.param("owr", *_N4_SEED1025, id="dt-n4-seed1025-owr", marks=_KNOWN_WRONG),
+])
 def test_solver_does_not_undercut_the_oracle(method, n, seed, k_oracle):
     prob = MatrixProblem(random_matrix(n, "discrete", seed), "discrete")
     k_grid = 1.0 / grid_min(prob, levels=4)[0]
