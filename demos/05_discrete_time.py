@@ -4,9 +4,9 @@ Outside the unit disk the objective is h(r, theta) =
 sigma_min((r e^{i theta} I - A)/(r - 1)).  The 1D test solves a symplectic
 pencil whose unimodular eigenvalues mark the gamma-level points on one
 circle; the 2D tests find candidate radii from a quadratic eigenvalue
-problem in r (solved through its companion linearization) and probe pairs
-along rays: (r, r + eta) for the fixed-distance test, (r, beta*r + delta)
-for the variable-distance one.
+problem in r (solved through its trimmed linearization of order 6n^2,
+not the 8n^2 companion) and probe pairs along rays: (r, r + eta) for the
+fixed-distance test, (r, beta*r + delta) for the variable-distance one.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ print(f"\ngrid oracle: min h = {kinv:.6f} at r = {coords[0]:.4f}")
 above = kreiss.fixed_distance_test_dt(prob, kinv + 0.02, eta=0.05)
 below = kreiss.variable_distance_test_dt(prob, kinv - 0.02, eta=0.05)
 print(f"gamma above the minimum: {len(above.points)} verified points on "
-      f"{len(above.candidate_circles)} candidate circles")
+      f"{len(above.candidate_lines)} candidate circles")
 print(f"gamma below the minimum: empty = {below.empty} "
       f"(certifies 1/K > {kinv - 0.02 - 0.025:.4f})")
 

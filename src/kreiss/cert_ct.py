@@ -9,20 +9,28 @@ Three tests over the right half-plane domain of g(x, y):
 * a horizontal variable-distance variant (separation x*eta/(1+gamma),
   i.e. the pair (x, y), (beta*x, y)) with the same lower-bound semantics.
 
-Each test computes the positive real eigenvalues of a 4n^2 pencil, two
-vectorized Sylvester forms whose 2n x 2n blocks ``_pencil_blocks`` defines
-once (dense QZ on the Kronecker form, or the opt-in divide-and-conquer
-sweep of ``dnc`` on the blocks themselves, which never builds the pencil),
-then runs a cheap 1D vertical eigenvalue test on every candidate line.  Dense
-QZ runs on order 2n^2 for the fixed pencil, whose 2n^2 structural infinite
-eigenvalues are deflated first, and on order 4n^2 for the variable ones.
+Each test's pencil pairs two 4n^2 vectorized Sylvester forms whose
+2n x 2n blocks ``_pencil_blocks`` defines once.  Every 2D test, the radial
+tests of ``cert_dt`` included, is a thin entry into one pipeline,
+``_level_set_test``, supplying a pencil builder, a divide-and-conquer
+operator, the pair's partner map and a 1D test:
 
-The 1D stage after the large eigenproblem is shared with the discrete-time
-tests of ``cert_dt``: ``_polish`` Newton-polishes a level-set point along
-the vertical line Re z = x or the circle |z| = r, and ``_collect_points``
-reports a point only after ``_verify_point`` confirmed by a direct SVD that
-gamma really is a singular value there, which keeps the certificate sound
-regardless of how the candidate eigenvalues were obtained.
+1. real eigenvalues come from dense QZ on the pencil (its ``spectrum()``,
+   then ``_near_real``'s capture band) or from the opt-in sweep of ``dnc``
+   over the domain's ``search_interval``, which never builds the pencil;
+   the one separate filter left is that sweep's ``dnc.REAL_BAND_RTOL``
+   (ROADMAP items 1 and 4);
+2. ``_candidates`` is the single step from eigenvalues to candidate lines
+   (or circles);
+3. ``_collect_points`` runs the 1D test on each: ``_polish``
+   Newton-polishes a level-set point along the line Re z = x or the circle
+   |z| = r, and ``_verify_point`` confirms by a direct SVD that gamma is a
+   singular value there, which keeps the certificate sound however the
+   candidate eigenvalues were obtained.
+
+Dense QZ runs on order 2n^2 for the fixed pencil, whose 2n^2 structural
+infinite eigenvalues are deflated first, and on order 4n^2 for the
+variable ones.
 """
 
 from __future__ import annotations
@@ -91,6 +99,24 @@ class KroneckerPencil:
     theta_orient: Optional[float] = None
     beta: Optional[float] = None
 
+    def spectrum(self) -> linalg.Spectrum:
+        """The pencil's spectrum by dense QZ; its ``order`` is what QZ factored.
+
+        The fixed pencil's m2 has rank 2n^2 out of 4n^2.  Its columns are
+        rotated by the unitary Z of ``_rotate_columns``, the 2n^2 columns of
+        m2 Z that vanish mathematically are set exactly to zero, and
+        ``linalg.eig_pencil_deflated`` removes the 2n^2 infinite eigenvalues
+        they carry, so QZ runs on order 2n^2.  The variable-distance pencils
+        have an invertible m2 and go to QZ at order 4n^2.
+        """
+        M, N = self.m1, self.m2
+        if self.variant == "fixed":
+            n = math.isqrt(M.shape[0] // 4)
+            V = _null_rotation(self.gamma)
+            M, N = _rotate_columns(M, V, n), _rotate_columns(N, V, n)
+            N[:, :2 * n * n] = 0.0
+        return linalg.eig_pencil_deflated(M, N)
+
 
 @dataclass
 class CertificateReport:
@@ -120,11 +146,6 @@ class CertificateReport:
     def empty(self) -> bool:
         return len(self.points) == 0
 
-    @property
-    def candidate_circles(self) -> list[float]:
-        """Alias used by the discrete-time radial tests."""
-        return self.candidate_lines
-
 
 def _hamiltonian_vertical(prob, gamma, x):
     n = prob.n
@@ -140,10 +161,10 @@ def vertical_level_points(prob: MatrixProblem, gamma: float, x: float) -> list[f
 
     gamma is a singular value of G(x, y) iff i*y is an eigenvalue of the
     2n x 2n Hamiltonian matrix [[A - xI, gamma*x*I], [-gamma*x*I, xI - A*]].
-    Eigenvalues within 1e-8 * max(1, |Im|) * ||A|| of the imaginary axis
-    are kept; near-duplicates are merged (a double root perturbs into a
-    symmetric pair, whose mean restores the root) and each y is polished by
-    a 1D Newton iteration on sigma(G(x, .)) = gamma.
+    Eigenvalues within CAPTURE_FACTOR * 1e-8 * max(1, |Im|) * ||A|| of the
+    imaginary axis are kept; near-duplicates are merged (a double root
+    perturbs into a symmetric pair, whose mean restores the root) and each
+    y is polished by a 1D Newton iteration on sigma(G(x, .)) = gamma.
     """
     objective.check_domain(prob, TimeDomain.CONTINUOUS, "vertical_level_points")
     if gamma < 0:
@@ -354,28 +375,6 @@ def _rotate_columns(M, V, n):
     return np.einsum("mpk,pc->mck", Mr, V).reshape(m, 4 * n * n)
 
 
-def _real_positive_eigs_dense(pencil):
-    """Positive real eigenvalues of the pencil via dense QZ.
-
-    The fixed pencil's m2 has rank 2n^2 out of 4n^2.  Its columns are
-    rotated by the unitary Z of ``_rotate_columns``, the 2n^2 columns of
-    m2 Z that vanish mathematically are set exactly to zero, and
-    ``linalg.eig_pencil_deflated`` removes the 2n^2 infinite eigenvalues
-    they carry, so QZ runs on order 2n^2.  The variable-distance pencils
-    have an invertible m2 and go to QZ at order 4n^2.  The returned count
-    is the order QZ factored.
-    """
-    M, N = pencil.m1, pencil.m2
-    if pencil.variant == "fixed":
-        n = math.isqrt(M.shape[0] // 4)
-        V = _null_rotation(pencil.gamma)
-        M, N = _rotate_columns(M, V, n), _rotate_columns(N, V, n)
-        N[:, :2 * n * n] = 0.0
-    spec = linalg.eig_pencil_deflated(M, N)
-    xs = _near_real(spec, pencil.eta)
-    return np.sort(xs[xs > LINE_DEDUP_ATOL]), spec.order
-
-
 def _near_real(spec, eta):
     """Real parts of the finite eigenvalues inside the capture band of the real axis."""
     lam = spec.finite_values
@@ -383,44 +382,48 @@ def _near_real(spec, eta):
     return lam[np.abs(lam.imag) <= rel * np.maximum(1.0, np.abs(lam.real))].real
 
 
-def _real_eigs(prob, gamma, use_dnc, seed, dense, operator):
-    """(sorted real candidate eigenvalues, order of the eigenproblem solved).
+def _candidates(xs, barrier, partner):
+    """The one map from real eigenvalues xs to the candidates of a 2D test.
 
-    ``dense()`` builds the pencil and runs the dense eigensolver.  Under
-    ``use_dnc`` the divide-and-conquer sweep searches the domain's
-    ``search_interval`` at level gamma on the implicit ``operator()``
-    instead, and no dense pencil is built; like the dense continuous-time
-    path it drops values at or below ``LINE_DEDUP_ATOL``, since the sweep's
-    interval starts at the domain's barrier (x = 0 in continuous time).  A
-    ``MaxShiftsError`` from the sweep propagates to the caller.
+    Values at or below ``barrier + LINE_DEDUP_ATOL`` have no line (or
+    circle) and are dropped; the rest are merged at LINE_DEDUP_ATOL keeping
+    the first of each run (``dnc._dedupe``).  A double real eigenvalue
+    (pair tangency) splits under rounding into two candidates that can each
+    miss the level set, so the midpoint of every pair closer than
+    0.02 * max(1, |x|) is added.  ``partner(x)``, unless None, adds the
+    line of the pair's second point, and a last merge keeps every gap above
+    LINE_DEDUP_ATOL.  Extra candidates cost 1D tests, never soundness.
     """
-    if not use_dnc:
-        return dense()
-    op = operator()
-    lo, hi = objective.domain(prob).search_interval(prob.norm2, gamma)
-    vals = np.asarray(dnc.real_eigs_in_interval(op, lo, hi, seed=seed), dtype=float)
-    return np.sort(vals[vals > LINE_DEDUP_ATOL]), op.dim
+    xs = np.asarray(xs, dtype=float)
+    lines = dnc._dedupe(list(xs[xs > barrier + LINE_DEDUP_ATOL]), LINE_DEDUP_ATOL)
+    lines += [0.5 * (a + b) for a, b in zip(lines, lines[1:])
+              if b - a <= 0.02 * max(1.0, abs(a))]
+    if partner is not None:
+        lines += [partner(x) for x in lines]
+    return dnc._dedupe(lines, LINE_DEDUP_ATOL)
 
 
-def _augment_with_midpoints(xs, window_rel=0.02):
-    """Insert midpoints of nearby candidate pairs.
+def _level_set_test(prob, report, build, operator, partner, level_points, use_dnc, seed):
+    """Fill ``report`` by the pipeline of every 2D test (module docstring).
 
-    A double real eigenvalue (pair-tangent configuration) is extremely
-    ill-conditioned and splits under rounding into two candidates that can
-    each miss the level set; their midpoint cancels the first-order error.
-    Extra lines only feed the verified 1D stage, so this is cost, not risk.
+    The real eigenvalues come from ``build()``'s dense pencil or, under
+    ``use_dnc``, from the sweep at level gamma on ``operator()``, seeded by
+    ``seed``, with no dense pencil built; ``large_eig_count`` is the order
+    QZ factored or the operator's dimension.  A ``MaxShiftsError`` from the
+    sweep propagates to the caller.
     """
-    xs = sorted(xs)
-    extra = []
-    for a, b in zip(xs, xs[1:]):
-        if b - a <= window_rel * max(1.0, abs(a)):
-            extra.append(0.5 * (a + b))
-    return sorted(set(xs) | set(extra))
-
-
-def _candidate_lines(xs):
-    """Deduplicated sorted eigenvalues plus the midpoints of near pairs."""
-    return _augment_with_midpoints(dnc._dedupe(list(xs), LINE_DEDUP_ATOL))
+    dom = objective.domain(prob)
+    if use_dnc:
+        op = operator()
+        lo, hi = dom.search_interval(prob.norm2, report.gamma)
+        xs = dnc.real_eigs_in_interval(op, lo, hi, seed=seed)
+        report.large_eig_count = op.dim
+    else:
+        spec = build().spectrum()
+        xs = _near_real(spec, report.eta)
+        report.large_eig_count = spec.order
+    report.candidate_lines = _candidates(xs, dom.barrier, partner)
+    return _collect_points(prob, level_points, report)
 
 
 def _check_test(prob, time_domain, gamma, eta, theta_orient=None):
@@ -439,16 +442,13 @@ def fixed_distance_test(prob: MatrixProblem, gamma: float, eta: float,
     by itself, which is why the backtracking iteration shrinks eta.
     """
     _check_test(prob, TimeDomain.CONTINUOUS, gamma, eta, theta_orient)
-    xs, count = _real_eigs(
-        prob, gamma, use_dnc, seed,
-        lambda: _real_positive_eigs_dense(build_fixed_pencil(prob, gamma, eta, theta_orient)),
-        lambda: dnc.op_fixed_ct(prob, gamma, eta, theta_orient))
-    lines = _candidate_lines(xs)
-    if abs(theta_orient) < np.pi / 2:
-        shifted = [x + eta * np.cos(theta_orient) for x in lines]
-        lines = dnc._dedupe(lines + shifted, LINE_DEDUP_ATOL)
-    return _collect_points(prob, vertical_level_points, CertificateReport(
-        gamma, eta, "fixed", lines, large_eig_count=count, theta_orient=theta_orient))
+    shift = eta * np.cos(theta_orient)
+    return _level_set_test(
+        prob, CertificateReport(gamma, eta, "fixed", theta_orient=theta_orient),
+        lambda: build_fixed_pencil(prob, gamma, eta, theta_orient),
+        lambda: dnc.op_fixed_ct(prob, gamma, eta, theta_orient),
+        (lambda x: x + shift) if abs(theta_orient) < np.pi / 2 else None,
+        vertical_level_points, use_dnc, seed)
 
 
 def variable_distance_test(prob: MatrixProblem, gamma: float, eta: float,
@@ -459,12 +459,11 @@ def variable_distance_test(prob: MatrixProblem, gamma: float, eta: float,
     a nonempty one returns verified points, each witnessing gamma >= 1/K.
     """
     _check_test(prob, TimeDomain.CONTINUOUS, gamma, eta)
-    xs, count = _real_eigs(
-        prob, gamma, use_dnc, seed,
-        lambda: _real_positive_eigs_dense(build_variable_pencil(prob, gamma, eta)),
-        lambda: dnc.op_variable_ct(prob, gamma, eta))
-    return _collect_points(prob, vertical_level_points, CertificateReport(
-        gamma, eta, "variable-vertical", _candidate_lines(xs), large_eig_count=count))
+    return _level_set_test(
+        prob, CertificateReport(gamma, eta, "variable-vertical"),
+        lambda: build_variable_pencil(prob, gamma, eta),
+        lambda: dnc.op_variable_ct(prob, gamma, eta),
+        None, vertical_level_points, use_dnc, seed)
 
 
 def horizontal_variable_test(prob: MatrixProblem, gamma: float, eta: float,
@@ -472,18 +471,16 @@ def horizontal_variable_test(prob: MatrixProblem, gamma: float, eta: float,
     """Horizontal variable-distance test on pairs (x, y), (beta*x, y).
 
     Same lower-bound semantics as the vertical variable-distance test;
-    selectable as an alternative backend.
+    selectable as an alternative backend.  Both lines x and beta*x of each
+    pair are probed.
     """
     _check_test(prob, TimeDomain.CONTINUOUS, gamma, eta)
-    xs, count = _real_eigs(
-        prob, gamma, use_dnc, seed,
-        lambda: _real_positive_eigs_dense(build_horizontal_pencil(prob, gamma, eta)),
-        lambda: dnc.op_horizontal_ct(prob, gamma, eta))
-    base = _candidate_lines(xs)
     beta = _pair_beta(gamma, eta)
-    lines = dnc._dedupe(base + [beta * x for x in base], LINE_DEDUP_ATOL)
-    return _collect_points(prob, vertical_level_points, CertificateReport(
-        gamma, eta, "variable-horizontal", lines, large_eig_count=count))
+    return _level_set_test(
+        prob, CertificateReport(gamma, eta, "variable-horizontal"),
+        lambda: build_horizontal_pencil(prob, gamma, eta),
+        lambda: dnc.op_horizontal_ct(prob, gamma, eta),
+        lambda x: beta * x, vertical_level_points, use_dnc, seed)
 
 
 # --------------------------------------------------------------------------

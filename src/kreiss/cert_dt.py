@@ -6,16 +6,20 @@ h(r, theta) = h(r + eta, theta) = gamma, or a variable distance
 (r - 1) * eta / (1 + gamma) apart, h(r, theta) = h(beta*r + delta, theta)
 = gamma with delta = -eta/(1+gamma) and beta = 1 - delta.  Either pair
 condition leads to a 4n^2 quadratic eigenvalue problem in r (q0, q1, q2
-are real whenever A is), solved by dense QZ (or by the opt-in
-divide-and-conquer sweep of ``dnc``).  q2 has 2n^2 all-zero columns, so
+are real whenever A is).  q2 has 2n^2 all-zero columns, so
 ``eig_quadratic``'s trimmed linearization has order 6n^2, with the 2n^2
 structural infinite eigenvalues of the 8n^2 companion pencil never formed.
-Candidate radii r > 1 are then probed by a 1D circular
-test built on the symplectic pencil of the ray condition.  Polishing,
-verification by a direct SVD and point collection are the 1D stage shared
-with the continuous-time tests (``cert_ct._polish``, ``_verify_point`` and
-``_collect_points``); this module keeps only the symplectic 1D eigenproblem
-and the clustering of its unimodular eigenvalues.  The empty outcome of the
+
+Both radial tests are thin entries into the one pipeline of
+``cert_ct._level_set_test``: real roots by dense QZ
+(``QuadPencil.spectrum``) or the opt-in sweep of ``dnc``, then
+``cert_ct._candidates`` (circles r > 1 and their partners beta*r + delta),
+then the 1D circular test, built on the symplectic pencil of the ray
+condition, with the polish, SVD verification and point collection of
+``cert_ct``.  The one separate filter left is the sweep's own
+``dnc.REAL_BAND_RTOL`` band (ROADMAP items 1 and 4).  This module keeps
+only the quadratic problem, the symplectic 1D eigenproblem and the
+clustering of its unimodular eigenvalues.  The empty outcome of the
 variable-distance test certifies 1/K > gamma - eta/2.
 """
 
@@ -26,11 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dnc, objective
-from .cert_ct import (CAPTURE_FACTOR, CertificateReport, LINE_DEDUP_ATOL,
-                      _augment_with_midpoints, _check_gamma_eta, _check_test,
-                      _collect_points, _merge_close, _near_real, _pair_beta, _polish,
-                      _real_eigs)
+from .cert_ct import (CAPTURE_FACTOR, CertificateReport, _check_gamma_eta, _check_test,
+                      _level_set_test, _pair_beta, _polish)
 from .errors import SingularPencilError
+# QuadPencil.spectrum calls eig_quadratic by this name: bench/tracing.py wraps it here
 from .linalg import eig_pencil, eig_quadratic
 from .matio import MatrixProblem, TimeDomain
 
@@ -45,8 +48,6 @@ __all__ = [
 
 # eigenvalue of the symplectic pencil counts as unimodular when ||lam|-1| <= this
 UNIMODULAR_ATOL = 1e-8
-# candidate radii must exceed 1 by this margin
-RADIUS_MARGIN = 1e-12
 # gamma closer than this (times max(1, ||A||)) to a singular value of A gets nudged
 GAMMA_SV_GUARD = 1e-8
 
@@ -64,6 +65,10 @@ class QuadPencil:
     variant: str
     delta: float
     beta: float
+
+    def spectrum(self):
+        """The problem's spectrum by the trimmed 6n^2 linearization of ``eig_quadratic``."""
+        return eig_quadratic(self.q0, self.q1, self.q2)
 
 
 # --------------------------------------------------------------------------
@@ -210,28 +215,17 @@ def _nudge_gamma(prob, gamma):
 # --------------------------------------------------------------------------
 
 def _radial_test(prob, gamma, eta, variant, use_dnc, seed):
-    """The fixed- or variable-distance radial test: candidate radii from
-    the quadratic problem, both circles of each pair probed in 1D."""
+    """The fixed- or variable-distance radial test: the circles r and
+    beta*r + delta of every candidate ray pair (``_ray_pair``) are probed."""
     _check_test(prob, TimeDomain.DISCRETE, gamma, eta)
     gamma, _ = _nudge_gamma(prob, gamma)
     delta, beta = _ray_pair(gamma, eta, variant)
-
-    def dense():
-        build = build_quad_pencil_fixed if variant == "fixed" else build_quad_pencil_variable
-        pencil = build(prob, gamma, eta)
-        spec = eig_quadratic(pencil.q0, pencil.q1, pencil.q2)
-        return np.sort(_near_real(spec, eta)), spec.order
-
-    lam, count = _real_eigs(prob, gamma, use_dnc, seed, dense,
-                            lambda: dnc.op_quad_dt(prob, gamma, eta, variant=variant))
-    lam = lam[lam > 1.0 + RADIUS_MARGIN]
-    radii = []
-    if lam.size:
-        radii = _augment_with_midpoints(list(_merge_close(lam, atol=LINE_DEDUP_ATOL)))
-    # the partner circle of r is r + eta (fixed) or beta*r + delta (variable)
-    circles = sorted(set(radii) | {beta * r + delta for r in radii})
-    return _collect_points(prob, circular_level_points, CertificateReport(
-        gamma, eta, f"{variant}-dt", circles, large_eig_count=count))
+    return _level_set_test(
+        prob, CertificateReport(gamma, eta, f"{variant}-dt"),
+        lambda: (build_quad_pencil_fixed if variant == "fixed"
+                 else build_quad_pencil_variable)(prob, gamma, eta),
+        lambda: dnc.op_quad_dt(prob, gamma, eta, variant=variant),
+        lambda r: beta * r + delta, circular_level_points, use_dnc, seed)
 
 
 def fixed_distance_test_dt(prob: MatrixProblem, gamma: float, eta: float,
