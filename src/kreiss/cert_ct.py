@@ -30,11 +30,18 @@ operator, the pair's partner map and a 1D test:
 
 Dense QZ runs on order 2n^2 for the fixed pencil, whose 2n^2 structural
 infinite eigenvalues are deflated first, and on order 4n^2 for the
-variable ones.
+variable ones.  Every ``build_*`` function builds its pencil from
+``MatrixProblem.split``, whose T is A itself when A does not split, so
+those pencils are exactly as before.  Otherwise T is block diagonal and
+its pencil falls apart into one part of order 4 k_b k_b' per pair of
+blocks (``_kron_parts``), which ``linalg`` factors part by part.  The 1D
+tests, the SVD verification and the divide-and-conquer operators keep
+using A, so every reported point is verified against the input matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -89,13 +96,18 @@ def _capture_band_rel(strict_rel, eta):
 
 @dataclass
 class KroneckerPencil:
-    """The 4n^2 x 4n^2 pencil m1 - lambda*m2 of a 2D level-set test."""
+    """The 4n^2 x 4n^2 pencil m1 - lambda*m2 of a 2D level-set test.
+
+    ``sizes`` holds the block orders of the split matrix it was built from
+    (``MatrixProblem.split``), (n,) when that matrix is A itself.
+    """
 
     m1: np.ndarray
     m2: np.ndarray
     gamma: float
     eta: float
     variant: str
+    sizes: tuple[int, ...]
     theta_orient: Optional[float] = None
     beta: Optional[float] = None
 
@@ -107,15 +119,18 @@ class KroneckerPencil:
         m2 Z that vanish mathematically are set exactly to zero, and
         ``linalg.eig_pencil_deflated`` removes the 2n^2 infinite eigenvalues
         they carry, so QZ runs on order 2n^2.  The variable-distance pencils
-        have an invertible m2 and go to QZ at order 4n^2.
+        have an invertible m2 and go to QZ at order 4n^2.  The pencil is
+        handed over with its parts (one when A does not split), whose
+        columns follow the rotation.
         """
         M, N = self.m1, self.m2
-        if self.variant == "fixed":
+        fixed = self.variant == "fixed"
+        if fixed:
             n = math.isqrt(M.shape[0] // 4)
             V = _null_rotation(self.gamma)
             M, N = _rotate_columns(M, V, n), _rotate_columns(N, V, n)
             N[:, :2 * n * n] = 0.0
-        return linalg.eig_pencil_deflated(M, N)
+        return linalg.eig_pencil_deflated(M, N, _kron_parts(self.sizes, rotated=fixed))
 
 
 @dataclass
@@ -130,7 +145,12 @@ class CertificateReport:
     factored: 2n^2 for the continuous-time fixed pencil and 4n^2 for the
     variable/horizontal ones (dense QZ), 6n^2 in discrete time (the trimmed
     linearization of ``linalg.eig_quadratic``), and the operator's
-    dimension under divide-and-conquer.
+    dimension under divide-and-conquer.  A split pencil counts the sum of
+    the orders QZ factored, which is the same total.  ``qz_orders`` lists
+    those orders, one per QZ call: one entry for an unsplit pencil, one per
+    group of parts for a split one, none under divide-and-conquer.  ``gamma_nudged`` says whether the discrete-time
+    tests moved gamma off a singular value of A (``cert_dt._nudge_gamma``);
+    ``gamma`` is then the level actually tested.
     """
 
     gamma: float
@@ -141,6 +161,8 @@ class CertificateReport:
     large_eig_count: int = 0
     theta_orient: Optional[float] = None
     rejected_points: int = 0
+    qz_orders: list[int] = field(default_factory=list)
+    gamma_nudged: bool = False
 
     @property
     def empty(self) -> bool:
@@ -263,7 +285,7 @@ def _pair_beta(gamma, eta):
     return 1.0 + eta / (1.0 + gamma)
 
 
-def _pencil_blocks(prob, gamma, eta, variant, theta_orient=None):
+def _pencil_blocks(A, gamma, eta, variant, theta_orient=None):
     """The 2n x 2n blocks (S1, S2, C, D) that define a certificate pencil.
 
     Every continuous-time pencil is m1 = I (x) S1 + S2^T (x) I and
@@ -276,10 +298,14 @@ def _pencil_blocks(prob, gamma, eta, variant, theta_orient=None):
     * "variable-vertical": S2 = [[A*, 0], [0, -A]],
       D = [[(1 - i eta) I, -gamma I], [gamma I, -(1 + i eta) I]];
     * "variable-horizontal": the same S2, D = beta C (``_pair_beta``).
+
+    A is the matrix given: the problem's A for the divide-and-conquer
+    operators, its split form ``MatrixProblem.split.T`` for the dense
+    pencils.
     """
     _check_gamma_eta(gamma, eta, theta_orient)
-    n = prob.n
-    A, Ah = prob.A, prob.A.conj().T
+    n = A.shape[0]
+    Ah = A.conj().T
     eye = np.eye(n)
     S1 = np.block([[A, 0 * eye], [0 * eye, -Ah]])
     C = _gamma_block(n, gamma)
@@ -308,6 +334,34 @@ def _kron_pencil(S1, S2, C, D):
     return np.kron(eye, S1) + np.kron(S2.T, eye), np.kron(eye, C) + np.kron(D, eye)
 
 
+@functools.lru_cache
+def _kron_parts(sizes, rotated=False):
+    """(rows, cols) of each diagonal block of a pencil on vec(W), W of order 2n.
+
+    With A block diagonal (blocks of orders ``sizes``), every 2n x 2n block
+    of a certificate pencil couples an index (a, i) of W only with indices
+    (a', i') whose i' lies in the block of i, on either side.  So
+    the pencil's vec index (a, i, b, j) = (a n + i) + 2n (b n + j) meets
+    only indices with the same pair of blocks (block of i, block of j):
+    one part of order 4 k_b k_b' per pair.  With ``rotated`` the columns are
+    those of ``_rotate_columns``, where column (c, j, i) = c n^2 + j n + i
+    mixes the four (a, b) of one (i, j).  Cached: every test of a problem
+    asks for the same parts.
+    """
+    n = sum(sizes)
+    vec = np.arange(4 * n * n).reshape(n, 2, n, 2, order="F")  # [i, a, j, b]
+    rot = np.arange(4 * n * n).reshape(4, n, n)  # [c, j, i]
+    ends = np.cumsum(sizes)
+    blocks = [np.arange(e - k, e) for k, e in zip(sizes, ends)]
+    parts = []
+    for bj in blocks:
+        for bi in blocks:
+            rows = vec[bi][:, :, bj].ravel()
+            cols = rot[:, bj][:, :, bi].ravel() if rotated else rows
+            parts.append((rows, cols))
+    return tuple(parts)
+
+
 def build_fixed_pencil(prob: MatrixProblem, gamma: float, eta: float,
                        theta_orient: float = np.pi / 2) -> KroneckerPencil:
     """Assemble the fixed-distance pencil for pairs eta apart at a given angle.
@@ -316,20 +370,24 @@ def build_fixed_pencil(prob: MatrixProblem, gamma: float, eta: float,
     may carry level-set points of the pair condition
     g(x, y) = g(x + eta*cos(theta), y + eta*sin(theta)) = gamma.
     """
-    m1, m2 = _kron_pencil(*_pencil_blocks(prob, gamma, eta, "fixed", theta_orient))
-    return KroneckerPencil(m1, m2, gamma, eta, "fixed", theta_orient=theta_orient)
+    split = prob.split
+    m1, m2 = _kron_pencil(*_pencil_blocks(split.T, gamma, eta, "fixed", theta_orient))
+    return KroneckerPencil(m1, m2, gamma, eta, "fixed", split.sizes,
+                           theta_orient=theta_orient)
 
 
 def build_variable_pencil(prob: MatrixProblem, gamma: float, eta: float) -> KroneckerPencil:
     """Pencil for vertically oriented pairs a variable distance x*eta apart."""
-    m1, m2 = _kron_pencil(*_pencil_blocks(prob, gamma, eta, "variable-vertical"))
-    return KroneckerPencil(m1, m2, gamma, eta, "variable-vertical")
+    split = prob.split
+    m1, m2 = _kron_pencil(*_pencil_blocks(split.T, gamma, eta, "variable-vertical"))
+    return KroneckerPencil(m1, m2, gamma, eta, "variable-vertical", split.sizes)
 
 
 def build_horizontal_pencil(prob: MatrixProblem, gamma: float, eta: float) -> KroneckerPencil:
     """Pencil for horizontal pairs (x, y), (beta*x, y), beta = 1 + eta/(1+gamma)."""
-    m1, m2 = _kron_pencil(*_pencil_blocks(prob, gamma, eta, "variable-horizontal"))
-    return KroneckerPencil(m1, m2, gamma, eta, "variable-horizontal",
+    split = prob.split
+    m1, m2 = _kron_pencil(*_pencil_blocks(split.T, gamma, eta, "variable-horizontal"))
+    return KroneckerPencil(m1, m2, gamma, eta, "variable-horizontal", split.sizes,
                            beta=_pair_beta(gamma, eta))
 
 
@@ -410,7 +468,8 @@ def _level_set_test(prob, report, build, operator, partner, level_points, use_dn
     ``use_dnc``, from the sweep at level gamma on ``operator()``, seeded by
     ``seed``, with no dense pencil built; ``large_eig_count`` is the order
     QZ factored or the operator's dimension.  A ``MaxShiftsError`` from the
-    sweep propagates to the caller.
+    sweep propagates to the caller.  ``qz_orders`` lists the orders QZ
+    factored (``Spectrum.orders``).
     """
     dom = objective.domain(prob)
     if use_dnc:
@@ -422,6 +481,7 @@ def _level_set_test(prob, report, build, operator, partner, level_points, use_dn
         spec = build().spectrum()
         xs = _near_real(spec, report.eta)
         report.large_eig_count = spec.order
+        report.qz_orders = list(spec.orders)
     report.candidate_lines = _candidates(xs, dom.barrier, partner)
     return _collect_points(prob, level_points, report)
 

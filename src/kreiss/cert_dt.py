@@ -21,17 +21,23 @@ condition, with the polish, SVD verification and point collection of
 only the quadratic problem, the symplectic 1D eigenproblem and the
 clustering of its unimodular eigenvalues.  The empty outcome of the
 variable-distance test certifies 1/K > gamma - eta/2.
+
+Both ``build_quad_pencil_*`` functions build from ``MatrixProblem.split``
+as the continuous-time builders do: when A splits into blocks of orders
+k_b, the quadratic problem falls apart into one part of order 4 k_b k_b'
+per pair of blocks, and the one ``eig_quadratic`` call of a test
+linearizes and factors each at order 6 k_b k_b'.  The 1D circular test, ``_nudge_gamma`` and the
+divide-and-conquer operator keep using A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 import numpy as np
 
 from . import dnc, objective
 from .cert_ct import (CAPTURE_FACTOR, CertificateReport, _check_gamma_eta, _check_test,
-                      _level_set_test, _pair_beta, _polish)
+                      _kron_parts, _level_set_test, _pair_beta, _polish)
 from .errors import SingularPencilError
 # QuadPencil.spectrum calls eig_quadratic by this name: bench/tracing.py wraps it here
 from .linalg import eig_pencil, eig_quadratic
@@ -55,7 +61,11 @@ GAMMA_SV_GUARD = 1e-8
 @dataclass
 class QuadPencil:
     """Coefficients of the 4n^2 quadratic problem (q0 + r q1 + r^2 q2) w = 0
-    of the ray pairs (r, beta*r + delta)."""
+    of the ray pairs (r, beta*r + delta).
+
+    ``sizes`` holds the block orders of the split matrix it was built from
+    (``MatrixProblem.split``), (n,) when that matrix is A itself.
+    """
 
     q0: np.ndarray
     q1: np.ndarray
@@ -65,10 +75,12 @@ class QuadPencil:
     variant: str
     delta: float
     beta: float
+    sizes: tuple[int, ...]
 
     def spectrum(self):
-        """The problem's spectrum by the trimmed 6n^2 linearization of ``eig_quadratic``."""
-        return eig_quadratic(self.q0, self.q1, self.q2)
+        """The problem's spectrum by the trimmed 6n^2 linearization of
+        ``eig_quadratic``, one part per pair of blocks when A split."""
+        return eig_quadratic(self.q0, self.q1, self.q2, _kron_parts(self.sizes))
 
 
 # --------------------------------------------------------------------------
@@ -133,10 +145,10 @@ def _cluster_on_circle(lam, atol=1e-6):
 # quadratic pencil assembly
 # --------------------------------------------------------------------------
 
-def _ray_factor_blocks(prob, gamma, delta):
-    """Constant/linear factors of M(r), Mt(r + delta)*, N(r), Nt(r + delta)*."""
-    n = prob.n
-    A = prob.A
+def _ray_factor_blocks(A, gamma, delta):
+    """Constant/linear factors of M(r), Mt(r + delta)*, N(r), Nt(r + delta)*
+    for the matrix A given (the problem's A, or its split form)."""
+    n = A.shape[0]
     eye = np.eye(n)
     Z = 0 * eye
     C0 = np.block([[A, -gamma * eye], [Z, Z]])
@@ -168,12 +180,14 @@ def _quad_pencil(prob, gamma, eta, variant):
     """
     _check_gamma_eta(gamma, eta)
     delta, beta = _ray_pair(gamma, eta, variant)
-    C0, C1, D0, D1, E0, E1, F0, F1 = _ray_factor_blocks(prob, gamma, delta)
+    split = prob.split
+    C0, C1, D0, D1, E0, E1, F0, F1 = _ray_factor_blocks(split.T, gamma, delta)
     kr = np.kron
     q0 = kr(D0.T, C0) - kr(F0.T, E0)
     q1 = beta * (kr(D1.T, C0) - kr(F1.T, E0)) + (kr(D0.T, C1) - kr(F0.T, E1))
     q2 = beta * (kr(D1.T, C1) - kr(F1.T, E1))
-    return QuadPencil(q0, q1, q2, gamma, eta, variant, delta=delta, beta=beta)
+    return QuadPencil(q0, q1, q2, gamma, eta, variant, delta=delta, beta=beta,
+                      sizes=split.sizes)
 
 
 def build_quad_pencil_fixed(prob: MatrixProblem, gamma: float, eta: float) -> QuadPencil:
@@ -218,10 +232,10 @@ def _radial_test(prob, gamma, eta, variant, use_dnc, seed):
     """The fixed- or variable-distance radial test: the circles r and
     beta*r + delta of every candidate ray pair (``_ray_pair``) are probed."""
     _check_test(prob, TimeDomain.DISCRETE, gamma, eta)
-    gamma, _ = _nudge_gamma(prob, gamma)
+    gamma, nudged = _nudge_gamma(prob, gamma)
     delta, beta = _ray_pair(gamma, eta, variant)
     return _level_set_test(
-        prob, CertificateReport(gamma, eta, f"{variant}-dt"),
+        prob, CertificateReport(gamma, eta, f"{variant}-dt", gamma_nudged=nudged),
         lambda: (build_quad_pencil_fixed if variant == "fixed"
                  else build_quad_pencil_variable)(prob, gamma, eta),
         lambda: dnc.op_quad_dt(prob, gamma, eta, variant=variant),

@@ -32,7 +32,7 @@ from .errors import (
 from .matio import load_matrix
 from .solver import SolveStatus
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _log = logging.getLogger("kreiss")
 
@@ -203,6 +203,8 @@ def cmd_certify(args) -> int:
         "empty": report.empty,
         "rejected_points": report.rejected_points,
         "large_eig_count": report.large_eig_count,
+        "qz_orders": [int(k) for k in report.qz_orders],
+        "gamma_nudged": report.gamma_nudged,
     }
     print(json.dumps(doc))
     return 0

@@ -18,7 +18,11 @@ and uncovered subintervals are recursed on.
 
 Dense QZ remains the default certificate backend; this layer is opt-in
 because shift-and-invert solvers can miss nearby eigenvalues, a failure
-mode the test suite checks for explicitly rather than masks."""
+mode the test suite checks for explicitly rather than masks.  The
+operators are built from the problem's A, never from its split form
+(``MatrixProblem.split``): a reducible A gets one operator of the full
+order here, where the dense pencils split into one part per pair of
+blocks."""
 
 from __future__ import annotations
 
@@ -96,7 +100,8 @@ class _SylvesterOperatorCT(LinearOperator):
         from .cert_ct import _pencil_blocks  # deferred: cert_ct imports this module
 
         check_domain(prob, TimeDomain.CONTINUOUS, "operator")
-        self.S1, self.S2, self.C, self.D = _pencil_blocks(prob, gamma, eta, variant, theta_orient)
+        self.S1, self.S2, self.C, self.D = _pencil_blocks(prob.A, gamma, eta, variant,
+                                                          theta_orient)
         self._m = 2 * prob.n
         self.dim = self._m * self._m
         eye = np.eye(self._m)
@@ -150,7 +155,7 @@ class _QuadDTOperator(LinearOperator):
         self.dim = 2 * self.half
         delta, self.beta = _ray_pair(gamma, eta, variant)
         (self.C0, self.C1, self.D0, self.D1,
-         self.E0, self.E1, self.F0, self.F1) = _ray_factor_blocks(prob, gamma, delta)
+         self.E0, self.E1, self.F0, self.F1) = _ray_factor_blocks(prob.A, gamma, delta)
         sp = scipy.sparse.csr_matrix
         q2 = scipy.sparse.kron(sp(self.D1.T), sp(self.C1)) \
             - scipy.sparse.kron(sp(self.F1.T), sp(self.E1))

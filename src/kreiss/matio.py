@@ -1,4 +1,16 @@
-"""Matrix input/output, stability validation, and test-matrix generation."""
+"""Matrix input/output, stability validation, and test-matrix generation.
+
+``MatrixProblem.split`` is the one place where A's block structure is
+found.  g and h depend on A only through unitary invariants, so when A is
+unitarily block diagonal, A = Q (T_1 (+) ... (+) T_p) Q*, every dense
+certificate pencil is block diagonal too: the Sylvester operator
+W -> H1 W + W H2 that it vectorizes splits into one independent
+(b, b') pair of diagonal blocks per pair of blocks of A.  The split is
+read off the Schur form of A (the real Schur form for a real A, so real
+pencils stay real): couplings at or below the Schur decomposition's own
+backward error, ``SPLIT_COUPLING_FACTOR * n * eps * ||A||_F``, are
+dropped, and the blocks are the connected components of what remains.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.io
+import scipy.linalg
 import scipy.sparse
 
 from .errors import (
@@ -24,6 +37,7 @@ __all__ = [
     "TimeDomain",
     "MatrixKind",
     "MatrixProblem",
+    "SplitForm",
     "load_matrix",
     "save_matrix",
     "gen_test_matrix",
@@ -31,6 +45,11 @@ __all__ = [
 
 # Relative threshold below which an eigenvalue modulus counts as zero.
 _ZERO_EIG_RTOL = 1e-14
+# A coupling of A's Schur form at or below this times n * eps * ||A||_F is
+# dropped when A is split into blocks: that is the order of the backward
+# error the Schur decomposition itself commits, so the split A differs
+# from A by no more than the decomposition already did.
+SPLIT_COUPLING_FACTOR = 10.0
 
 
 class TimeDomain(str, enum.Enum):
@@ -114,6 +133,60 @@ class MatrixProblem:
             cached = float(np.linalg.norm(self.A, 2))
             object.__setattr__(self, "_norm2", cached)
         return cached
+
+    @property
+    def split(self) -> SplitForm:
+        """A's block-diagonal form (module docstring), computed on first use."""
+        cached = getattr(self, "_split", None)
+        if cached is None:
+            cached = _split_form(self.A)
+            object.__setattr__(self, "_split", cached)
+        return cached
+
+
+@dataclass(frozen=True)
+class SplitForm:
+    """A unitarily block-diagonal form T of a problem's matrix A.
+
+    ``T`` is block diagonal with diagonal blocks of orders ``sizes``, in
+    that order, and A = Q T Q* + E for a unitary Q, where E holds the
+    dropped couplings: each at most ``threshold``, the largest
+    ``dropped``.  When A does not split, ``T`` is A itself (not a copy),
+    ``sizes`` is (n,) and nothing is dropped.
+    """
+
+    T: np.ndarray
+    sizes: tuple[int, ...]
+    threshold: float
+    dropped: float = 0.0
+
+
+def _split_form(A) -> SplitForm:
+    """The split of A along the connected components of its Schur form."""
+    n = A.shape[0]
+    threshold = SPLIT_COUPLING_FACTOR * n * np.finfo(float).eps * float(np.linalg.norm(A))
+    real = not A.imag.any()
+    T = scipy.linalg.schur(A.real if real else A, output="real" if real else "complex")[0]
+    kept = np.abs(T) > threshold
+    # a kept superdiagonal chains every index into one block: the common
+    # case, which skips connected_components' fixed cost (about 0.25 ms)
+    if kept.diagonal(1).all():
+        return SplitForm(A, (n,), threshold)
+    # imported here, so that only a problem that may split pays its ~3 MB
+    # of memory
+    from scipy.sparse.csgraph import connected_components
+    _, labels = connected_components(kept, directed=False)
+    if labels.max() == 0:
+        return SplitForm(A, (n,), threshold)
+    # a stable sort keeps each block's Schur order, so every block stays
+    # (quasi-)triangular
+    perm = np.argsort(labels, kind="stable")
+    T = T[np.ix_(perm, perm)].astype(complex)
+    same = labels[perm][:, None] == labels[perm][None, :]
+    dropped = float(np.max(np.abs(T[~same])))
+    T[~same] = 0.0
+    T.setflags(write=False)
+    return SplitForm(T, tuple(int(k) for k in np.bincount(labels)), threshold, dropped)
 
 
 # --------------------------------------------------------------------------

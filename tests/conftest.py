@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kreiss import LinearOperator, MatrixProblem, gen_test_matrix
+from kreiss import LinearOperator, MatrixProblem, certify, gen_test_matrix, minimize
 from kreiss.errors import NearSingularOperatorError
+from kreiss.matio import SplitForm
+from kreiss.oracle import grid_min
 
 
 @pytest.fixture
@@ -44,6 +46,77 @@ def random_normal_stable(n, seed, time_domain):
     else:
         lam = (0.1 + 0.85 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
     return MatrixProblem(Q @ np.diag(lam) @ Q.conj().T, time_domain)
+
+
+def jordan_block(k, lam, scale):
+    return np.diag(np.full(k, lam, dtype=complex)) + scale * np.diag(np.ones(k - 1), 1)
+
+
+def two_block(time_domain, coupling=0.0):
+    """Two nonnormal 2 x 2 Jordan blocks, uncoupled but for ``coupling`` at
+    A[0, 2]: a problem that splits into blocks of orders (2, 2)."""
+    if time_domain == "continuous":
+        blocks = (jordan_block(2, -0.3 + 0.5j, 1.0), jordan_block(2, -0.6 - 2.0j, 1.5))
+    else:
+        blocks = (jordan_block(2, 0.9 * np.exp(0.3j), 0.1),
+                  jordan_block(2, 0.75 * np.exp(2.5j), 0.6))
+    A = scipy.linalg.block_diag(*blocks)
+    A[0, 2] = coupling
+    return MatrixProblem(A, time_domain)
+
+
+def unsplit(monkeypatch):
+    """Build every dense pencil from A itself, as if no problem split."""
+    monkeypatch.setattr(MatrixProblem, "split",
+                        property(lambda self: SplitForm(self.A, (self.n,), 0.0)))
+
+
+def three_levels(prob):
+    """(gamma, eta) of three certificate levels: just below the minimum g of
+    the objective (the call a finished solve ends with), well below it and
+    above it, with g capped below 1 (a normal problem's minimum is 1)."""
+    g, coords = grid_min(prob, levels=3)[:2]
+    g = min(g, minimize(prob, coords).value, 1.0 - 1e-3)
+    return [(g * (1.0 - 0.5e-9), g * 1e-9), (2.0 * g / 3.0, 2.0 * g / 3.0),
+            (g + 0.5 * (1.0 - g), 0.25 * (1.0 - g))]
+
+
+def _isolated(lines, barrier, rtol=1e-3):
+    """The candidate lines farther than rtol (relative) from every other line
+    and from the barrier."""
+    x = np.asarray(lines, dtype=float)
+    if x.size == 0:
+        return x
+    scale = np.maximum(1.0, np.abs(x))
+    gap = np.diff(x)
+    nearest = np.minimum(np.r_[np.inf, gap], np.r_[gap, np.inf])
+    return x[(nearest > rtol * scale) & (x - barrier > rtol * scale)]
+
+
+def assert_split_reports_agree(prob, variant, levels, monkeypatch):
+    """The dense report of ``prob``, whose pencils are split, against the one
+    built from A (``unsplit``): the same verdict and point count, and every
+    isolated candidate line of either found in the other to 1e-8 relative.
+
+    A cluster of lines comes from a multiple root (the pair-tangency double
+    root, or the roots piled at the barrier, where the pair's two points
+    meet): any backward-stable QZ scatters it by eps^(1/k), so its lines
+    move with the rounding of the QZ that found them, split or not."""
+    barrier = 0.0 if prob.is_continuous else 1.0
+    split = [certify(prob, variant, gamma, eta) for gamma, eta in levels]
+    assert all(len(r.qz_orders) > 1 for r in split)
+    with monkeypatch.context() as m:
+        unsplit(m)
+        whole = [certify(MatrixProblem(prob.A, prob.time_domain), variant, gamma, eta)
+                 for gamma, eta in levels]
+    for a, b in zip(split, whole):
+        assert len(b.qz_orders) == 1
+        assert a.large_eig_count == b.large_eig_count
+        assert (a.empty, len(a.points)) == (b.empty, len(b.points)), (a.gamma, a.eta)
+        for p, q in ((a, b), (b, a)):
+            other = np.asarray(q.candidate_lines)
+            for x in _isolated(p.candidate_lines, barrier):
+                assert np.min(np.abs(other - x)) <= 1e-8 * max(1.0, abs(x)), (a.gamma, x)
 
 
 class MatrixOperator(LinearOperator):

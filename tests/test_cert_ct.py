@@ -22,16 +22,21 @@ from kreiss.cert_ct import (
     REAL_AXIS_RTOL,
     _capture_band_rel,
     _gamma_block,
+    _kron_parts,
+    _kron_pencil,
     _near_real,
     _null_rotation,
+    _pencil_blocks,
     _rotate_columns,
     _structured_factors,
     build_horizontal_pencil,
 )
 from kreiss.errors import SingularDError
 from kreiss.oracle import grid_min
+from kreiss.solver import CERTIFICATE_CHOICES
 
-from conftest import random_stable
+from conftest import (assert_split_reports_agree, random_normal_stable, random_stable,
+                      three_levels, two_block)
 
 JORDAN_MIN = 1.0 / 1.1333333333333333  # global min of g for J(-0.3), = 1/K
 
@@ -358,3 +363,61 @@ def test_horizontal_real_and_complex_qz_agree_on_a_shifted_matrix(n):
                               (g + 0.5 * (1.0 - g), 0.25 * (1.0 - g), False)):
         for p in (prob, shifted):
             assert horizontal_variable_test(p, gamma, eta).empty is empty
+
+
+# --------------------------------------------------------------------------
+# pencils of a split matrix (MatrixProblem.split)
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
+def test_split_reports_agree_with_unsplit(variant, monkeypatch):
+    for prob in (two_block("continuous"), random_normal_stable(4, 1, "continuous")):
+        assert_split_reports_agree(prob, variant, three_levels(prob), monkeypatch)
+
+
+def test_the_threshold_decides_the_split(monkeypatch):
+    threshold = two_block("continuous").split.threshold
+    strong = two_block("continuous", coupling=1e3 * threshold)
+    assert strong.split.sizes == (4,) and strong.split.T is strong.A
+    weak = two_block("continuous", coupling=1e-3 * threshold)
+    assert weak.split.sizes == (2, 2)
+    assert weak.split.dropped == pytest.approx(1e-3 * threshold, rel=1e-12)
+    levels = three_levels(weak)
+    for variant in ("fixed-v", "variable-v"):
+        assert_split_reports_agree(weak, variant, levels, monkeypatch)
+
+
+def test_irreducible_pencils_are_built_from_a_itself():
+    # what every build did before the split: the blocks of A itself
+    for prob in (random_stable(3, 4, "continuous"),
+                 gen_test_matrix("jordan-shifted", 3, time_domain="continuous")):
+        assert prob.split.T is prob.A
+        for build, args in ((build_fixed_pencil, ("fixed", 0.3)),
+                            (build_variable_pencil, ("variable-vertical",)),
+                            (build_horizontal_pencil, ("variable-horizontal",))):
+            pen = build(prob, 0.6, 0.05, *args[1:])
+            m1, m2 = _kron_pencil(*_pencil_blocks(prob.A, 0.6, 0.05, *args))
+            assert pen.sizes == (prob.n,)
+            assert np.array_equal(pen.m1, m1) and np.array_equal(pen.m2, m2)
+            spec = pen.spectrum()
+            assert spec.orders == (spec.order,)
+
+
+def test_split_pencil_parts_cover_its_nonzeros():
+    # every nonzero of a split pencil lies inside one of its parts, also
+    # after the fixed pencil's column rotation
+    prob = two_block("continuous")
+    n = prob.n
+    for pen in (build_fixed_pencil(prob, 0.6, 0.05, 0.3), build_variable_pencil(prob, 0.6, 0.05)):
+        M, N = pen.m1, pen.m2
+        rotated = pen.variant == "fixed"
+        if rotated:
+            V = _null_rotation(pen.gamma)
+            M, N = _rotate_columns(M, V, n), _rotate_columns(N, V, n)
+        inside = np.zeros(M.shape, dtype=bool)
+        parts = _kron_parts(pen.sizes, rotated)
+        for rows, cols in parts:
+            inside[np.ix_(rows, cols)] = True
+        assert [len(r) for r, _ in parts] == [16, 16, 16, 16]
+        assert inside.sum() == sum(len(r) ** 2 for r, _ in parts)  # disjoint
+        assert not M[~inside].any() and not N[~inside].any()

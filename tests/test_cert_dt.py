@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kreiss import (
     MatrixProblem,
@@ -13,10 +14,12 @@ from kreiss import (
     solve_owr,
     variable_distance_test_dt,
 )
-from kreiss.cert_dt import _nudge_gamma
+from kreiss.cert_dt import _nudge_gamma, _ray_factor_blocks, _ray_pair
 from kreiss.oracle import grid_min
+from kreiss.solver import CERTIFICATE_CHOICES
 
-from conftest import random_stable
+from conftest import (assert_split_reports_agree, jordan_block, random_normal_stable,
+                      random_stable, three_levels, two_block)
 
 JORDAN_DT_MIN = 5.0 / 13.0  # global min of h for the discrete Jordan at 0.9
 
@@ -96,9 +99,7 @@ def test_variable_build_algebra(jordan_dt):
     assert s0[-1] > 1e-8 * s0[0]
     # tilde-Q0 is the fixed build's Q0 with eta replaced by delta, and
     # tilde-Q2 = beta * fixed Q2
-    from kreiss.cert_dt import _ray_factor_blocks
-
-    C0, _, D0d, _, E0, _, F0d, _ = _ray_factor_blocks(jordan_dt, gamma, pen.delta)
+    C0, _, D0d, _, E0, _, F0d, _ = _ray_factor_blocks(jordan_dt.A, gamma, pen.delta)
     q0_manual = np.kron(D0d.T, C0) - np.kron(F0d.T, E0)
     assert np.allclose(pen.q0, q0_manual)
     fixed = build_quad_pencil_fixed(jordan_dt, gamma, eta)
@@ -197,3 +198,66 @@ def test_real_and_complex_qz_agree_on_a_rotated_matrix(n):
     real, cplx = (compute_kreiss(p, "owr-bt", c=0.25) for p in (prob, rotated))
     assert real.kreiss == pytest.approx(cplx.kreiss, rel=1e-8)
     assert real.reports[-1].large_eig_count == 6 * n * n
+
+
+# --------------------------------------------------------------------------
+# quadratic problems of a split matrix (MatrixProblem.split)
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
+def test_split_reports_agree_with_unsplit(variant, monkeypatch):
+    for prob in (two_block("discrete"), random_normal_stable(4, 1, "discrete")):
+        assert_split_reports_agree(prob, variant, three_levels(prob), monkeypatch)
+
+
+def test_the_threshold_decides_the_split(monkeypatch):
+    threshold = two_block("discrete").split.threshold
+    assert two_block("discrete", coupling=1e3 * threshold).split.sizes == (4,)
+    weak = two_block("discrete", coupling=1e-3 * threshold)
+    assert weak.split.sizes == (2, 2)
+    assert_split_reports_agree(weak, "variable-v", three_levels(weak), monkeypatch)
+
+
+def test_real_block_diagonal_matrix_reaches_qz_in_real_arithmetic(monkeypatch):
+    orders = []
+    eigvals = scipy.linalg.eigvals
+
+    def record(M, N, **kwargs):
+        if M.shape[0] > 2 * prob.n:  # not the 1D circular test
+            assert M.dtype == N.dtype == np.float64
+            orders.append(M.shape[0])
+        return eigvals(M, N, **kwargs)
+
+    # a real Jordan block beside a real 2 x 2 block with a complex pair
+    A = scipy.linalg.block_diag(jordan_block(2, 0.8, 0.5), [[0.3, 0.6], [-0.6, 0.3]])
+    prob = MatrixProblem(A.astype(complex), "discrete")
+    assert prob.split.sizes == (2, 2) and not prob.split.T.imag.any()
+    monkeypatch.setattr(scipy.linalg, "eigvals", record)
+    report = variable_distance_test_dt(prob, 0.9, 0.01)
+    assert orders == report.qz_orders == [24, 24, 24, 24]
+    assert report.large_eig_count == 6 * prob.n ** 2
+
+
+def test_irreducible_quadratic_problems_are_built_from_a_itself():
+    for prob in (random_stable(3, 4, "discrete"),
+                 gen_test_matrix("jordan-shifted", 3, time_domain="discrete")):
+        assert prob.split.T is prob.A
+        for build, variant in ((build_quad_pencil_fixed, "fixed"),
+                               (build_quad_pencil_variable, "variable")):
+            pen = build(prob, 0.6, 0.05)
+            delta, beta = _ray_pair(0.6, 0.05, variant)
+            C0, C1, D0, D1, E0, E1, F0, F1 = _ray_factor_blocks(prob.A, 0.6, delta)
+            kr = np.kron
+            assert pen.sizes == (prob.n,)
+            assert np.array_equal(pen.q0, kr(D0.T, C0) - kr(F0.T, E0))
+            assert np.array_equal(pen.q1, beta * (kr(D1.T, C0) - kr(F1.T, E0))
+                                  + (kr(D0.T, C1) - kr(F0.T, E1)))
+            assert np.array_equal(pen.q2, beta * (kr(D1.T, C1) - kr(F1.T, E1)))
+            assert pen.spectrum().orders == (6 * prob.n ** 2,)
+
+
+def test_gamma_nudge_is_reported(jordan_dt):
+    sv = float(np.linalg.svd(jordan_dt.A, compute_uv=False)[-1])
+    nudged = variable_distance_test_dt(jordan_dt, sv, 0.01)
+    assert nudged.gamma_nudged and nudged.gamma != sv
+    assert not variable_distance_test_dt(jordan_dt, sv + 1e-3, 0.01).gamma_nudged

@@ -32,7 +32,7 @@ def test_kreiss_scalar(tmp_path):
     proc = run_cli("kreiss", "--input", str(path), "--method", "owr")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["kreiss"] == pytest.approx(1.0, abs=1e-6)
     assert doc["status"] in ("converged", "tolerance-reached")
 
@@ -107,6 +107,24 @@ def test_certify_variants_match_library(variant, time_domain, eps, gamma, tmp_pa
                              for p in report.points]
     assert doc["empty"] == report.empty
     assert doc["rejected_points"] == report.rejected_points
+    assert doc["schema_version"] == 3
+    assert doc["qz_orders"] == report.qz_orders
+    assert sum(doc["qz_orders"]) == doc["large_eig_count"] == report.large_eig_count
+    assert doc["gamma_nudged"] is report.gamma_nudged is False
+
+
+def test_certify_cmd_reports_the_split_and_the_nudge(tmp_path, capsys):
+    # a diagonal A of order 4 splits into 1 x 1 blocks: 16 parts of 4 rows,
+    # one per pair of blocks, which linalg groups by fours (MIN_GROUP_ORDER
+    # = 16 rows, QZ order 24 each); gamma at a singular value of A is nudged
+    prob = MatrixProblem(np.diag([0.5, -0.6, 0.7j, 0.3]), "discrete")
+    path = tmp_path / "diag.json"
+    save_matrix(prob, path, "json")
+    assert main(["certify", "--input", str(path), "--gamma", "0.5", "--eta", "0.01"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["gamma_nudged"] is True and doc["gamma"] != 0.5
+    assert doc["qz_orders"] == [24, 24, 24, 24]
+    assert doc["large_eig_count"] == 6 * 4 * 4
 
 
 def test_certify_gamma_validation(jordan_file):

@@ -16,6 +16,8 @@ from kreiss import certify
 from kreiss.cert_ct import LINE_DEDUP_ATOL
 from kreiss.solver import CERTIFICATE_CHOICES
 
+from conftest import random_normal_stable
+
 JORDAN_MIN = 1.0 / 1.1333333333333333  # global min of g for the ct Jordan fixture
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -98,21 +100,29 @@ def test_tracer_targets_resolve():
         assert callable(getattr(getattr(kreiss, mod_name), attr)), (mod_name, attr)
 
 
-def _span_names(prob, variant, gamma, use_dnc):
+def _span_names(prob, variant, gamma, use_dnc=False):
     with tracing.Tracer(kreiss) as tracer:
-        certify(prob, variant, gamma, 0.01, use_dnc=use_dnc)
-    return [span[0] for span in tracer.spans]
+        report = certify(prob, variant, gamma, 0.01, use_dnc=use_dnc)
+    return [span[0] for span in tracer.spans], report
 
 
 @pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
 def test_tracer_sees_every_certificate_layer(variant, jordan_ct, jordan_dt):
     for prob, gamma, layer in ((jordan_ct, JORDAN_MIN + 0.02, "cert_ct"),
                                (jordan_dt, 0.45, "cert_dt")):
-        names = _span_names(prob, variant, gamma, use_dnc=False)
+        names, _ = _span_names(prob, variant, gamma)
         assert {f"{layer}.test", f"{layer}.pencil_build", f"{layer}.level_1d"} <= set(names)
         quadratic_solves = 1 if layer == "cert_dt" else 0
         assert names.count("linalg.eig_quadratic") == names.count("cert_dt.test") == quadratic_solves
-        names = _span_names(prob, variant, gamma, use_dnc=True)
+        names, _ = _span_names(prob, variant, gamma, use_dnc=True)
         assert {f"{layer}.test", "dnc.real_eigs"} <= set(names)
         assert f"{layer}.pencil_build" not in names
         assert "linalg.eig_quadratic" not in names
+    # a reducible matrix: its pencil is factored part by part, still within
+    # one pencil build and, in discrete time, one eig_quadratic call per test
+    for td, layer in (("continuous", "cert_ct"), ("discrete", "cert_dt")):
+        prob = random_normal_stable(3, 2, td)
+        names, report = _span_names(prob, variant, 0.9)
+        assert prob.split.sizes == (1, 1, 1) and len(report.qz_orders) > 1
+        assert names.count(f"{layer}.test") == names.count(f"{layer}.pencil_build") == 1
+        assert names.count("linalg.eig_quadratic") == (1 if layer == "cert_dt" else 0)

@@ -83,6 +83,62 @@ def test_eig_quadratic_deflates_zero_columns_of_q2():
             assert np.min(np.abs(got - lam)) <= 1e-8 * max(1.0, abs(lam))
 
 
+def _scrambled(mats, sizes, rng):
+    """The block-diagonal matrices under one random row and one random column
+    permutation, and the (rows, cols) of each block there."""
+    m = sum(sizes)
+    prow, pcol = rng.permutation(m), rng.permutation(m)
+    at_row, at_col = np.argsort(prow), np.argsort(pcol)
+    ends = np.cumsum(sizes)
+    parts = [(at_row[e - k:e], at_col[e - k:e]) for k, e in zip(sizes, ends)]
+    return [X[np.ix_(prow, pcol)] for X in mats], parts
+
+
+@pytest.mark.parametrize("imag", [1.0, 0.0])
+def test_split_pencils_give_the_unsplit_eigenvalues(imag, monkeypatch):
+    calls = _record_qz(monkeypatch)
+    rng = np.random.default_rng(31)
+    sizes = (3, 16, 5, 18)  # 3 and 5 rows are grouped with the next part
+    dtype = np.complex128 if imag else np.float64
+
+    def block_diagonal(zero_cols=0):
+        blocks = [rng.standard_normal((k, k)) + imag * 1j * rng.standard_normal((k, k))
+                  for k in sizes]
+        for B in blocks:
+            B[:, :int(zero_cols * len(B))] = 0.0
+        return scipy.linalg.block_diag(*blocks)
+
+    def agree(spec, ref):
+        got, want = spec.finite_values, ref.finite_values
+        assert len(got) == len(want)
+        for lam in want:
+            assert np.min(np.abs(got - lam)) <= 1e-8 * max(1.0, abs(lam))
+
+    # N without zero columns: nothing is deflated, each group goes to QZ whole
+    (M, N), parts = _scrambled((block_diagonal(), block_diagonal()), sizes, rng)
+    spec = eig_pencil_deflated(M, N, parts)
+    assert (spec.deflated, spec.orders) == (0, (19, 23))
+    assert calls[-2:] == [(dtype, 19), (dtype, 23)]
+    agree(spec, eig_pencil(M, N))
+    # N with int(0.3 k) zero columns per block of order k (0, 4, 1 and 5):
+    # each group is deflated on its own
+    (M, N), parts = _scrambled((block_diagonal(), block_diagonal(zero_cols=0.3)),
+                               sizes, rng)
+    spec = eig_pencil_deflated(M, N, parts)
+    assert (spec.deflated, spec.orders) == (10, (19 - 4, 23 - 6))
+    assert np.all(spec.is_infinite[:10])
+    agree(spec, eig_pencil(M, N))
+    # the quadratic problem: a group of m rows whose q2 has p nonzero columns
+    # (int(0.5 k) zero ones per block: 1, 8, 2 and 9) is linearized at order m + p
+    (Q0, Q1, Q2), parts = _scrambled((block_diagonal(), block_diagonal(),
+                                      block_diagonal(zero_cols=0.5)), sizes, rng)
+    spec = eig_quadratic(Q0, Q1, Q2, parts)
+    assert (spec.deflated, spec.orders) == (20, (19 + 10, 23 + 12))
+    assert calls[-2:] == [(dtype, 29), (dtype, 35)]
+    agree(spec, eig_quadratic(Q0, Q1, Q2))
+    assert spec.order == eig_quadratic(Q0, Q1, Q2).order
+
+
 def _record_qz(monkeypatch):
     """(dtype, order) of every pencil handed to QZ from here on."""
     calls = []

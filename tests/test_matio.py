@@ -146,3 +146,41 @@ def test_generated_problems_pass_their_own_validation():
                      ("random-stable-shifted", "discrete")]:
         prob = gen_test_matrix(kind, 4, seed=3, time_domain=td, eps=0.2)
         MatrixProblem(prob.A, td)
+
+
+def _same_invariants(prob):
+    T = prob.split.T
+    assert np.allclose(np.linalg.svd(T, compute_uv=False),
+                       np.linalg.svd(prob.A, compute_uv=False), rtol=0, atol=1e-13)
+    assert np.allclose(np.sort_complex(np.linalg.eigvals(T)),
+                       np.sort_complex(prob.eigenvalues), rtol=0, atol=1e-12)
+
+
+def test_split_of_normal_matrices():
+    rng = np.random.default_rng(12)
+    # complex normal: the Schur form is diagonal to rounding, so 1 x 1 blocks
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    prob = MatrixProblem(Q @ np.diag([-0.3, -0.5 + 1j, -0.7, -1.0 - 2j]) @ Q.conj().T,
+                         "continuous")
+    split = prob.split
+    assert split.sizes == (1, 1, 1, 1)
+    assert 0.0 < split.dropped <= split.threshold
+    assert not (split.T - np.diag(np.diag(split.T))).any()
+    _same_invariants(prob)
+    assert prob.split is split  # computed once
+    # real normal with a complex pair: the real Schur form keeps it as one
+    # real 2 x 2 block, so real pencils stay real
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    A = Q @ np.array([[0.2, 0.0, 0.0], [0.0, 0.5, 0.4], [0.0, -0.4, 0.5]]) @ Q.T
+    prob = MatrixProblem(A, "discrete")
+    assert sorted(prob.split.sizes) == [1, 2] and not prob.split.T.imag.any()
+    _same_invariants(prob)
+
+
+def test_irreducible_matrices_keep_a():
+    for prob in (gen_test_matrix("jordan-shifted", 4, time_domain="discrete"),
+                 gen_test_matrix("random-stable-shifted", 4, seed=3),
+                 MatrixProblem(np.array([[-1.0]]), "continuous")):
+        split = prob.split
+        assert split.T is prob.A and split.sizes == (prob.n,)
+        assert split.dropped == 0.0

@@ -3,8 +3,9 @@
 Each case is an input on which the program is known to be wrong, pinned as
 a strict xfail, so that a change of behaviour on it shows up as XPASS; a
 case that came right by rounding alone is kept as a plain test.
-The matrices are the benchmark's seeded draws: ``workloads.random_matrix``
-with the generator ``default_rng([seed, time-domain id, 0, n, 0])``.  The
+The random matrices are the benchmark's seeded draws:
+``workloads.random_matrix`` with the generator
+``default_rng([seed, time-domain id, 0, n, 0])``; the others are fixtures.  The
 grid oracle is the reference; its values are attained, so no certified
 answer may undercut them.  A precondition that fails (the draw is not the
 one intended) is reported as a plain failure, not as the expected one.
@@ -56,6 +57,18 @@ def test_empty_certificate_bounds_the_oracle(time_domain, n, seed, level, g_min,
     report = certify(prob, "variable-v", gamma, eta)
     # EMPTY certifies 1/K > gamma - eta/2, which the attained grid value refutes
     assert not report.empty or g_grid > report.gamma - 0.5 * eta
+
+
+@_KNOWN_WRONG
+@pytest.mark.parametrize("gamma, eta", [(0.88335, 1e-6), (0.93235, 1e-8)],
+                         ids=["gamma0.88335-eta1e-6", "gamma0.93235-eta1e-8"])
+def test_jordan_variable_certificate_bounds_the_oracle(jordan_ct, gamma, eta):
+    # the 2 x 2 Jordan block at -0.3: its candidate lines carry no verified
+    # point, while the horizontal test at the same arguments finds some
+    g_grid = grid_min(jordan_ct, levels=4)[0]
+    _pinned(g_grid, 0.88235524, "the grid minimum")
+    report = certify(jordan_ct, "variable-v", gamma, eta)
+    assert not report.empty or g_grid > gamma - 0.5 * eta
 
 
 _N5_SEED109 = (5, 109, 1.0394616)
