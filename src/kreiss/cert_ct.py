@@ -30,24 +30,31 @@ operator, the pair's partner map and a 1D test:
 
 Dense QZ runs on order 2n^2 for the fixed pencil, whose 2n^2 structural
 infinite eigenvalues are deflated first, and on order 4n^2 for the
-variable ones.  Every ``build_*`` function builds its pencil from
-``MatrixProblem.split``, whose T is A itself when A does not split, so
-those pencils are exactly as before.  Otherwise T is block diagonal and
-its pencil falls apart into one part of order 4 k_b k_b' per pair of
-blocks (``_kron_parts``), which ``linalg`` factors part by part.  The 1D
-tests, the SVD verification and the divide-and-conquer operators keep
-using A, so every reported point is verified against the input matrix.
+variable ones.  Every pencil is affine in eta, and the backtracking
+iteration runs many tests at one gamma, so every ``build_*`` function
+takes its pencil from a ``KroneckerLevel``: the eta-free part, in the
+form QZ receives (column-rotated for the fixed pencil), the eta part and
+the part layout, all kept by their nonzeros and built once per
+(variant, gamma, theta_orient) in the problem's one level slot
+(``MatrixProblem.level``).  A build then only scatters them into a dense
+pencil; nothing is inverted.  The level is built from
+``MatrixProblem.split``, whose T is A itself when A does not split.
+Otherwise T is block diagonal and its pencil falls apart into one part of
+order 4 k_b k_b' per pair of blocks (``_kron_parts``), which ``linalg``
+factors part by part.  The 1D tests, the SVD verification and the
+divide-and-conquer operators keep using A, so every reported point is
+verified against the input matrix.  The 1D test fills its Hamiltonian
+matrix from blocks of A that the level holds and takes its eigenvalues
+from ``linalg.eig_small``, in real arithmetic for a real A.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from . import dnc, linalg, objective
@@ -96,41 +103,51 @@ def _capture_band_rel(strict_rel, eta):
 
 @dataclass
 class KroneckerPencil:
-    """The 4n^2 x 4n^2 pencil m1 - lambda*m2 of a 2D level-set test.
+    """The 4n^2 x 4n^2 pencil m1 - lambda*m2 of a 2D level-set test, as QZ receives it.
 
-    ``sizes`` holds the block orders of the split matrix it was built from
-    (``MatrixProblem.split``), (n,) when that matrix is A itself.
+    ``M`` and ``N`` are m1 and m2 times the unitary Z of ``_rotate_columns``
+    when ``rotation`` (``_null_rotation``'s V) is set, which it is for the
+    fixed pencil only; the 2n^2 columns of N that vanish mathematically are
+    then exactly zero.  ``m1`` and ``m2`` give the pencil itself.  ``parts``
+    are the (rows, cols) of its diagonal blocks (``_kron_parts``), one when
+    A does not split; ``sizes`` holds the block orders of the split matrix
+    it was built from (``MatrixProblem.split``), (n,) when that matrix is A
+    itself.
     """
 
-    m1: np.ndarray
-    m2: np.ndarray
+    M: np.ndarray
+    N: np.ndarray
     gamma: float
     eta: float
     variant: str
     sizes: tuple[int, ...]
+    parts: tuple
+    rotation: Optional[np.ndarray] = None
     theta_orient: Optional[float] = None
     beta: Optional[float] = None
+
+    @property
+    def m1(self) -> np.ndarray:
+        return self._unrotated(self.M)
+
+    @property
+    def m2(self) -> np.ndarray:
+        return self._unrotated(self.N)
+
+    def _unrotated(self, X):
+        if self.rotation is None:
+            return X
+        return _rotate_columns(X, self.rotation, math.isqrt(X.shape[0] // 4), inverse=True)
 
     def spectrum(self) -> linalg.Spectrum:
         """The pencil's spectrum by dense QZ; its ``order`` is what QZ factored.
 
-        The fixed pencil's m2 has rank 2n^2 out of 4n^2.  Its columns are
-        rotated by the unitary Z of ``_rotate_columns``, the 2n^2 columns of
-        m2 Z that vanish mathematically are set exactly to zero, and
         ``linalg.eig_pencil_deflated`` removes the 2n^2 infinite eigenvalues
-        they carry, so QZ runs on order 2n^2.  The variable-distance pencils
-        have an invertible m2 and go to QZ at order 4n^2.  The pencil is
-        handed over with its parts (one when A does not split), whose
-        columns follow the rotation.
+        that the fixed pencil's zero columns of N carry, so QZ runs on order
+        2n^2 there; the variable-distance pencils have an invertible m2 and
+        go to QZ at order 4n^2.  Each part goes to QZ on its own.
         """
-        M, N = self.m1, self.m2
-        fixed = self.variant == "fixed"
-        if fixed:
-            n = math.isqrt(M.shape[0] // 4)
-            V = _null_rotation(self.gamma)
-            M, N = _rotate_columns(M, V, n), _rotate_columns(N, V, n)
-            N[:, :2 * n * n] = 0.0
-        return linalg.eig_pencil_deflated(M, N, _kron_parts(self.sizes, rotated=fixed))
+        return linalg.eig_pencil_deflated(self.M, self.N, self.parts)
 
 
 @dataclass
@@ -169,13 +186,24 @@ class CertificateReport:
         return len(self.points) == 0
 
 
+def _hamiltonian_blocks(A):
+    """(H0, J, K) with [[A - xI, gamma x I], [-gamma x I, xI - A*]] =
+    H0 + x J + (gamma x) K: H0 = [[A, 0], [0, -A*]], J = diag(-I, I) and
+    K = [[0, I], [-I, 0]]."""
+    n = A.shape[0]
+    H0 = np.zeros((2 * n, 2 * n), dtype=complex)
+    H0[:n, :n] = A
+    H0[n:, n:] = -A.conj().T
+    return H0, np.diag(np.repeat([-1.0, 1.0], n)), np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
+
+
 def _hamiltonian_vertical(prob, gamma, x):
-    n = prob.n
-    eye = np.eye(n)
-    return np.block([
-        [prob.A - x * eye, gamma * x * eye],
-        [-gamma * x * eye, x * eye - prob.A.conj().T],
-    ])
+    """The Hamiltonian matrix of the 1D test, from the blocks that the
+    problem's cached level holds (they depend on A alone), or from new ones
+    before the first level."""
+    level = prob.cached_level
+    H0, J, K = level.hamiltonian if level is not None else _hamiltonian_blocks(prob.A)
+    return H0 + x * J + (gamma * x) * K
 
 
 def vertical_level_points(prob: MatrixProblem, gamma: float, x: float) -> list[float]:
@@ -193,7 +221,7 @@ def vertical_level_points(prob: MatrixProblem, gamma: float, x: float) -> list[f
         raise ValueError("gamma must be >= 0")
     if x == 0.0:
         raise ValueError("x must be nonzero")
-    lam = scipy.linalg.eigvals(_hamiltonian_vertical(prob, gamma, x))
+    lam = linalg.eig_small(_hamiltonian_vertical(prob, gamma, x)).alpha
     scale = max(prob.norm2, 1e-300)
     band = 1e-8 * np.maximum(1.0, np.abs(lam.imag)) * scale
     keep = np.abs(lam.real) <= CAPTURE_FACTOR * band
@@ -285,39 +313,54 @@ def _pair_beta(gamma, eta):
     return 1.0 + eta / (1.0 + gamma)
 
 
+def _sylvester_blocks(A, gamma):
+    """The eta-free blocks S1 = [[A, 0], [0, -A*]], S2 = [[A*, 0], [0, -A]]
+    and C = [[I, -gamma I], [gamma I, -I]] of every pencil (``_pencil_blocks``)."""
+    n = A.shape[0]
+    Ah = A.conj().T
+    Z = np.zeros((n, n))
+    return (np.block([[A, Z], [Z, -Ah]]), np.block([[Ah, Z], [Z, -A]]),
+            _gamma_block(n, gamma))
+
+
+def _fixed_offset(gamma, theta_orient):
+    """d S2 / d eta of the fixed pencil: [[-e^{-i theta}, -gamma cos theta],
+    [gamma cos theta, e^{i theta}]], a 2 x 2 matrix to take (x) I_n."""
+    ct = np.cos(theta_orient)
+    return np.array([[-np.exp(-1j * theta_orient), -gamma * ct],
+                     [gamma * ct, np.exp(1j * theta_orient)]])
+
+
 def _pencil_blocks(A, gamma, eta, variant, theta_orient=None):
     """The 2n x 2n blocks (S1, S2, C, D) that define a certificate pencil.
 
     Every continuous-time pencil is m1 = I (x) S1 + S2^T (x) I and
     m2 = I (x) C + D (x) I, the vectorized Sylvester forms
-    W -> S1 W + W S2 and W -> C W + W D^T, with S1 = [[A, 0], [0, -A*]] and
-    C = [[I, -gamma I], [gamma I, -I]].  ``variant`` picks S2 and D:
+    W -> S1 W + W S2 and W -> C W + W D^T, with S1 and C from
+    ``_sylvester_blocks``.  ``variant`` picks S2 and D:
 
-    * "fixed": S2 carries the pair offset eta at angle theta_orient (the
-      only variant that takes it), D = C;
-    * "variable-vertical": S2 = [[A*, 0], [0, -A]],
-      D = [[(1 - i eta) I, -gamma I], [gamma I, -(1 + i eta) I]];
+    * "fixed": S2 = [[A*, 0], [0, -A]] + eta * (``_fixed_offset`` (x) I),
+      the pair offset eta at angle theta_orient (the only variant that
+      takes it), D = C;
+    * "variable-vertical": S2 = [[A*, 0], [0, -A]], D = C - i eta I;
     * "variable-horizontal": the same S2, D = beta C (``_pair_beta``).
 
-    A is the matrix given: the problem's A for the divide-and-conquer
-    operators, its split form ``MatrixProblem.split.T`` for the dense
-    pencils.
+    The divide-and-conquer operators take their blocks from here, for the
+    problem's A; the dense pencils are built from ``KroneckerLevel``.
     """
     _check_gamma_eta(gamma, eta, theta_orient)
     n = A.shape[0]
-    Ah = A.conj().T
     eye = np.eye(n)
-    S1 = np.block([[A, 0 * eye], [0 * eye, -Ah]])
-    C = _gamma_block(n, gamma)
+    S1, S2, C = _sylvester_blocks(A, gamma)
     if variant == "fixed":
         e_p, e_m = np.exp(1j * theta_orient), np.exp(-1j * theta_orient)
         ct = np.cos(theta_orient)
+        Ah = A.conj().T
         S2 = np.block([
             [Ah - eta * e_m * eye, -gamma * eta * ct * eye],
             [gamma * eta * ct * eye, eta * e_p * eye - A],
         ])
         return S1, S2, C, C
-    S2 = np.block([[Ah, 0 * eye], [0 * eye, -A]])
     if variant == "variable-vertical":
         D = np.block([
             [(1 - 1j * eta) * eye, -gamma * eye],
@@ -328,13 +371,99 @@ def _pencil_blocks(A, gamma, eta, variant, theta_orient=None):
     return S1, S2, C, D
 
 
+@dataclass(frozen=True)
+class SparseTerm:
+    """A matrix of shape ``shape`` stored as its nonzeros: values at flat
+    (row-major) indices."""
+
+    shape: tuple[int, int]
+    index: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, X):
+        X = np.ascontiguousarray(X)
+        index = np.flatnonzero(X)
+        return cls(X.shape, index, X.reshape(-1)[index])
+
+    def dense(self):
+        """The matrix as a new dense array."""
+        X = np.zeros(self.shape, dtype=self.values.dtype)
+        X.reshape(-1)[self.index] = self.values
+        return X
+
+    def add_to(self, X, s):
+        """X += s times this matrix, in place; X must be C-contiguous."""
+        X.reshape(-1)[self.index] += s * self.values
+        return X
+
+
+@dataclass(frozen=True)
+class KroneckerLevel:
+    """Everything of a continuous-time certificate pencil that eta leaves alone.
+
+    Every pencil is affine in its eta (or beta) coefficient s: it is
+    (M0 + s*step, N0) for the fixed variant, s = eta, where only S2 moves,
+    and (M0, N0 + s*step) for the variable ones: s = -i eta with step = I
+    (vertical, D = C - i eta I) and s = beta with step = C (x) I
+    (horizontal, D = beta C).  All three are kept as their nonzeros: at
+    most 4(2n - 1) per row of M0, a few per row of N0 and step, so a level
+    costs a fraction of one dense pencil and a problem can keep one.  The
+    fixed level is stored in the rotated columns of ``_rotate_columns``,
+    with the 2n^2 zero columns of N0 exact.  The variable pencils are thus
+    bitwise those of ``_kron_pencil(*_pencil_blocks(...))``; the fixed one
+    agrees with it to rounding.  ``parts`` is the part layout of every
+    pencil of the level (``_kron_parts``), and ``hamiltonian`` the blocks
+    of the 1D test's Hamiltonian matrix (``_hamiltonian_blocks``), built
+    from A.
+    """
+
+    M0: SparseTerm
+    N0: SparseTerm
+    step: SparseTerm
+    step_in_m: bool
+    parts: tuple
+    hamiltonian: tuple
+    rotation: Optional[np.ndarray] = None
+
+    def pencil(self, s):
+        """(M, N) at coefficient s, as new dense arrays."""
+        M, N = self.M0.dense(), self.N0.dense()
+        self.step.add_to(M if self.step_in_m else N, s)
+        return M, N
+
+
 def _kron_pencil(S1, S2, C, D):
     """The dense pencil (m1, m2) = (I (x) S1 + S2^T (x) I, I (x) C + D (x) I)."""
     eye = np.eye(S1.shape[0])
     return np.kron(eye, S1) + np.kron(S2.T, eye), np.kron(eye, C) + np.kron(D, eye)
 
 
-@functools.lru_cache
+def _kron_level(prob, variant, gamma, theta_orient=None):
+    """The ``KroneckerLevel`` of ``variant`` at gamma (and theta_orient), built
+    from ``MatrixProblem.split``, whose T is A itself when A does not split."""
+    split = prob.split
+    S1, S2, C = _sylvester_blocks(split.T, gamma)
+    eye = np.eye(S1.shape[0])
+    m1 = np.kron(eye, S1) + np.kron(S2.T, eye)
+    IC, CI = np.kron(eye, C), np.kron(C, eye)
+    n = prob.n
+    V = None
+    if variant == "fixed":
+        V = _null_rotation(gamma)
+        N0 = _rotate_columns(IC + CI, V, n)
+        N0[:, :2 * n * n] = 0.0
+        offset = np.kron(np.kron(_fixed_offset(gamma, theta_orient), np.eye(n)).T, eye)
+        M0, step = _rotate_columns(m1, V, n), _rotate_columns(offset, V, n)
+    elif variant == "variable-vertical":
+        M0, N0, step = m1, (IC + CI).astype(complex), np.eye(m1.shape[0])
+    else:
+        M0, N0, step = m1, IC, CI
+    return KroneckerLevel(SparseTerm.of(M0), SparseTerm.of(N0), SparseTerm.of(step),
+                          variant == "fixed", _kron_parts(split.sizes, rotated=V is not None),
+                          _hamiltonian_blocks(prob.A), V)
+
+
 def _kron_parts(sizes, rotated=False):
     """(rows, cols) of each diagonal block of a pencil on vec(W), W of order 2n.
 
@@ -345,8 +474,8 @@ def _kron_parts(sizes, rotated=False):
     only indices with the same pair of blocks (block of i, block of j):
     one part of order 4 k_b k_b' per pair.  With ``rotated`` the columns are
     those of ``_rotate_columns``, where column (c, j, i) = c n^2 + j n + i
-    mixes the four (a, b) of one (i, j).  Cached: every test of a problem
-    asks for the same parts.
+    mixes the four (a, b) of one (i, j).  Every level computes its layout
+    once.
     """
     n = sum(sizes)
     vec = np.arange(4 * n * n).reshape(n, 2, n, 2, order="F")  # [i, a, j, b]
@@ -362,6 +491,17 @@ def _kron_parts(sizes, rotated=False):
     return tuple(parts)
 
 
+def _kron_pencil_at(prob, variant, gamma, eta, s, theta_orient=None, beta=None):
+    """The pencil of ``variant`` at (gamma, eta), whose coefficient is s, from
+    the problem's cached level (``MatrixProblem.level``), built on first use."""
+    _check_gamma_eta(gamma, eta, theta_orient)
+    level = prob.level((variant, gamma, theta_orient),
+                       lambda: _kron_level(prob, variant, gamma, theta_orient))
+    M, N = level.pencil(s)
+    return KroneckerPencil(M, N, gamma, eta, variant, prob.split.sizes, level.parts,
+                           level.rotation, theta_orient=theta_orient, beta=beta)
+
+
 def build_fixed_pencil(prob: MatrixProblem, gamma: float, eta: float,
                        theta_orient: float = np.pi / 2) -> KroneckerPencil:
     """Assemble the fixed-distance pencil for pairs eta apart at a given angle.
@@ -370,25 +510,18 @@ def build_fixed_pencil(prob: MatrixProblem, gamma: float, eta: float,
     may carry level-set points of the pair condition
     g(x, y) = g(x + eta*cos(theta), y + eta*sin(theta)) = gamma.
     """
-    split = prob.split
-    m1, m2 = _kron_pencil(*_pencil_blocks(split.T, gamma, eta, "fixed", theta_orient))
-    return KroneckerPencil(m1, m2, gamma, eta, "fixed", split.sizes,
-                           theta_orient=theta_orient)
+    return _kron_pencil_at(prob, "fixed", gamma, eta, eta, theta_orient=theta_orient)
 
 
 def build_variable_pencil(prob: MatrixProblem, gamma: float, eta: float) -> KroneckerPencil:
     """Pencil for vertically oriented pairs a variable distance x*eta apart."""
-    split = prob.split
-    m1, m2 = _kron_pencil(*_pencil_blocks(split.T, gamma, eta, "variable-vertical"))
-    return KroneckerPencil(m1, m2, gamma, eta, "variable-vertical", split.sizes)
+    return _kron_pencil_at(prob, "variable-vertical", gamma, eta, -1j * eta)
 
 
 def build_horizontal_pencil(prob: MatrixProblem, gamma: float, eta: float) -> KroneckerPencil:
     """Pencil for horizontal pairs (x, y), (beta*x, y), beta = 1 + eta/(1+gamma)."""
-    split = prob.split
-    m1, m2 = _kron_pencil(*_pencil_blocks(split.T, gamma, eta, "variable-horizontal"))
-    return KroneckerPencil(m1, m2, gamma, eta, "variable-horizontal", split.sizes,
-                           beta=_pair_beta(gamma, eta))
+    beta = _pair_beta(gamma, eta)
+    return _kron_pencil_at(prob, "variable-horizontal", gamma, eta, beta, beta=beta)
 
 
 def _check_gamma_eta(gamma, eta, theta_orient=None):
@@ -402,10 +535,6 @@ def _check_gamma_eta(gamma, eta, theta_orient=None):
         raise ValueError("theta_orient must lie in (-pi/2, pi/2]")
 
 
-# --------------------------------------------------------------------------
-# real-eigenvalue extraction and the tests themselves
-# --------------------------------------------------------------------------
-
 def _null_rotation(gamma):
     """4 x 4 unitary V whose first two columns span the null space of S.
 
@@ -418,20 +547,28 @@ def _null_rotation(gamma):
     return np.hstack([V[:, 2:], V[:, :2]])
 
 
-def _rotate_columns(M, V, n):
-    """M Z for the unitary Z = P^T (V (x) I_{n^2}) of the fixed pencil.
+def _rotate_columns(M, V, n, inverse=False):
+    """M Z for the unitary Z = P^T (V (x) I_{n^2}) of the fixed pencil, or M Z*.
 
     The fixed pencil's m2 = I_{2n} (x) C + C (x) I_{2n}, with C = c (x) I_n,
     acts on an index (a, i, b, j) as S on (a, b) and as the identity on
     (i, j); P is the permutation that gathers (a, b).  Column (c, k) of Z
     has the 4 nonzeros V[:, c] at the positions (a, i, b, j) with
     (i, j) = k, so with ``_null_rotation`` the first 2n^2 columns of m2 Z
-    vanish.
+    vanish.  With ``inverse``, M is in the rotated columns and M Z* is
+    returned.
     """
     m = M.shape[0]
+    if inverse:
+        Mr = np.einsum("mck,pc->mpk", M.reshape(m, 4, n * n), V.conj())
+        return Mr.reshape(m, 2, 2, n, n).transpose(0, 1, 3, 2, 4).reshape(m, 4 * n * n)
     Mr = M.reshape(m, 2, n, 2, n).transpose(0, 1, 3, 2, 4).reshape(m, 4, n * n)
     return np.einsum("mpk,pc->mck", Mr, V).reshape(m, 4 * n * n)
 
+
+# --------------------------------------------------------------------------
+# real-eigenvalue extraction and the tests themselves
+# --------------------------------------------------------------------------
 
 def _near_real(spec, eta):
     """Real parts of the finite eigenvalues inside the capture band of the real axis."""

@@ -126,13 +126,39 @@ class MatrixProblem:
         return self.time_domain is TimeDomain.CONTINUOUS
 
     @property
-    def norm2(self) -> float:
-        """Spectral norm of A (cached)."""
-        cached = getattr(self, "_norm2", None)
+    def svals(self) -> np.ndarray:
+        """Singular values of A, in decreasing order (computed on first use, read-only)."""
+        cached = getattr(self, "_svals", None)
         if cached is None:
-            cached = float(np.linalg.norm(self.A, 2))
-            object.__setattr__(self, "_norm2", cached)
+            cached = np.linalg.svd(self.A, compute_uv=False)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_svals", cached)
         return cached
+
+    @property
+    def norm2(self) -> float:
+        """Spectral norm of A: its largest singular value (``svals``)."""
+        return float(self.svals[0])
+
+    def level(self, key, build):
+        """The certificate level cached under ``key``, or ``build()`` cached in its place.
+
+        One slot holds one immutable ``(key, level)`` tuple, replaced whole
+        when another key is asked for, so concurrent readers see one level
+        or the other, never a mix.  The certificate modules define the keys
+        and the levels (``cert_ct.KroneckerLevel``, ``cert_dt.QuadLevel``).
+        """
+        slot = getattr(self, "_level", None)
+        if slot is None or slot[0] != key:
+            slot = (key, build())
+            object.__setattr__(self, "_level", slot)
+        return slot[1]
+
+    @property
+    def cached_level(self):
+        """The level in the slot of ``level``, or None before the first."""
+        slot = getattr(self, "_level", None)
+        return None if slot is None else slot[1]
 
     @property
     def split(self) -> SplitForm:

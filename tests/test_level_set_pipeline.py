@@ -126,3 +126,19 @@ def test_tracer_sees_every_certificate_layer(variant, jordan_ct, jordan_dt):
         assert prob.split.sizes == (1, 1, 1) and len(report.qz_orders) > 1
         assert names.count(f"{layer}.test") == names.count(f"{layer}.pencil_build") == 1
         assert names.count("linalg.eig_quadratic") == (1 if layer == "cert_dt" else 0)
+
+
+@pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
+def test_tracer_counts_with_a_warm_level(variant, jordan_ct, jordan_dt):
+    # the second test at a level reuses the cached level, and the tracer still
+    # sees its pencil build and, in discrete time, its one eig_quadratic call
+    for prob, gamma, layer in ((jordan_ct, JORDAN_MIN + 0.02, "cert_ct"),
+                               (jordan_dt, 0.45, "cert_dt")):
+        certify(prob, variant, gamma, 0.05)
+        level = prob.cached_level
+        names, _ = _span_names(prob, variant, gamma)
+        assert prob.cached_level is level
+        assert names.count(f"{layer}.test") == names.count(f"{layer}.pencil_build") == 1
+        assert names.count("linalg.eig_quadratic") == (1 if layer == "cert_dt" else 0)
+        assert f"{layer}.level_1d" in names
+

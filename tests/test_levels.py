@@ -1,0 +1,158 @@
+"""Certificate levels: every dense pencil is its level's eta-free part plus
+its eta part (``cert_ct.KroneckerLevel``, ``cert_dt.QuadLevel``), cached on
+the problem (``MatrixProblem.level``) and built once per level."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from kreiss import MatrixProblem, cert_ct, cert_dt, certify, gen_test_matrix, solver
+from kreiss.cert_ct import _kron_pencil, _null_rotation, _pencil_blocks, _rotate_columns
+from kreiss.cert_dt import _ray_factor_blocks, _ray_pair
+from kreiss.solver import CERTIFICATE_CHOICES
+
+from conftest import jordan_block, random_stable, two_block
+
+EPS = np.finfo(float).eps
+
+
+def _problems(td):
+    """Unsplit and split problems, complex and real."""
+    if td == "continuous":
+        real_blocks = (jordan_block(2, -0.4, 0.5), [[-0.3, 0.6], [-0.6, -0.3]])
+    else:
+        real_blocks = (jordan_block(2, 0.8, 0.5), [[0.3, 0.6], [-0.6, 0.3]])
+    real_split = MatrixProblem(scipy.linalg.block_diag(*real_blocks).astype(complex), td)
+    probs = [random_stable(3, 4, td), gen_test_matrix("jordan-shifted", 3, time_domain=td),
+             two_block(td), real_split]
+    assert [p.split.sizes for p in probs] == [(3,), (3,), (2, 2), (2, 2)]
+    assert [bool(p.A.imag.any()) for p in probs] == [True, False, True, False]
+    return probs
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 8 * EPS * np.max(np.abs(want))
+
+
+def _direct_ct(prob, variant, gamma, eta):
+    """(built pencil, m1, m2 of the direct Kronecker build from the split form)."""
+    T = prob.split.T
+    if variant.startswith("fixed"):
+        theta = np.pi / 2 if variant == "fixed-v" else 0.0
+        pen = cert_ct.build_fixed_pencil(prob, gamma, eta, theta)
+        return pen, *_kron_pencil(*_pencil_blocks(T, gamma, eta, "fixed", theta))
+    if variant == "variable-v":
+        pen = cert_ct.build_variable_pencil(prob, gamma, eta)
+        return pen, *_kron_pencil(*_pencil_blocks(T, gamma, eta, "variable-vertical"))
+    pen = cert_ct.build_horizontal_pencil(prob, gamma, eta)
+    return pen, *_kron_pencil(*_pencil_blocks(T, gamma, eta, "variable-horizontal"))
+
+
+def _direct_dt(prob, variant, gamma, eta):
+    """(built problem, q0, q1, q2 of the direct build from the split form)."""
+    fixed = variant.startswith("fixed")
+    build = cert_dt.build_quad_pencil_fixed if fixed else cert_dt.build_quad_pencil_variable
+    delta, beta = _ray_pair(gamma, eta, "fixed" if fixed else "variable")
+    C0, C1, D0, D1, E0, E1, F0, F1 = _ray_factor_blocks(prob.split.T, gamma, delta)
+    kr = np.kron
+    return (build(prob, gamma, eta), kr(D0.T, C0) - kr(F0.T, E0),
+            beta * (kr(D1.T, C0) - kr(F1.T, E0)) + (kr(D0.T, C1) - kr(F0.T, E1)),
+            beta * (kr(D1.T, C1) - kr(F1.T, E1)))
+
+
+@pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
+def test_level_pencils_match_the_direct_build(variant):
+    gamma = 0.6
+    for td in ("continuous", "discrete"):
+        for prob in _problems(td):
+            # the first eta builds the level, the second reuses it
+            for eta in (0.05, 1e-6):
+                if td == "discrete":
+                    # the quadratic problems are the direct build bitwise
+                    pen, *direct = _direct_dt(prob, variant, gamma, eta)
+                    for got, want in zip((pen.q0, pen.q1, pen.q2), direct):
+                        assert np.array_equal(got, want), (variant, eta)
+                    continue
+                pen, m1, m2 = _direct_ct(prob, variant, gamma, eta)
+                assert _close(pen.m1, m1) and _close(pen.m2, m2), (variant, eta)
+                if variant.startswith("fixed"):
+                    # QZ's form: rotated columns, with N's 2n^2 zero columns exact
+                    n = prob.n
+                    V = _null_rotation(gamma)
+                    assert _close(pen.M, _rotate_columns(m1, V, n))
+                    assert _close(pen.N, _rotate_columns(m2, V, n))
+                    assert not pen.N[:, :2 * n * n].any()
+                else:
+                    # the variable pencils are the direct build bitwise
+                    assert np.array_equal(pen.M, m1) and np.array_equal(pen.N, m2)
+
+
+def _same_report(a, b):
+    assert (a.gamma, a.eta, a.variant, a.gamma_nudged) == (b.gamma, b.eta, b.variant,
+                                                           b.gamma_nudged)
+    assert a.candidate_lines == b.candidate_lines
+    assert [p.coords for p in a.points] == [p.coords for p in b.points]
+    assert (a.large_eig_count, a.qz_orders, a.rejected_points) == (
+        b.large_eig_count, b.qz_orders, b.rejected_points)
+
+
+@pytest.mark.parametrize("td", ["continuous", "discrete"])
+def test_interleaved_levels_give_the_reports_of_cold_builds(td):
+    probs = [random_stable(3, 4, td), two_block(td)]
+    calls = [(0, "fixed-v", 0.6, 0.05), (0, "fixed-v", 0.6, 0.01), (1, "fixed-v", 0.6, 0.05),
+             (0, "fixed-h", 0.6, 0.01), (0, "variable-v", 0.6, 0.01),
+             (0, "fixed-v", 0.7, 0.01), (0, "variable-h", 0.7, 0.01),
+             (1, "variable-v", 0.6, 0.01), (0, "fixed-v", 0.6, 0.01)]
+    if td == "discrete":
+        # gamma on a singular value of A: the test moves it off, and the
+        # level is keyed by the moved gamma, which a call at that gamma reuses
+        sv = float(probs[0].svals[-1])
+        moved = cert_dt._nudge_gamma(probs[0], sv)[0]
+        calls += [(0, "fixed-v", sv, 0.05), (0, "variable-v", moved, 0.01),
+                  (0, "fixed-v", sv, 0.01)]
+    seen = []
+    for i, variant, gamma, eta in calls:
+        warm = certify(probs[i], variant, gamma, eta)
+        cold = certify(MatrixProblem(probs[i].A, td), variant, gamma, eta)
+        _same_report(warm, cold)
+        seen.append(warm)
+    if td == "discrete":
+        assert [r.gamma_nudged for r in seen[-3:]] == [True, False, True]
+        assert seen[-3].gamma == seen[-2].gamma == moved
+    # an angle the variants do not use
+    prob = probs[0]
+    if td == "continuous":
+        warm = [cert_ct.fixed_distance_test(prob, 0.6, eta, 0.3) for eta in (0.05, 0.01)]
+        for eta, rep in zip((0.05, 0.01), warm):
+            _same_report(rep, cert_ct.fixed_distance_test(MatrixProblem(prob.A, td), 0.6, eta,
+                                                          0.3))
+
+
+@pytest.mark.parametrize("td", ["continuous", "discrete"])
+def test_backtracking_builds_each_level_once(td, monkeypatch):
+    # owr-bt runs the fixed-distance test at one gamma = g_k while eta
+    # shrinks: one level per minimum, however many tests run there
+    module, build_name, test_name = (
+        (cert_ct, "_kron_level", "fixed_distance_test") if td == "continuous"
+        else (cert_dt, "_quad_level", "fixed_distance_test_dt"))
+    builds, gammas = [], []
+    build, test = getattr(module, build_name), getattr(module, test_name)
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def recording_test(*args, **kwargs):
+        report = test(*args, **kwargs)
+        gammas.append(report.gamma)
+        return report
+
+    monkeypatch.setattr(module, build_name, counting_build)
+    monkeypatch.setattr(module, test_name, recording_test)
+    # started near the shallower block's minimum, the solve restarts once
+    prob = two_block(td)
+    start = (0.5, -2.0) if td == "continuous" else None
+    res = solver.solve_owr_backtracking(prob, start=start, c=0.25)
+    assert res.restarts == 1 and res.certificate_calls == len(gammas) == 16
+    minima = 1 + sum(1 for a, b in zip(gammas, gammas[1:]) if a != b)
+    assert len(builds) == minima == 2

@@ -7,6 +7,7 @@ import scipy.linalg
 from kreiss import (
     MatrixProblem,
     build_quad_pencil_variable,
+    circular_level_points,
     eig_pencil,
     eig_quadratic,
     eigs_shift_invert,
@@ -14,9 +15,10 @@ from kreiss import (
     solve_gen_sylvester,
     solve_sylvester,
     sylvester_solver,
+    vertical_level_points,
 )
 from kreiss.cert_dt import _symplectic_pencil
-from kreiss.linalg import eig_pencil_deflated
+from kreiss.linalg import eig_pencil_deflated, eig_small
 from kreiss.errors import NearSingularOperatorError
 
 from conftest import MatrixOperator
@@ -297,3 +299,39 @@ def test_symplectic_pencil_reciprocal_symmetry():
         for lam in vals:
             partner = 1.0 / np.conj(lam)
             assert np.min(np.abs(vals - partner)) <= 1e-6 * max(1.0, abs(partner))
+
+
+def test_eig_small_is_scipy_eigvals_under_the_dtype_rule(monkeypatch):
+    # the 1D tests' direct LAPACK call gives scipy's values at their orders,
+    # in real arithmetic for a real-valued matrix or pencil
+    rng = np.random.default_rng(11)
+    for order in (2, 12, 24):
+        X = rng.standard_normal((order, order))
+        Y = rng.standard_normal((order, order))
+        # scipy sees the arrays that the dtype rule hands to LAPACK
+        for (M, N), lapack_args in (((X + 1j * Y, Y - 1j * X), (X + 1j * Y, Y - 1j * X)),
+                                    ((X.astype(complex), Y.astype(complex)), (X, Y))):
+            assert np.array_equal(eig_small(M).alpha, scipy.linalg.eigvals(lapack_args[0]))
+            alpha, beta = scipy.linalg.eigvals(*lapack_args, homogeneous_eigvals=True)
+            spec = eig_small(M, N)
+            assert np.array_equal(spec.alpha, alpha) and np.array_equal(spec.beta, beta)
+    calls = []
+    for name in ("dgeev", "zgeev", "dggev", "zggev"):
+        fn = getattr(scipy.linalg.lapack, name)
+        monkeypatch.setattr(scipy.linalg.lapack, name,
+                            lambda *a, _f=fn, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    real = np.eye(3, dtype=complex)
+    eig_small(real)
+    eig_small(real, real)
+    eig_small(1j * real)
+    eig_small(real, 1j * real)
+    assert calls == ["dgeev", "dggev", "zgeev", "zggev"]
+    # the 1D level-set tests of a real A (stored complex) run real LAPACK
+    del calls[:]
+    vertical_level_points(gen_test_matrix("jordan-shifted", 3, time_domain="continuous"), 0.5, 0.3)
+    circular_level_points(gen_test_matrix("jordan-shifted", 3, time_domain="discrete"), 0.5, 1.3)
+    assert calls == ["dgeev", "dggev"]
+    # a singular N gives an infinite eigenvalue, which Spectrum classes so
+    spec = eig_small(np.eye(2), np.diag([1.0, 0.0]))
+    assert spec.is_infinite.tolist() == [False, True] and spec.finite_values.tolist() == [1.0]
+

@@ -184,3 +184,11 @@ def test_irreducible_matrices_keep_a():
         split = prob.split
         assert split.T is prob.A and split.sizes == (prob.n,)
         assert split.dropped == 0.0
+
+
+def test_singular_values_are_computed_once():
+    prob = gen_test_matrix("random-stable-shifted", 4, seed=3)
+    svals = prob.svals
+    assert np.array_equal(svals, np.linalg.svd(prob.A, compute_uv=False))
+    assert prob.svals is svals and not svals.flags.writeable
+    assert prob.norm2 == np.linalg.norm(prob.A, 2) == svals[0]
