@@ -30,22 +30,24 @@ operator, the pair's partner map and a 1D test:
 
 Dense QZ runs on order 2n^2 for the fixed pencil, whose 2n^2 structural
 infinite eigenvalues are deflated first, and on order 4n^2 for the
-variable ones.  Every pencil is affine in eta, and the backtracking
-iteration runs many tests at one gamma, so every ``build_*`` function
-takes its pencil from a ``KroneckerLevel``: the eta-free part, in the
-form QZ receives (column-rotated for the fixed pencil), the eta part and
-the part layout, all kept by their nonzeros and built once per
-(variant, gamma, theta_orient) in the problem's one level slot
-(``MatrixProblem.level``).  A build then only scatters them into a dense
-pencil; nothing is inverted.  The level is built from
+variable ones.  Every 2D test's eigenproblem is affine in eta, and the
+backtracking iteration runs many tests at one gamma, so every ``build_*``
+function, in both time domains, scatters its matrices from one
+``AffineLevel``: an ordered sum of eta-free terms, each scaled by one of the
+test's coefficients and kept by its nonzeros, with the part layout (and,
+for the fixed pencil, the column rotation QZ receives).  A problem keeps
+one level (``MatrixProblem.level``): the fixed pencil's per (gamma,
+theta_orient), and one per gamma that the vertical and horizontal variable
+pencils share.  Nothing is inverted.  The level is built from
 ``MatrixProblem.split``, whose T is A itself when A does not split.
 Otherwise T is block diagonal and its pencil falls apart into one part of
 order 4 k_b k_b' per pair of blocks (``_kron_parts``), which ``linalg``
 factors part by part.  The 1D tests, the SVD verification and the
 divide-and-conquer operators keep using A, so every reported point is
 verified against the input matrix.  The 1D test fills its Hamiltonian
-matrix from blocks of A that the level holds and takes its eigenvalues
-from ``linalg.eig_small``, in real arithmetic for a real A.
+matrix from blocks of A that the problem keeps
+(``MatrixProblem.blocks_1d``) and takes its eigenvalues from
+``linalg.eig_small``, in real arithmetic for a real A.
 """
 
 from __future__ import annotations
@@ -165,9 +167,10 @@ class CertificateReport:
     dimension under divide-and-conquer.  A split pencil counts the sum of
     the orders QZ factored, which is the same total.  ``qz_orders`` lists
     those orders, one per QZ call: one entry for an unsplit pencil, one per
-    group of parts for a split one, none under divide-and-conquer.  ``gamma_nudged`` says whether the discrete-time
-    tests moved gamma off a singular value of A (``cert_dt._nudge_gamma``);
-    ``gamma`` is then the level actually tested.
+    group of parts for a split one, none under divide-and-conquer.
+    ``gamma_nudged`` says whether the discrete-time tests moved gamma off a
+    singular value of A (``cert_dt._nudge_gamma``); ``gamma`` is then the
+    level actually tested.
     """
 
     gamma: float
@@ -198,11 +201,9 @@ def _hamiltonian_blocks(A):
 
 
 def _hamiltonian_vertical(prob, gamma, x):
-    """The Hamiltonian matrix of the 1D test, from the blocks that the
-    problem's cached level holds (they depend on A alone), or from new ones
-    before the first level."""
-    level = prob.cached_level
-    H0, J, K = level.hamiltonian if level is not None else _hamiltonian_blocks(prob.A)
+    """The Hamiltonian matrix of the 1D test, from blocks of A that the
+    problem keeps (``MatrixProblem.blocks_1d``)."""
+    H0, J, K = prob.blocks_1d(lambda: _hamiltonian_blocks(prob.A))
     return H0 + x * J + (gamma * x) * K
 
 
@@ -346,7 +347,7 @@ def _pencil_blocks(A, gamma, eta, variant, theta_orient=None):
     * "variable-horizontal": the same S2, D = beta C (``_pair_beta``).
 
     The divide-and-conquer operators take their blocks from here, for the
-    problem's A; the dense pencils are built from ``KroneckerLevel``.
+    problem's A; the dense pencils are built from ``AffineLevel``.
     """
     _check_gamma_eta(gamma, eta, theta_orient)
     n = A.shape[0]
@@ -386,51 +387,41 @@ class SparseTerm:
         index = np.flatnonzero(X)
         return cls(X.shape, index, X.reshape(-1)[index])
 
-    def dense(self):
-        """The matrix as a new dense array."""
-        X = np.zeros(self.shape, dtype=self.values.dtype)
-        X.reshape(-1)[self.index] = self.values
-        return X
-
-    def add_to(self, X, s):
-        """X += s times this matrix, in place; X must be C-contiguous."""
-        X.reshape(-1)[self.index] += s * self.values
-        return X
-
 
 @dataclass(frozen=True)
-class KroneckerLevel:
-    """Everything of a continuous-time certificate pencil that eta leaves alone.
+class AffineLevel:
+    """Everything of a 2D test's eigenproblem at one level that eta leaves alone.
 
-    Every pencil is affine in its eta (or beta) coefficient s: it is
-    (M0 + s*step, N0) for the fixed variant, s = eta, where only S2 moves,
-    and (M0, N0 + s*step) for the variable ones: s = -i eta with step = I
-    (vertical, D = C - i eta I) and s = beta with step = C (x) I
-    (horizontal, D = beta C).  All three are kept as their nonzeros: at
-    most 4(2n - 1) per row of M0, a few per row of N0 and step, so a level
-    costs a fraction of one dense pencil and a problem can keep one.  The
-    fixed level is stored in the rotated columns of ``_rotate_columns``,
-    with the 2n^2 zero columns of N0 exact.  The variable pencils are thus
-    bitwise those of ``_kron_pencil(*_pencil_blocks(...))``; the fixed one
-    agrees with it to rounding.  ``parts`` is the part layout of every
-    pencil of the level (``_kron_parts``), and ``hamiltonian`` the blocks
-    of the 1D test's Hamiltonian matrix (``_hamiltonian_blocks``), built
-    from A.
+    Each matrix of the eigenproblem (m1 and m2 of a pencil, q0, q1 and q2
+    of a quadratic problem) is affine in the test's coefficients, and
+    ``terms`` holds it, one tuple per matrix, as an ordered sum of
+    (coefficient name, SparseTerm), the name None standing for 1.
+    ``matrices`` scatters the terms in that order into new dense arrays,
+    so each entry rounds as the same sum of dense matrices does.  Terms are
+    kept by their nonzeros, so a level costs a fraction of one dense
+    eigenproblem and a problem can keep one (``MatrixProblem.level``).
+    ``parts`` is the part layout of every eigenproblem of the level
+    (``_kron_parts``), and ``rotation`` the fixed pencil's
+    ``_null_rotation``, None for the others.
     """
 
-    M0: SparseTerm
-    N0: SparseTerm
-    step: SparseTerm
-    step_in_m: bool
+    terms: tuple
     parts: tuple
-    hamiltonian: tuple
     rotation: Optional[np.ndarray] = None
 
-    def pencil(self, s):
-        """(M, N) at coefficient s, as new dense arrays."""
-        M, N = self.M0.dense(), self.N0.dense()
-        self.step.add_to(M if self.step_in_m else N, s)
-        return M, N
+    def matrices(self, **coefficients):
+        """The matrices at ``coefficients`` (a value for every name), as new dense arrays."""
+        out = []
+        for terms in self.terms:
+            scaled = [(t.index, t.values if name is None else coefficients[name] * t.values)
+                      for name, t in terms]
+            X = np.zeros(terms[0][1].shape, dtype=np.result_type(*(v for _, v in scaled)))
+            flat = X.reshape(-1)
+            flat[scaled[0][0]] = scaled[0][1]
+            for index, values in scaled[1:]:
+                flat[index] += values
+            out.append(X)
+        return out
 
 
 def _kron_pencil(S1, S2, C, D):
@@ -439,29 +430,35 @@ def _kron_pencil(S1, S2, C, D):
     return np.kron(eye, S1) + np.kron(S2.T, eye), np.kron(eye, C) + np.kron(D, eye)
 
 
-def _kron_level(prob, variant, gamma, theta_orient=None):
-    """The ``KroneckerLevel`` of ``variant`` at gamma (and theta_orient), built
-    from ``MatrixProblem.split``, whose T is A itself when A does not split."""
+def _kron_level(prob, gamma, theta_orient=None):
+    """The ``AffineLevel`` at gamma of the fixed pencil at theta_orient, or
+    of both variable pencils when theta_orient is None, built from
+    ``MatrixProblem.split``, whose T is A itself when A does not split.
+
+    The fixed level keeps m1 and its eta part in the rotated columns of
+    ``_rotate_columns``, and m2 there with its 2n^2 zero columns exact.  The
+    variable level keeps m2 = I (x) C + D (x) I as the terms I (x) C,
+    beta C (x) I and shift I, for D = beta C + shift I: the vertical pencil
+    takes beta = 1 and shift = -i eta, the horizontal one beta and shift = 0.
+    """
     split = prob.split
     S1, S2, C = _sylvester_blocks(split.T, gamma)
     eye = np.eye(S1.shape[0])
     m1 = np.kron(eye, S1) + np.kron(S2.T, eye)
     IC, CI = np.kron(eye, C), np.kron(C, eye)
+    if theta_orient is None:
+        return AffineLevel((((None, SparseTerm.of(m1)),),
+                            ((None, SparseTerm.of(IC)), ("beta", SparseTerm.of(CI)),
+                             ("shift", SparseTerm.of(np.eye(m1.shape[0]))))),
+                           _kron_parts(split.sizes))
     n = prob.n
-    V = None
-    if variant == "fixed":
-        V = _null_rotation(gamma)
-        N0 = _rotate_columns(IC + CI, V, n)
-        N0[:, :2 * n * n] = 0.0
-        offset = np.kron(np.kron(_fixed_offset(gamma, theta_orient), np.eye(n)).T, eye)
-        M0, step = _rotate_columns(m1, V, n), _rotate_columns(offset, V, n)
-    elif variant == "variable-vertical":
-        M0, N0, step = m1, (IC + CI).astype(complex), np.eye(m1.shape[0])
-    else:
-        M0, N0, step = m1, IC, CI
-    return KroneckerLevel(SparseTerm.of(M0), SparseTerm.of(N0), SparseTerm.of(step),
-                          variant == "fixed", _kron_parts(split.sizes, rotated=V is not None),
-                          _hamiltonian_blocks(prob.A), V)
+    V = _null_rotation(gamma)
+    N = _rotate_columns(IC + CI, V, n)
+    N[:, :2 * n * n] = 0.0
+    offset = np.kron(np.kron(_fixed_offset(gamma, theta_orient), np.eye(n)).T, eye)
+    M = ((None, SparseTerm.of(_rotate_columns(m1, V, n))),
+         ("eta", SparseTerm.of(_rotate_columns(offset, V, n))))
+    return AffineLevel((M, ((None, SparseTerm.of(N)),)), _kron_parts(split.sizes, rotated=True), V)
 
 
 def _kron_parts(sizes, rotated=False):
@@ -491,13 +488,13 @@ def _kron_parts(sizes, rotated=False):
     return tuple(parts)
 
 
-def _kron_pencil_at(prob, variant, gamma, eta, s, theta_orient=None, beta=None):
-    """The pencil of ``variant`` at (gamma, eta), whose coefficient is s, from
-    the problem's cached level (``MatrixProblem.level``), built on first use."""
+def _kron_pencil_at(prob, variant, gamma, eta, coefficients, theta_orient=None, beta=None):
+    """The pencil of ``variant`` at (gamma, eta) and its level's
+    ``coefficients``, from the problem's cached level (``MatrixProblem.level``),
+    built on first use under the key (gamma, theta_orient)."""
     _check_gamma_eta(gamma, eta, theta_orient)
-    level = prob.level((variant, gamma, theta_orient),
-                       lambda: _kron_level(prob, variant, gamma, theta_orient))
-    M, N = level.pencil(s)
+    level = prob.level((gamma, theta_orient), lambda: _kron_level(prob, gamma, theta_orient))
+    M, N = level.matrices(**coefficients)
     return KroneckerPencil(M, N, gamma, eta, variant, prob.split.sizes, level.parts,
                            level.rotation, theta_orient=theta_orient, beta=beta)
 
@@ -510,18 +507,20 @@ def build_fixed_pencil(prob: MatrixProblem, gamma: float, eta: float,
     may carry level-set points of the pair condition
     g(x, y) = g(x + eta*cos(theta), y + eta*sin(theta)) = gamma.
     """
-    return _kron_pencil_at(prob, "fixed", gamma, eta, eta, theta_orient=theta_orient)
+    return _kron_pencil_at(prob, "fixed", gamma, eta, {"eta": eta}, theta_orient=theta_orient)
 
 
 def build_variable_pencil(prob: MatrixProblem, gamma: float, eta: float) -> KroneckerPencil:
     """Pencil for vertically oriented pairs a variable distance x*eta apart."""
-    return _kron_pencil_at(prob, "variable-vertical", gamma, eta, -1j * eta)
+    return _kron_pencil_at(prob, "variable-vertical", gamma, eta,
+                           {"beta": 1.0, "shift": -1j * eta})
 
 
 def build_horizontal_pencil(prob: MatrixProblem, gamma: float, eta: float) -> KroneckerPencil:
     """Pencil for horizontal pairs (x, y), (beta*x, y), beta = 1 + eta/(1+gamma)."""
     beta = _pair_beta(gamma, eta)
-    return _kron_pencil_at(prob, "variable-horizontal", gamma, eta, beta, beta=beta)
+    return _kron_pencil_at(prob, "variable-horizontal", gamma, eta,
+                           {"beta": beta, "shift": 0.0}, beta=beta)
 
 
 def _check_gamma_eta(gamma, eta, theta_orient=None):

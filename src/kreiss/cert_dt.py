@@ -23,17 +23,19 @@ clustering of its unimodular eigenvalues.  The empty outcome of the
 variable-distance test certifies 1/K > gamma - eta/2.
 
 q0, q1 and q2 are affine in eta (through delta and beta), so both
-``build_quad_pencil_*`` functions take their coefficients from one
-``QuadLevel`` per gamma, shared by the two variants and kept, by its
-nonzeros, in the problem's level slot (``MatrixProblem.level``) under the
-gamma actually tested, after ``_nudge_gamma``.  The level is built from
-``MatrixProblem.split`` as in continuous time: when A splits into blocks
-of orders k_b, the quadratic problem falls apart into one part of order
-4 k_b k_b' per pair of blocks, and the one ``eig_quadratic`` call of a
-test linearizes and factors each at order 6 k_b k_b'.  The 1D circular
-test, ``_nudge_gamma`` (on the cached ``MatrixProblem.svals``) and the
-divide-and-conquer operator keep using A; the 1D test fills its pencil
-from blocks of A that the level holds and calls ``linalg.eig_small``.
+``build_quad_pencil_*`` functions scatter them from one
+``cert_ct.AffineLevel`` per gamma (``_quad_level``), shared by the two
+variants and kept in the problem's level slot (``MatrixProblem.level``)
+under the gamma actually tested, after ``_nudge_gamma``.  Its terms round
+entry by entry as the direct build from ``_ray_factor_blocks`` does.  The
+level is built from ``MatrixProblem.split`` as in continuous time: when A
+splits into blocks of orders k_b, the quadratic problem falls apart into
+one part of order 4 k_b k_b' per pair of blocks, and the one
+``eig_quadratic`` call of a test linearizes and factors each at order
+6 k_b k_b'.  The 1D circular test, ``_nudge_gamma`` (on the cached
+``MatrixProblem.svals``) and the divide-and-conquer operator keep using A;
+the 1D test fills its pencil from blocks of A that the problem keeps
+(``MatrixProblem.blocks_1d``) and calls ``linalg.eig_small``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dnc, objective
-from .cert_ct import (CAPTURE_FACTOR, CertificateReport, SparseTerm, _check_gamma_eta,
-                      _check_test, _kron_parts, _level_set_test, _pair_beta, _polish)
+from .cert_ct import (CAPTURE_FACTOR, AffineLevel, CertificateReport, SparseTerm,
+                      _check_gamma_eta, _check_test, _kron_parts, _level_set_test, _pair_beta,
+                      _polish)
 from .errors import SingularPencilError
 # QuadPencil.spectrum calls eig_quadratic by this name: bench/tracing.py wraps it here
 from .linalg import eig_quadratic, eig_small
@@ -91,105 +94,49 @@ class QuadPencil:
         return eig_quadratic(self.q0, self.q1, self.q2, self.parts)
 
 
-@dataclass(frozen=True)
-class KronDifference:
-    """D^T (x) C - F^T (x) E for ray factors D and F (``_ray_factor_blocks``)
-    whose n x n blocks are fixed or scale with g = gamma (delta - 1) or
-    with delta.
-
-    ``fixed`` holds the entries that no scaled block reaches.  At the
-    ``index`` entries that one does, each of the two Kronecker products is
-    k[0] + g k[1] + delta k[2] (l[...] for the second) with at most one
-    term nonzero, so ``dense`` rounds every entry as the direct build does.
-    """
-
-    fixed: SparseTerm
-    index: np.ndarray
-    k: np.ndarray
-    l: np.ndarray
-
-    @classmethod
-    def of(cls, D, D_scale, C, F, F_scale, E):
-        """From D and F with their scaled blocks at 1; ``D_scale[i, j]`` is
-        0, 1 or 2 as block (i, j) of D is fixed, scales with g or with
-        delta (``F_scale`` likewise)."""
-        K, L = np.kron(D.T, C), np.kron(F.T, E)
-        half = np.arange(K.shape[0]) // (K.shape[0] // 2)  # block of D^T or F^T
-        k_scale = D_scale.T[half[:, None], half]
-        l_scale = F_scale.T[half[:, None], half]
-        moving = ((k_scale > 0) & (K != 0)) | ((l_scale > 0) & (L != 0))
-        index = np.flatnonzero(moving)
-
-        def terms(X, scale):
-            x, j = X.reshape(-1)[index], scale.reshape(-1)[index]
-            return np.array([np.where(j == t, x, 0.0) for t in range(3)])
-
-        return cls(SparseTerm.of(np.where(moving, 0.0, K - L)), index, terms(K, k_scale),
-                   terms(L, l_scale))
-
-    def dense(self, g, delta):
-        """The matrix at (g, delta), as a new dense array."""
-        k, l = self.k, self.l
-        X = self.fixed.dense()
-        X.reshape(-1)[self.index] = ((k[0] + g * k[1] + delta * k[2])
-                                     - (l[0] + g * l[1] + delta * l[2]))
-        return X
-
-    def scaled(self, g, delta):
-        """The scaled blocks' part alone at (g, delta), fixed blocks set to 0."""
-        k, l = self.k, self.l
-        return SparseTerm(self.fixed.shape, self.index,
-                          (g * k[1] + delta * k[2]) - (g * l[1] + delta * l[2]))
-
-
-@dataclass(frozen=True)
-class QuadLevel:
-    """Everything of the discrete-time quadratic problems at one level that
-    eta leaves alone.
-
-    Of the factors of ``_ray_factor_blocks`` only D0 and F0 move with the
-    pair (delta, beta) of ``_ray_pair``, through g = gamma (delta - 1) and
-    delta, and D1, F1 are their scaled blocks with g = gamma and delta = 1.
-    So q0 = ``Q0.dense(g, delta)``, q1 = beta X + ``Y.dense(g, delta)`` and
-    q2 = beta W, with X = ``Q0.scaled(gamma, 1)`` = D1^T (x) C0 - F1^T (x) E0
-    and W = ``Y.scaled(gamma, 1)`` = D1^T (x) C1 - F1^T (x) E1: every
-    coefficient is affine in eta, and bitwise the direct build's.  Both
-    variants share one level.  Everything is kept by its nonzeros: about
-    2n^4 of 16n^4 for Q0, O(n^3) for the rest.  ``parts`` is the part
-    layout of every problem of the level (``_kron_parts``), and ``circle``
-    the blocks of the 1D test's symplectic pencil (``_circle_blocks``),
-    built from A.
-    """
-
-    Q0: KronDifference
-    Y: KronDifference
-    X: SparseTerm
-    W: SparseTerm
-    parts: tuple
-    circle: tuple
-
-    def coefficients(self, gamma, delta, beta):
-        """(q0, q1, q2) of the ray pairs (r, beta*r + delta), as new dense arrays."""
-        g = gamma * (delta - 1.0)
-        q1 = self.X.add_to(self.Y.dense(g, delta), beta)
-        q2 = self.W.add_to(np.zeros(self.W.shape, dtype=complex), beta)
-        return self.Q0.dense(g, delta), q1, q2
+def _block_term(h, blocks):
+    """The ``SparseTerm`` of order 2h holding each (row, col, X) of
+    ``blocks``, X of order h, with its first entry at (row, col)."""
+    index, values = [], []
+    for row, col, X in blocks:
+        i = np.flatnonzero(X)
+        index.append((i // h + row) * (2 * h) + i % h + col)
+        values.append(X.reshape(-1)[i])
+    return SparseTerm((2 * h, 2 * h), np.concatenate(index), np.concatenate(values))
 
 
 def _quad_level(prob, gamma):
-    """The ``QuadLevel`` at gamma, built from ``MatrixProblem.split``."""
-    split = prob.split
-    T = split.T
+    """The ``AffineLevel`` of both radial tests at gamma, built from
+    ``MatrixProblem.split``.
+
+    The factors D0 = [[A*, 0], [g I, delta I]] and F0 = [[delta I, g I],
+    [0, A]] of ``_ray_factor_blocks``, with g = gamma (delta - 1), are a
+    fixed piece plus g and delta times unit pieces.  So each of
+    D0^T (x) C - F0^T (x) E, for (C, E) = (C0, E0) (q0) and (C1, E1) (q1's
+    eta-free part), is F + g G + delta D, with G and D on the off-diagonal
+    and diagonal blocks of order 2n^2.  At each entry one side of the
+    difference is fixed and the other scaled, so the level's entries round
+    as the direct build's: one product per side, one subtraction.  D1 and
+    F1 are the scaled pieces at g = gamma and delta = 1, so q1 adds beta X
+    with X = gamma G + D of (C0, E0), and q2 = beta W with W = gamma G + D
+    of (C1, E1).
+    """
+    T = prob.split.T
     C0, C1, _, _, E0, E1, _, _ = _ray_factor_blocks(T, gamma, 0.0)
     n = prob.n
-    Z, eye = np.zeros((n, n)), np.eye(n)
-    # D0 = [[A*, 0], [g I, delta I]] and F0 = [[delta I, g I], [0, A]]
-    D, D_scale = np.block([[T.conj().T, Z], [eye, eye]]), np.array([[0, 0], [1, 2]])
-    F, F_scale = np.block([[eye, eye], [Z, T]]), np.array([[2, 1], [0, 0]])
-    Q0 = KronDifference.of(D, D_scale, C0, F, F_scale, E0)
-    Y = KronDifference.of(D, D_scale, C1, F, F_scale, E1)
-    return QuadLevel(Q0, Y, Q0.scaled(gamma, 1.0), Y.scaled(gamma, 1.0),
-                     _kron_parts(split.sizes), _circle_blocks(prob.A))
+    h, eye = 2 * n * n, np.eye(n)
+
+    def pieces(C, E):
+        IC, IE = np.kron(eye, C), -np.kron(eye, E)
+        fixed = _block_term(h, ((0, 0, np.kron(T.conj(), C)), (h, h, -np.kron(T.T, E))))
+        G, D = _block_term(h, ((0, h, IC), (h, 0, IE))), _block_term(h, ((0, 0, IE), (h, h, IC)))
+        scaled = SparseTerm(G.shape, np.concatenate([G.index, D.index]),
+                            np.concatenate([gamma * G.values, D.values]))
+        return ((None, fixed), ("g", G), ("delta", D)), scaled
+
+    q0, X = pieces(C0, E0)
+    q1, W = pieces(C1, E1)
+    return AffineLevel((q0, q1 + (("beta", X),), (("beta", W),)), _kron_parts(prob.split.sizes))
 
 
 # --------------------------------------------------------------------------
@@ -215,11 +162,9 @@ def _circle_blocks(A):
 
 
 def _symplectic_pencil(prob, gamma, r):
-    """The symplectic pencil of the 1D test with g = gamma (r - 1), from the
-    blocks that the problem's cached level holds (they depend on A alone),
-    or from new ones before the first level."""
-    level = prob.cached_level
-    Ma, P, Q, Na, P2, Q2 = level.circle if level is not None else _circle_blocks(prob.A)
+    """The symplectic pencil of the 1D test with g = gamma (r - 1), from
+    blocks of A that the problem keeps (``MatrixProblem.blocks_1d``)."""
+    Ma, P, Q, Na, P2, Q2 = prob.blocks_1d(lambda: _circle_blocks(prob.A))
     g = gamma * (r - 1.0)
     return Ma + r * P + g * Q, Na + r * P2 + g * Q2
 
@@ -306,14 +251,15 @@ def _quad_pencil(prob, gamma, eta, variant):
     = 0 with the symplectic-pencil factors of the 1D circular test: q0 takes
     the factors at offset delta, and beta scales the parts of q1 and q2
     that are linear in the partner radius.  The coefficients come from the
-    problem's cached ``QuadLevel`` at gamma (``MatrixProblem.level``),
-    built on first use.
+    problem's cached level at gamma (``_quad_level``,
+    ``MatrixProblem.level``), built on first use.
     """
     _check_gamma_eta(gamma, eta)
     delta, beta = _ray_pair(gamma, eta, variant)
     level = prob.level(gamma, lambda: _quad_level(prob, gamma))
-    return QuadPencil(*level.coefficients(gamma, delta, beta), gamma, eta, variant, delta=delta,
-                      beta=beta, sizes=prob.split.sizes, parts=level.parts)
+    q0, q1, q2 = level.matrices(g=gamma * (delta - 1.0), delta=delta, beta=beta)
+    return QuadPencil(q0, q1, q2, gamma, eta, variant, delta=delta, beta=beta,
+                      sizes=prob.split.sizes, parts=level.parts)
 
 
 def build_quad_pencil_fixed(prob: MatrixProblem, gamma: float, eta: float) -> QuadPencil:

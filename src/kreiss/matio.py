@@ -125,15 +125,29 @@ class MatrixProblem:
     def is_continuous(self) -> bool:
         return self.time_domain is TimeDomain.CONTINUOUS
 
+    def _memo(self, name, build, key=None):
+        """``build()``, kept on the problem under ``name`` and ``key``.
+
+        The attribute holds one immutable ``(key, value)`` tuple, replaced
+        whole when another key is asked for, so concurrent readers see one
+        value or the other, never a mix.
+        """
+        slot = getattr(self, name, None)
+        if slot is None or slot[0] != key:
+            slot = (key, build())
+            object.__setattr__(self, name, slot)
+        return slot[1]
+
     @property
     def svals(self) -> np.ndarray:
         """Singular values of A, in decreasing order (computed on first use, read-only)."""
-        cached = getattr(self, "_svals", None)
-        if cached is None:
-            cached = np.linalg.svd(self.A, compute_uv=False)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_svals", cached)
-        return cached
+
+        def build():
+            svals = np.linalg.svd(self.A, compute_uv=False)
+            svals.setflags(write=False)
+            return svals
+
+        return self._memo("_svals", build)
 
     @property
     def norm2(self) -> float:
@@ -143,31 +157,23 @@ class MatrixProblem:
     def level(self, key, build):
         """The certificate level cached under ``key``, or ``build()`` cached in its place.
 
-        One slot holds one immutable ``(key, level)`` tuple, replaced whole
-        when another key is asked for, so concurrent readers see one level
-        or the other, never a mix.  The certificate modules define the keys
-        and the levels (``cert_ct.KroneckerLevel``, ``cert_dt.QuadLevel``).
+        A problem keeps one level, the eta-free part of a 2D test's
+        eigenproblem (``cert_ct.AffineLevel``); another key replaces it
+        whole.  The certificate modules define the keys: the continuous-time
+        variable and horizontal tests share one level per gamma, and so do
+        the two discrete-time ones.
         """
-        slot = getattr(self, "_level", None)
-        if slot is None or slot[0] != key:
-            slot = (key, build())
-            object.__setattr__(self, "_level", slot)
-        return slot[1]
+        return self._memo("_level", build, key)
 
-    @property
-    def cached_level(self):
-        """The level in the slot of ``level``, or None before the first."""
-        slot = getattr(self, "_level", None)
-        return None if slot is None else slot[1]
+    def blocks_1d(self, build):
+        """The blocks of the 1D level-set test's matrix or pencil, ``build()``
+        on first use: they depend on A alone, so every test reuses them."""
+        return self._memo("_blocks_1d", build)
 
     @property
     def split(self) -> SplitForm:
         """A's block-diagonal form (module docstring), computed on first use."""
-        cached = getattr(self, "_split", None)
-        if cached is None:
-            cached = _split_form(self.A)
-            object.__setattr__(self, "_split", cached)
-        return cached
+        return self._memo("_split", lambda: _split_form(self.A))
 
 
 @dataclass(frozen=True)

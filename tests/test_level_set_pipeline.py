@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kreiss
-from kreiss import certify
+from kreiss import cert_ct, cert_dt, certify
 from kreiss.cert_ct import LINE_DEDUP_ATOL
 from kreiss.solver import CERTIFICATE_CHOICES
 
@@ -129,15 +129,22 @@ def test_tracer_sees_every_certificate_layer(variant, jordan_ct, jordan_dt):
 
 
 @pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
-def test_tracer_counts_with_a_warm_level(variant, jordan_ct, jordan_dt):
+def test_tracer_counts_with_a_warm_level(variant, jordan_ct, jordan_dt, monkeypatch):
     # the second test at a level reuses the cached level, and the tracer still
     # sees its pencil build and, in discrete time, its one eig_quadratic call
+    builds = []
+    for module, name in ((cert_ct, "_kron_level"), (cert_dt, "_quad_level")):
+        def counting_build(*args, build=getattr(module, name)):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counting_build)
     for prob, gamma, layer in ((jordan_ct, JORDAN_MIN + 0.02, "cert_ct"),
                                (jordan_dt, 0.45, "cert_dt")):
         certify(prob, variant, gamma, 0.05)
-        level = prob.cached_level
+        builds.clear()
         names, _ = _span_names(prob, variant, gamma)
-        assert prob.cached_level is level
+        assert not builds
         assert names.count(f"{layer}.test") == names.count(f"{layer}.pencil_build") == 1
         assert names.count("linalg.eig_quadratic") == (1 if layer == "cert_dt" else 0)
         assert f"{layer}.level_1d" in names

@@ -1,6 +1,10 @@
-"""Certificate levels: every dense pencil is its level's eta-free part plus
-its eta part (``cert_ct.KroneckerLevel``, ``cert_dt.QuadLevel``), cached on
-the problem (``MatrixProblem.level``) and built once per level."""
+"""Certificate levels: every dense eigenproblem of a 2D test is an ordered
+sum of its level's terms (``cert_ct.AffineLevel``), cached on the problem
+(``MatrixProblem.level``) and built once per level: once per (gamma,
+theta_orient) for the continuous-time fixed pencil, once per gamma for both
+variable ones and for both discrete-time problems."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from kreiss.cert_dt import _ray_factor_blocks, _ray_pair
 from kreiss.solver import CERTIFICATE_CHOICES
 
 from conftest import jordan_block, random_stable, two_block
+from test_stress import random_matrix
 
 EPS = np.finfo(float).eps
 
@@ -62,11 +67,14 @@ def _direct_dt(prob, variant, gamma, eta):
 
 @pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
 def test_level_pencils_match_the_direct_build(variant):
-    gamma = 0.6
+    # gamma = 1 - 1e-9 is owr's plateau probe, where dt-n5-seed109-owr (the
+    # last problem) passes only while q0 is the direct build bitwise
+    seed109 = MatrixProblem(random_matrix(5, "discrete", 109), "discrete")
     for td in ("continuous", "discrete"):
-        for prob in _problems(td):
-            # the first eta builds the level, the second reuses it
-            for eta in (0.05, 1e-6):
+        for prob, gamma in itertools.product(_problems(td) + [seed109] * (td == "discrete"),
+                                             (0.6, 1 - 1e-9)):
+            # the first eta builds the level, the others reuse it
+            for eta in (0.05, 1e-6, 1e-9):
                 if td == "discrete":
                     # the quadratic problems are the direct build bitwise
                     pen, *direct = _direct_dt(prob, variant, gamma, eta)
@@ -128,6 +136,28 @@ def test_interleaved_levels_give_the_reports_of_cold_builds(td):
                                                           0.3))
 
 
+def _count_builds(monkeypatch, module, name):
+    """The list of argument tuples of every call to the level builder ``name``."""
+    builds, build = [], getattr(module, name)
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(module, name, counting_build)
+    return builds
+
+
+def test_variable_pencils_share_one_level(monkeypatch):
+    # certify runs variable, then horizontal, at each gamma: one level serves both
+    builds = _count_builds(monkeypatch, cert_ct, "_kron_level")
+    prob = random_stable(3, 4, "continuous")
+    for variant in ("variable-v", "variable-h", "variable-v"):
+        warm = certify(prob, variant, 0.6, 0.01)
+        _same_report(warm, certify(MatrixProblem(prob.A, "continuous"), variant, 0.6, 0.01))
+    assert [args for args in builds if args[0] is prob] == [(prob, 0.6, None)]
+
+
 @pytest.mark.parametrize("td", ["continuous", "discrete"])
 def test_backtracking_builds_each_level_once(td, monkeypatch):
     # owr-bt runs the fixed-distance test at one gamma = g_k while eta
@@ -135,19 +165,14 @@ def test_backtracking_builds_each_level_once(td, monkeypatch):
     module, build_name, test_name = (
         (cert_ct, "_kron_level", "fixed_distance_test") if td == "continuous"
         else (cert_dt, "_quad_level", "fixed_distance_test_dt"))
-    builds, gammas = [], []
-    build, test = getattr(module, build_name), getattr(module, test_name)
-
-    def counting_build(*args):
-        builds.append(args)
-        return build(*args)
+    builds, gammas = _count_builds(monkeypatch, module, build_name), []
+    test = getattr(module, test_name)
 
     def recording_test(*args, **kwargs):
         report = test(*args, **kwargs)
         gammas.append(report.gamma)
         return report
 
-    monkeypatch.setattr(module, build_name, counting_build)
     monkeypatch.setattr(module, test_name, recording_test)
     # started near the shallower block's minimum, the solve restarts once
     prob = two_block(td)
