@@ -42,7 +42,15 @@ pencils share.  Nothing is inverted.  The level is built from
 ``MatrixProblem.split``, whose T is A itself when A does not split.
 Otherwise T is block diagonal and its pencil falls apart into one part of
 order 4 k_b k_b' per pair of blocks (``_kron_parts``), which ``linalg``
-factors part by part.  The 1D tests, the SVD verification and the
+factors part by part.  For a real T, the vertical pencils (``variable-v``
+and ``fixed-v``) commute with vec(W) -> vec(W^T) and are kept in the basis
+of symmetric and skew-symmetric W (``TransposeHalves``), where they fall
+apart again: into halves of orders n(2n+1) and n(2n-1), or n^2 + n and
+n^2 - n after the fixed pencil's deflation, which ``linalg`` factors half
+by half, unless the halves would regroup into one QZ call
+(``_halves_for``).  The horizontal pencils and every pencil of a complex T
+do not commute with the transpose and stay whole.  The 1D tests, the SVD
+verification and the
 divide-and-conquer operators keep using A, so every reported point is
 verified against the input matrix.  The 1D test fills its Hamiltonian
 matrix from blocks of A that the problem keeps
@@ -110,11 +118,15 @@ class KroneckerPencil:
     ``M`` and ``N`` are m1 and m2 times the unitary Z of ``_rotate_columns``
     when ``rotation`` (``_null_rotation``'s V) is set, which it is for the
     fixed pencil only; the 2n^2 columns of N that vanish mathematically are
-    then exactly zero.  ``m1`` and ``m2`` give the pencil itself.  ``parts``
-    are the (rows, cols) of its diagonal blocks (``_kron_parts``), one when
-    A does not split; ``sizes`` holds the block orders of the split matrix
-    it was built from (``MatrixProblem.split``), (n,) when that matrix is A
-    itself.
+    then exactly zero.  When ``halves`` is set (a real split matrix's
+    vertical pencils, ``TransposeHalves``), they are then taken into the
+    basis of symmetric and skew-symmetric W, where they are block diagonal.
+    ``m1`` and ``m2`` give the pencil itself, both basis changes undone.
+    ``parts`` are the (rows, cols) of the diagonal blocks of M and N
+    (``_kron_parts``, or the halves' parts), one when A does not split and
+    the pencil is not halved; ``sizes`` holds the block orders of the split
+    matrix it was built from (``MatrixProblem.split``), (n,) when that
+    matrix is A itself.
     """
 
     M: np.ndarray
@@ -127,16 +139,19 @@ class KroneckerPencil:
     rotation: Optional[np.ndarray] = None
     theta_orient: Optional[float] = None
     beta: Optional[float] = None
+    halves: Optional[TransposeHalves] = None
 
     @property
     def m1(self) -> np.ndarray:
-        return self._unrotated(self.M)
+        return self._plain(self.M)
 
     @property
     def m2(self) -> np.ndarray:
-        return self._unrotated(self.N)
+        return self._plain(self.N)
 
-    def _unrotated(self, X):
+    def _plain(self, X):
+        if self.halves is not None:
+            X = self.halves.undo(X)
         if self.rotation is None:
             return X
         return _rotate_columns(X, self.rotation, math.isqrt(X.shape[0] // 4), inverse=True)
@@ -147,7 +162,9 @@ class KroneckerPencil:
         ``linalg.eig_pencil_deflated`` removes the 2n^2 infinite eigenvalues
         that the fixed pencil's zero columns of N carry, so QZ runs on order
         2n^2 there; the variable-distance pencils have an invertible m2 and
-        go to QZ at order 4n^2.  Each part goes to QZ on its own.
+        go to QZ at order 4n^2.  Each part goes to QZ on its own: the two
+        halves of a halved pencil at orders n(2n+1) and n(2n-1), or n^2 + n
+        and n^2 - n after deflation, for the same total.
         """
         return linalg.eig_pencil_deflated(self.M, self.N, self.parts)
 
@@ -164,10 +181,13 @@ class CertificateReport:
     factored: 2n^2 for the continuous-time fixed pencil and 4n^2 for the
     variable/horizontal ones (dense QZ), 6n^2 in discrete time (the trimmed
     linearization of ``linalg.eig_quadratic``), and the operator's
-    dimension under divide-and-conquer.  A split pencil counts the sum of
-    the orders QZ factored, which is the same total.  ``qz_orders`` lists
-    those orders, one per QZ call: one entry for an unsplit pencil, one per
-    group of parts for a split one, none under divide-and-conquer.
+    dimension under divide-and-conquer.  A split or halved pencil counts
+    the sum of the orders QZ factored, which is the same total.
+    ``qz_orders`` lists those orders, one per QZ call: one entry for an
+    unsplit pencil, one per group of parts for a split one, two for the
+    halves of a real A's vertical pencil (n(2n+1) and n(2n-1) for
+    ``variable-v``, n^2 + n and n^2 - n for ``fixed-v``), none under
+    divide-and-conquer.
     ``gamma_nudged`` says whether the discrete-time tests moved gamma off a
     singular value of A (``cert_dt._nudge_gamma``); ``gamma`` is then the
     level actually tested.
@@ -401,13 +421,15 @@ class AffineLevel:
     kept by their nonzeros, so a level costs a fraction of one dense
     eigenproblem and a problem can keep one (``MatrixProblem.level``).
     ``parts`` is the part layout of every eigenproblem of the level
-    (``_kron_parts``), and ``rotation`` the fixed pencil's
-    ``_null_rotation``, None for the others.
+    (``_kron_parts``, or the halves' parts), ``rotation`` the fixed
+    pencil's ``_null_rotation``, None for the others, and ``halves`` the
+    ``TransposeHalves`` the terms are kept in, None when they are not.
     """
 
     terms: tuple
     parts: tuple
     rotation: Optional[np.ndarray] = None
+    halves: Optional[TransposeHalves] = None
 
     def matrices(self, **coefficients):
         """The matrices at ``coefficients`` (a value for every name), as new dense arrays."""
@@ -431,34 +453,54 @@ def _kron_pencil(S1, S2, C, D):
 
 
 def _kron_level(prob, gamma, theta_orient=None):
-    """The ``AffineLevel`` at gamma of the fixed pencil at theta_orient, or
-    of both variable pencils when theta_orient is None, built from
-    ``MatrixProblem.split``, whose T is A itself when A does not split.
+    """The ``AffineLevel`` of each pencil at gamma, by variant: the fixed
+    pencil at theta_orient, or both variable pencils when theta_orient is
+    None, built from ``MatrixProblem.split``, whose T is A itself when A
+    does not split.
 
     The fixed level keeps m1 and its eta part in the rotated columns of
     ``_rotate_columns``, and m2 there with its 2n^2 zero columns exact.  The
     variable level keeps m2 = I (x) C + D (x) I as the terms I (x) C,
     beta C (x) I and shift I, for D = beta C + shift I: the vertical pencil
     takes beta = 1 and shift = -i eta, the horizontal one beta and shift = 0.
+    For a real T, the vertical pencils (theta_orient = pi/2, or the
+    variable one) commute with vec(W) -> vec(W^T), and their levels are
+    kept in its halves (``_halves_for``): the variable-vertical level as m1
+    and I (x) C + C (x) I, with shift I, which the halves leave as it is;
+    the fixed one with the eta part i I, since S2 = S1^T + i eta I there,
+    and a swap-adapted ``_null_rotation``.  The horizontal variable level
+    and every other fixed one stay in the plain basis.
     """
     split = prob.split
     S1, S2, C = _sylvester_blocks(split.T, gamma)
     eye = np.eye(S1.shape[0])
     m1 = np.kron(eye, S1) + np.kron(S2.T, eye)
     IC, CI = np.kron(eye, C), np.kron(C, eye)
+    vertical = theta_orient is None or theta_orient == np.pi / 2
+    halves = _halves_for(split, rotated=theta_orient is not None) if vertical else None
     if theta_orient is None:
-        return AffineLevel((((None, SparseTerm.of(m1)),),
-                            ((None, SparseTerm.of(IC)), ("beta", SparseTerm.of(CI)),
-                             ("shift", SparseTerm.of(np.eye(m1.shape[0]))))),
-                           _kron_parts(split.sizes))
+        shift = ("shift", SparseTerm.of(np.eye(m1.shape[0])))
+        plain = AffineLevel((((None, SparseTerm.of(m1)),),
+                             ((None, SparseTerm.of(IC)), ("beta", SparseTerm.of(CI)), shift)),
+                            _kron_parts(split.sizes))
+        if halves is None:
+            return {"variable-vertical": plain, "variable-horizontal": plain}
+        halved = AffineLevel((((None, SparseTerm.of(halves.apply(m1))),),
+                              ((None, SparseTerm.of(halves.apply(IC + CI))), shift)),
+                             halves.parts, halves=halves)
+        return {"variable-vertical": halved, "variable-horizontal": plain}
     n = prob.n
-    V = _null_rotation(gamma)
+    V = _null_rotation(gamma, swap_adapted=halves is not None)
     N = _rotate_columns(IC + CI, V, n)
     N[:, :2 * n * n] = 0.0
-    offset = np.kron(np.kron(_fixed_offset(gamma, theta_orient), np.eye(n)).T, eye)
-    M = ((None, SparseTerm.of(_rotate_columns(m1, V, n))),
-         ("eta", SparseTerm.of(_rotate_columns(offset, V, n))))
-    return AffineLevel((M, ((None, SparseTerm.of(N)),)), _kron_parts(split.sizes, rotated=True), V)
+    if halves is None:
+        offset = np.kron(np.kron(_fixed_offset(gamma, theta_orient), np.eye(n)).T, eye)
+        basis, parts = (lambda X: X), _kron_parts(split.sizes, rotated=True)
+    else:
+        offset, basis, parts = 1j * np.eye(m1.shape[0]), halves.apply, halves.parts
+    M = ((None, SparseTerm.of(basis(_rotate_columns(m1, V, n)))),
+         ("eta", SparseTerm.of(basis(_rotate_columns(offset, V, n)))))
+    return {"fixed": AffineLevel((M, ((None, SparseTerm.of(basis(N))),)), parts, V, halves)}
 
 
 def _kron_parts(sizes, rotated=False):
@@ -493,10 +535,12 @@ def _kron_pencil_at(prob, variant, gamma, eta, coefficients, theta_orient=None, 
     ``coefficients``, from the problem's cached level (``MatrixProblem.level``),
     built on first use under the key (gamma, theta_orient)."""
     _check_gamma_eta(gamma, eta, theta_orient)
-    level = prob.level((gamma, theta_orient), lambda: _kron_level(prob, gamma, theta_orient))
+    levels = prob.level((gamma, theta_orient), lambda: _kron_level(prob, gamma, theta_orient))
+    level = levels[variant]
     M, N = level.matrices(**coefficients)
     return KroneckerPencil(M, N, gamma, eta, variant, prob.split.sizes, level.parts,
-                           level.rotation, theta_orient=theta_orient, beta=beta)
+                           level.rotation, theta_orient=theta_orient, beta=beta,
+                           halves=level.halves)
 
 
 def build_fixed_pencil(prob: MatrixProblem, gamma: float, eta: float,
@@ -534,12 +578,26 @@ def _check_gamma_eta(gamma, eta, theta_orient=None):
         raise ValueError("theta_orient must lie in (-pi/2, pi/2]")
 
 
-def _null_rotation(gamma):
+def _null_rotation(gamma, swap_adapted=False):
     """4 x 4 unitary V whose first two columns span the null space of S.
 
     S = I_2 (x) c + c (x) I_2 with c = [[1, -gamma], [gamma, -1]]; its
-    eigenvalues are 0, 0 and +-2 sqrt(1 - gamma^2).
+    eigenvalues are 0, 0 and +-2 sqrt(1 - gamma^2).  S acts on the pair
+    (a, b) of an index (a, i, b, j) of W, row p = 2b + a of V, and commutes
+    with the swap a <-> b.  ``swap_adapted`` gives the real orthogonal V
+    whose columns are eigenvectors of the swap, with parities (+, -, +, +):
+    the symmetric null vector [gamma, 1, 1, gamma], the antisymmetric one
+    [0, -1, 1, 0], and two symmetric vectors of the range, [1, 0, 0, -1]
+    and [1, -gamma, -gamma, 1], each normalized.
+    Otherwise V comes from the SVD of S, as every pencil that is not halved
+    has it.
     """
+    if swap_adapted:
+        r, h = 1.0 / np.sqrt(2.0 + 2.0 * gamma * gamma), np.sqrt(0.5)
+        return np.array([[gamma * r, 0.0, h, r],
+                         [r, -h, 0.0, -gamma * r],
+                         [r, h, 0.0, -gamma * r],
+                         [gamma * r, 0.0, -h, r]])
     c = _gamma_block(1, gamma)
     _, _, Vh = np.linalg.svd(np.kron(np.eye(2), c) + np.kron(c, np.eye(2)))
     V = Vh.conj().T
@@ -563,6 +621,135 @@ def _rotate_columns(M, V, n, inverse=False):
         return Mr.reshape(m, 2, 2, n, n).transpose(0, 1, 3, 2, 4).reshape(m, 4 * n * n)
     Mr = M.reshape(m, 2, n, 2, n).transpose(0, 1, 3, 2, 4).reshape(m, 4, n * n)
     return np.einsum("mpk,pc->mck", Mr, V).reshape(m, 4 * n * n)
+
+
+@dataclass(frozen=True)
+class TransposeHalves:
+    """The basis in which a pencil that commutes with vec(W) -> vec(W^T) is
+    block diagonal: its symmetric and its skew-symmetric half.
+
+    For a real T, S2 = S1^T, so m1 = I (x) S1 + S1 (x) I commutes with
+    the transpose P of vec(W), and so do m2 = I (x) C + C (x) I and the
+    vertical pencils' eta parts -i eta I (``variable-v``) and i eta I
+    (``fixed-v``).  ``rows`` and ``cols`` each hold (index, partner, sign):
+    basis vector t is e_index + sign e_partner, partner = P(index) (sign 0
+    where P fixes index).  The columns are those vectors of the space the
+    pencil acts on: e_kl + e_lk, and e_kk, for the symmetric half, and
+    e_kl - e_lk for the skew half.  The fixed pencil's rotated columns
+    (c, j, i) map under P to (c, i, j) times the parity of column c of the
+    swap-adapted ``_null_rotation``, and its columns follow that signed map.  The rows are rows k of the pencil with
+    k <= P(k) (symmetric half) or k < P(k) (skew half): the pencil maps
+    each half of the columns to W of the same symmetry, which those entries
+    determine.  Each half is sorted by the pair of blocks of T
+    (``_kron_parts``) its index lies in, and ``parts`` holds the (rows,
+    cols) of each (half, pair), symmetric half first.  Nothing is inverted:
+    ``apply`` adds two columns and picks rows, ``undo`` adds and halves.
+    """
+
+    rows: tuple
+    cols: tuple
+    parts: tuple
+
+    def apply(self, X):
+        """The diagonal blocks of the plain pencil matrix X in this basis;
+        the rest, zero in exact arithmetic, is set to zero."""
+        index, _, _ = self.rows
+        cols, partner, sign = self.cols
+        H = np.zeros(X.shape, dtype=X.dtype)
+        for r, c in self.parts:
+            Xr = X[index[r]]
+            H[np.ix_(r, c)] = Xr[:, cols[c]] + sign[c] * Xr[:, partner[c]]
+        return H
+
+    def undo(self, H):
+        """The plain matrix X whose ``apply`` is the block-diagonal H.
+
+        With B_rows and B_cols the matrices whose columns are the basis
+        vectors, X = B_rows H D^-1 B_cols^T, where D = B_cols^T B_cols is
+        diagonal (2, or 1 where P fixes the index); a row t of the symmetric
+        half holds an entry (k, l) of a symmetric W, whose (l, k) is the
+        same, and one of the skew half the entry whose (l, k) is its
+        negative.
+        """
+        B_cols = _basis_matrix(*self.cols)
+        D_inv = 1.0 / (1.0 + self.cols[2] ** 2)
+        return _basis_matrix(*self.rows) @ (B_cols @ (D_inv[:, None] * H.T)).T
+
+
+def _basis_matrix(index, partner, sign):
+    """The sparse matrix whose column t is e_index[t] + sign[t] e_partner[t]."""
+    t = np.arange(len(index))
+    return scipy.sparse.csr_matrix((np.r_[np.ones(len(t)), sign],
+                                    (np.r_[index, partner], np.r_[t, t])), shape=(len(t), len(t)))
+
+
+def _signed_halves(sigma, parity, pair):
+    """(index, partner, sign) of the basis of the signed involution
+    e_k -> parity[k] e_sigma(k), and each vector's (half, pair) key.
+
+    The symmetric half has e_k + parity[k] e_sigma(k) for k < sigma(k) and
+    e_k where sigma fixes k with parity +1; the skew half has
+    e_k - parity[k] e_sigma(k) and the fixed e_k with parity -1.  Each half
+    is sorted by ``pair``, stably, and the symmetric half comes first.
+    """
+    k = np.arange(len(sigma))
+    below, fixed = k < sigma, k == sigma
+    halves = []
+    for h, s in enumerate((1.0, -1.0)):
+        index = k[below | (fixed & (parity == s))]
+        index = index[np.argsort(pair[index], kind="stable")]
+        sign = np.where(fixed[index], 0.0, s * parity[index])
+        halves.append((index, sign, h * (pair.max() + 1) + pair[index]))
+    index, sign, key = (np.concatenate(x) for x in zip(*halves))
+    return (index, sigma[index], sign), key
+
+
+def _transpose_halves(sizes, rotated=False):
+    """The ``TransposeHalves`` of a pencil on vec(W), W of order 2n, built
+    from a T with diagonal blocks of orders ``sizes``; ``rotated`` for the
+    fixed pencil's columns (``_rotate_columns``, swap-adapted V)."""
+    n = sum(sizes)
+    m = 4 * n * n
+    block = np.repeat(np.arange(len(sizes)), sizes)
+
+    def pair(u, v):
+        lo, hi = np.minimum(block[u], block[v]), np.maximum(block[u], block[v])
+        return lo * len(sizes) + hi
+
+    k = np.arange(m)
+    # row k = r + 2n s is entry (r, s) of W, r = a n + i; P(k) is entry (s, r)
+    r, s = k % (2 * n), k // (2 * n)
+    rows, row_key = _signed_halves(s + 2 * n * r, np.ones(m), pair(r % n, s % n))
+    if rotated:
+        c, j, i = k // (n * n), (k // n) % n, k % n
+        parity = np.array([1.0, -1.0, 1.0, 1.0])  # of the swap-adapted V's columns
+        cols, col_key = _signed_halves(c * n * n + i * n + j, parity[c], pair(i, j))
+    else:
+        cols, col_key = rows, row_key
+    parts = tuple((np.flatnonzero(row_key == q), np.flatnonzero(col_key == q))
+                  for q in np.unique(row_key))
+    return TransposeHalves(rows, cols, parts)
+
+
+def _qz_work(parts):
+    """The sum of the cubed orders of the QZ calls ``linalg`` makes on ``parts``."""
+    return sum(len(rows) ** 3 for rows, _ in linalg._groups(parts))
+
+
+def _halves_for(split, rotated=False):
+    """The ``TransposeHalves`` of the vertical pencils of ``split``, or None.
+
+    None when T is complex (its pencils do not commute with the transpose)
+    or when the halves would not cut QZ's work (``_qz_work``) below the
+    plain parts': at n <= 3 the two halves regroup into one QZ call under
+    ``linalg.MIN_GROUP_ORDER``, which then runs on the untransformed pencil.
+    """
+    if split.T.imag.any():
+        return None
+    halves = _transpose_halves(split.sizes, rotated)
+    if _qz_work(halves.parts) >= _qz_work(_kron_parts(split.sizes)):
+        return None
+    return halves
 
 
 # --------------------------------------------------------------------------

@@ -13,12 +13,14 @@ call without scipy's validation and workspace query, which at that order
 cost about as much as the factorization itself.
 
 A pencil known to be block diagonal up to row and column permutations (a
-certificate pencil of a matrix that ``MatrixProblem.split`` splits) is
-passed with its ``parts``, the row and column indices of each diagonal
-block.  ``eig_pencil_deflated`` and ``eig_quadratic`` then factor it one
-group of parts at a time and return the union as one ``Spectrum`` whose
-``orders`` lists the orders QZ factored, so QZ work falls from (sum k)^3
-to sum k^3.  Parts smaller than ``MIN_GROUP_ORDER`` are grouped with their
+certificate pencil of a matrix that ``MatrixProblem.split`` splits, or the
+symmetric and skew-symmetric halves of a real matrix's vertical
+continuous-time pencil, ``cert_ct.TransposeHalves``) is passed with its
+``parts``, the row and column indices of each diagonal block.
+``eig_pencil_deflated`` and ``eig_quadratic`` then factor it one group of
+parts at a time and return the union as one ``Spectrum`` whose ``orders``
+lists the orders QZ factored, so QZ work falls from (sum k)^3 to
+sum k^3.  Parts smaller than ``MIN_GROUP_ORDER`` are grouped with their
 neighbours first.  The shift-and-invert path works with implicit operators
 so the divide-and-conquer layer can avoid forming them; it never splits.
 """
@@ -256,7 +258,9 @@ def eig_pencil_deflated(M, N, parts=None) -> Spectrum:
     ``parts``, the (rows, cols) index arrays of the diagonal blocks of a
     pencil that is block diagonal up to permutations, makes each group of
     them (``MIN_GROUP_ORDER``) deflated and factored on its own: the split
-    comes first, since the QR would mix the blocks.
+    comes first, since the QR would mix the blocks.  Each of the two halves
+    of ``cert_ct.TransposeHalves`` keeps half of the zero columns, so the
+    fixed pencil's halves deflate to orders n^2 + n and n^2 - n.
     """
     _check_pencil(M, N)
     if parts is not None:

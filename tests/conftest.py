@@ -36,6 +36,14 @@ def random_stable(n, seed, time_domain):
     return gen_test_matrix("random-stable-shifted", n, seed=seed, time_domain=time_domain)
 
 
+def real_random_stable(n, seed):
+    """Real Gaussian matrix shifted into continuous-time stability."""
+    rng = np.random.default_rng([seed, 0, 1, n])
+    B = rng.standard_normal((n, n))
+    alpha = np.max(np.linalg.eigvals(B).real)
+    return MatrixProblem(B - (alpha + 0.05 * max(1.0, abs(alpha))) * np.eye(n), "continuous")
+
+
 def random_normal_stable(n, seed, time_domain):
     """Normal stable matrix: unitary conjugation of a stable diagonal."""
     rng = np.random.default_rng(seed)

@@ -391,24 +391,44 @@ def test_irreducible_pencils_are_built_from_a_itself():
     # an unsplit level is built from the blocks of A itself: the variable
     # pencils are bitwise the direct Kronecker build of A's blocks, and the
     # fixed one, whose level keeps its eta part apart and its columns
-    # rotated, agrees with it to rounding (a Schur form would differ by O(1))
+    # rotated, agrees with it to rounding (a Schur form would differ by O(1));
+    # so do a real A's vertical pencils at n >= 4, which QZ gets in the
+    # basis of symmetric and skew-symmetric W, one call per half
     eps = np.finfo(float).eps
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 8 * eps * np.max(np.abs(want))
+
     for prob in (random_stable(3, 4, "continuous"),
-                 gen_test_matrix("jordan-shifted", 3, time_domain="continuous")):
+                 gen_test_matrix("jordan-shifted", 3, time_domain="continuous"),
+                 gen_test_matrix("jordan-shifted", 4, time_domain="continuous")):
         assert prob.split.T is prob.A
+        n = prob.n
         for build, args in ((build_fixed_pencil, ("fixed", 0.3)),
+                            (build_fixed_pencil, ("fixed", np.pi / 2)),
                             (build_variable_pencil, ("variable-vertical",)),
                             (build_horizontal_pencil, ("variable-horizontal",))):
             pen = build(prob, 0.6, 0.05, *args[1:])
             m1, m2 = _kron_pencil(*_pencil_blocks(prob.A, 0.6, 0.05, *args))
-            assert pen.sizes == (prob.n,) and len(pen.parts) == 1
-            if pen.rotation is None:
+            halved = n >= 4 and args[-1] in (np.pi / 2, "variable-vertical")
+            assert pen.sizes == (n,) and len(pen.parts) == (2 if halved else 1)
+            assert (pen.halves is not None) == halved
+            if pen.rotation is None and not halved:
                 assert np.array_equal(pen.m1, m1) and np.array_equal(pen.m2, m2)
             else:
-                for got, want in ((pen.m1, m1), (pen.m2, m2)):
-                    assert np.max(np.abs(got - want)) <= 8 * eps * np.max(np.abs(want))
+                assert close(pen.m1, m1) and close(pen.m2, m2)
+            if halved:
+                M, N = m1, m2
+                if pen.rotation is not None:
+                    M, N = (_rotate_columns(X, pen.rotation, n) for X in (m1, m2))
+                assert close(pen.M, pen.halves.apply(M)) and close(pen.N, pen.halves.apply(N))
             spec = pen.spectrum()
-            assert spec.orders == (spec.order,)
+            if halved:
+                deflated = pen.rotation is not None
+                assert spec.orders == ((n * n + n, n * n - n) if deflated
+                                       else (n * (2 * n + 1), n * (2 * n - 1)))
+            else:
+                assert spec.orders == (spec.order,)
 
 
 def test_split_pencil_parts_cover_its_nonzeros():

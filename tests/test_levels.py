@@ -22,16 +22,22 @@ EPS = np.finfo(float).eps
 
 
 def _problems(td):
-    """Unsplit and split problems, complex and real."""
+    """Unsplit and split problems, complex and real; in continuous time, the
+    vertical pencils of the last two are halved (``cert_ct.TransposeHalves``)."""
     if td == "continuous":
         real_blocks = (jordan_block(2, -0.4, 0.5), [[-0.3, 0.6], [-0.6, -0.3]])
+        large = jordan_block(4, -0.4, 0.5)
     else:
         real_blocks = (jordan_block(2, 0.8, 0.5), [[0.3, 0.6], [-0.6, 0.3]])
+        large = jordan_block(4, 0.8, 0.5)
     real_split = MatrixProblem(scipy.linalg.block_diag(*real_blocks).astype(complex), td)
+    real_split_24 = MatrixProblem(scipy.linalg.block_diag(large, real_blocks[1]).astype(complex),
+                                  td)
     probs = [random_stable(3, 4, td), gen_test_matrix("jordan-shifted", 3, time_domain=td),
-             two_block(td), real_split]
-    assert [p.split.sizes for p in probs] == [(3,), (3,), (2, 2), (2, 2)]
-    assert [bool(p.A.imag.any()) for p in probs] == [True, False, True, False]
+             two_block(td), real_split, gen_test_matrix("jordan-shifted", 4, time_domain=td),
+             real_split_24]
+    assert [p.split.sizes for p in probs] == [(3,), (3,), (2, 2), (2, 2), (4,), (2, 4)]
+    assert [bool(p.A.imag.any()) for p in probs] == [True, False, True, False, False, False]
     return probs
 
 
@@ -70,6 +76,7 @@ def test_level_pencils_match_the_direct_build(variant):
     # gamma = 1 - 1e-9 is owr's plateau probe, where dt-n5-seed109-owr (the
     # last problem) passes only while q0 is the direct build bitwise
     seed109 = MatrixProblem(random_matrix(5, "discrete", 109), "discrete")
+    halved_problems = set()
     for td in ("continuous", "discrete"):
         for prob, gamma in itertools.product(_problems(td) + [seed109] * (td == "discrete"),
                                              (0.6, 1 - 1e-9)):
@@ -83,16 +90,28 @@ def test_level_pencils_match_the_direct_build(variant):
                     continue
                 pen, m1, m2 = _direct_ct(prob, variant, gamma, eta)
                 assert _close(pen.m1, m1) and _close(pen.m2, m2), (variant, eta)
+                n, halved = prob.n, pen.halves is not None
+                if halved:
+                    assert variant in ("fixed-v", "variable-v") and not prob.A.imag.any()
+                    halved_problems.add(prob.split.sizes)
+                M, N = m1, m2
                 if variant.startswith("fixed"):
                     # QZ's form: rotated columns, with N's 2n^2 zero columns exact
-                    n = prob.n
-                    V = _null_rotation(gamma)
-                    assert _close(pen.M, _rotate_columns(m1, V, n))
-                    assert _close(pen.N, _rotate_columns(m2, V, n))
-                    assert not pen.N[:, :2 * n * n].any()
+                    V = _null_rotation(gamma, swap_adapted=halved)
+                    assert np.array_equal(pen.rotation, V)
+                    M, N = _rotate_columns(m1, V, n), _rotate_columns(m2, V, n)
+                    assert np.count_nonzero(~pen.N.any(axis=0)) == 2 * n * n
+                    assert halved or not pen.N[:, :2 * n * n].any()
+                if halved:
+                    # a real A's vertical pencils: in the halves' basis, and
+                    # to 8 eps, as the fixed pencil
+                    M, N = pen.halves.apply(M), pen.halves.apply(N)
+                if halved or variant.startswith("fixed"):
+                    assert _close(pen.M, M) and _close(pen.N, N), (variant, eta)
                 else:
-                    # the variable pencils are the direct build bitwise
+                    # the other variable pencils are the direct build bitwise
                     assert np.array_equal(pen.M, m1) and np.array_equal(pen.N, m2)
+    assert halved_problems == ({(4,), (2, 4)} if variant in ("fixed-v", "variable-v") else set())
 
 
 def _same_report(a, b):
