@@ -15,13 +15,15 @@ tests of ``cert_dt`` included, is a thin entry into one pipeline,
 ``_level_set_test``, supplying a pencil builder, a divide-and-conquer
 operator, the pair's partner map and a 1D test:
 
-1. real eigenvalues come from dense QZ on the pencil (its ``spectrum()``,
-   then ``_near_real``'s capture band) or from the opt-in sweep of ``dnc``
-   over the domain's ``search_interval``, which never builds the pencil;
-   the one separate filter left is that sweep's ``dnc.REAL_BAND_RTOL``
-   (ROADMAP items 1 and 4);
+1. real eigenvalues come from dense QZ on the pencil (its ``spectrum()``)
+   or from the opt-in sweep of ``dnc`` over the domain's
+   ``search_interval``, which never builds the pencil; both keep the
+   eigenvalues inside one capture band around the real axis
+   (``_capture_band_rel``);
 2. ``_candidates`` is the single step from eigenvalues to candidate lines
-   (or circles);
+   (or circles), and the candidates below the lower end of
+   ``search_interval`` are dropped: by the problem's ``stability_gap``
+   they carry no point at level gamma;
 3. ``_collect_points`` runs the 1D test on each: ``_polish``
    Newton-polishes a level-set point along the line Re z = x or the circle
    |z| = r, and ``_verify_point`` confirms by a direct SVD that gamma is a
@@ -190,7 +192,8 @@ class CertificateReport:
     divide-and-conquer.
     ``gamma_nudged`` says whether the discrete-time tests moved gamma off a
     singular value of A (``cert_dt._nudge_gamma``); ``gamma`` is then the
-    level actually tested.
+    level actually tested.  ``search_lo`` is the lower end of the domain's
+    ``search_interval`` that the test used: no candidate lies below it.
     """
 
     gamma: float
@@ -203,6 +206,7 @@ class CertificateReport:
     rejected_points: int = 0
     qz_orders: list[int] = field(default_factory=list)
     gamma_nudged: bool = False
+    search_lo: Optional[float] = None
 
     @property
     def empty(self) -> bool:
@@ -789,23 +793,29 @@ def _level_set_test(prob, report, build, operator, partner, level_points, use_dn
 
     The real eigenvalues come from ``build()``'s dense pencil or, under
     ``use_dnc``, from the sweep at level gamma on ``operator()``, seeded by
-    ``seed``, with no dense pencil built; ``large_eig_count`` is the order
-    QZ factored or the operator's dimension.  A ``MaxShiftsError`` from the
-    sweep propagates to the caller.  ``qz_orders`` lists the orders QZ
-    factored (``Spectrum.orders``).
+    ``seed``, with no dense pencil built; both keep the eigenvalues inside
+    the capture band ``_capture_band_rel``.  The sweep runs on the domain's
+    ``search_interval`` [lo, hi], and every candidate below lo is dropped,
+    which only removes lines (or circles) that provably carry no point;
+    ``search_lo`` records lo.  ``large_eig_count`` is the order QZ factored
+    or the operator's dimension.  A ``MaxShiftsError`` from the sweep
+    propagates to the caller.  ``qz_orders`` lists the orders QZ factored
+    (``Spectrum.orders``).
     """
     dom = objective.domain(prob)
+    lo, hi = dom.search_interval(prob, report.gamma)
     if use_dnc:
         op = operator()
-        lo, hi = dom.search_interval(prob.norm2, report.gamma)
-        xs = dnc.real_eigs_in_interval(op, lo, hi, seed=seed)
+        xs = dnc.real_eigs_in_interval(op, lo, hi, seed=seed,
+                                       real_rtol=_capture_band_rel(REAL_AXIS_RTOL, report.eta))
         report.large_eig_count = op.dim
     else:
         spec = build().spectrum()
         xs = _near_real(spec, report.eta)
         report.large_eig_count = spec.order
         report.qz_orders = list(spec.orders)
-    report.candidate_lines = _candidates(xs, dom.barrier, partner)
+    report.search_lo = lo
+    report.candidate_lines = [c for c in _candidates(xs, dom.barrier, partner) if c >= lo]
     return _collect_points(prob, level_points, report)
 
 

@@ -16,8 +16,10 @@ Both radial tests are thin entries into the one pipeline of
 ``cert_ct._candidates`` (circles r > 1 and their partners beta*r + delta),
 then the 1D circular test, built on the symplectic pencil of the ray
 condition, with the polish, SVD verification and point collection of
-``cert_ct``.  The one separate filter left is the sweep's own
-``dnc.REAL_BAND_RTOL`` band (ROADMAP items 1 and 4).  This module keeps
+``cert_ct``.  Both eigensolvers keep the roots inside the one capture band
+of ``cert_ct``, and no circle below the lower end of the domain's
+``search_interval`` (1 plus the problem's ``stability_gap`` over
+1 + gamma) is probed: none carries a point.  This module keeps
 only the quadratic problem, the symplectic 1D eigenproblem and the
 clustering of its unimodular eigenvalues.  The empty outcome of the
 variable-distance test certifies 1/K > gamma - eta/2.

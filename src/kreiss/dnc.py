@@ -14,7 +14,10 @@ query sends at that shift costs only triangular solves.  A
 recursive interval sweep then finds all real eigenvalues in [lo, hi] with
 shift-and-invert queries: each shift clears a disk whose radius is a
 conservative fraction of the distance to the k-th converged Ritz value,
-and uncovered subintervals are recursed on.
+and uncovered subintervals are recursed on.  The certificates sweep the
+domain's ``search_interval``, whose lower end the problem's
+``stability_gap`` lifts off the barrier, and count as real the Ritz values
+inside dense QZ's capture band.
 
 Dense QZ remains the default certificate backend; this layer is opt-in
 because shift-and-invert solvers can miss nearby eigenvalues, a failure
@@ -48,7 +51,6 @@ __all__ = [
 # cleared-disk radius as a fraction of the distance to the k-th Ritz value;
 # hedges against shift-invert solvers missing one of the closest eigenvalues
 DISK_SAFETY = 0.95
-REAL_BAND_RTOL = 1e-8
 
 
 def _vec(W):
@@ -213,14 +215,20 @@ def op_quad_dt(prob: MatrixProblem, gamma: float, eta: float,
 
 def real_eigs_in_interval(op: LinearOperator, lo: float, hi: float,
                           k_per_shift: int = 6, seed: int = 0,
-                          max_shifts: int | None = None) -> list[float]:
+                          max_shifts: int | None = None,
+                          real_rtol: float = 1e-8) -> list[float]:
     """All real eigenvalues of the operator's pencil in [lo, hi].
 
     Recursive midpoint sweep: query the k nearest eigenvalues at the
     midpoint, clear a disk of DISK_SAFETY times the distance to the k-th
     converged Ritz value (non-converged Ritz values shrink the disk
     further), and recurse on what remains uncovered.  Every reported
-    eigenvalue passed its own residual test.
+    eigenvalue passed its own residual test.  A converged Ritz value counts
+    as real when |Im| <= real_rtol * max(1, |Re|), and its real part is
+    reported; the certificates pass the capture band of dense QZ
+    (``cert_ct._capture_band_rel``), so both backends forward the same
+    near-real roots.  The default is the strict band
+    ``cert_ct.REAL_AXIS_RTOL``.
 
     Raises MaxShiftsError when the budget (default 4 * dim) is exhausted.
     No caller catches it: it propagates out of the certificate test, and a
@@ -260,7 +268,7 @@ def real_eigs_in_interval(op: LinearOperator, lo: float, hi: float,
         conv_real = []
         for rv in conv:
             lam = rv.value
-            if abs(lam.imag) <= REAL_BAND_RTOL * max(1.0, abs(lam.real)):
+            if abs(lam.imag) <= real_rtol * max(1.0, abs(lam.real)):
                 conv_real.append(float(lam.real))
                 if lo <= lam.real <= hi:
                     found.append(float(lam.real))

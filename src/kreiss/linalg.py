@@ -8,9 +8,10 @@ problem), are still cheap at that scale.  One dtype rule holds for every
 eigensolver here: a pencil whose entries all have zero imaginary part runs
 in real LAPACK, any other in complex LAPACK.  The large pencils go through
 ``scipy.linalg.eigvals`` (``eig_pencil``); the small ones of the 1D
-level-set tests, of order 2n, through ``eig_small``, one direct LAPACK
-call without scipy's validation and workspace query, which at that order
-cost about as much as the factorization itself.
+level-set tests, of order 2n, and the large ones up to order
+DIRECT_EIG_MAX_ORDER through ``eig_small``, one direct LAPACK call without
+scipy's validation and workspace query, which at order 2n cost about as
+much as the factorization itself.
 
 A pencil known to be block diagonal up to row and column permutations (a
 certificate pencil of a matrix that ``MatrixProblem.split`` splits, or the
@@ -68,6 +69,10 @@ _BETA_ZERO_RTOL = 1e-14  # |beta| below this (relative) means an infinite eigenv
 # at 8 and at 24, 2.73 s unsplit; ct normal n = 4 takes 90 ms ungrouped,
 # 56 ms at 16 and 48 ms unsplit.
 MIN_GROUP_ORDER = 16
+# eig_pencil hands pencils up to this order to eig_small's direct LAPACK
+# call, whose values are bitwise scipy.linalg.eigvals' there in both dtypes
+# (real dggev with the default workspace differs from order 124 on)
+DIRECT_EIG_MAX_ORDER = 120
 
 
 @dataclass(frozen=True)
@@ -192,7 +197,9 @@ def eig_pencil(M, N) -> Spectrum:
     """Generalized eigenvalues of the pencil M - lambda*N, infinities included.
 
     Real LAPACK runs when M and N are real (see ``_lapack_dtype``), complex
-    LAPACK otherwise.  Regularity is not checked.  The certificate pencils
+    LAPACK otherwise.  Up to order DIRECT_EIG_MAX_ORDER the pencil goes to
+    ``eig_small``'s one direct call, which gives the same values.
+    Regularity is not checked.  The certificate pencils
     approach the singular boundary by design as eta -> 0, and every
     candidate they yield is verified by a direct SVD downstream.  A
     singular pencil shows up as pairs with alpha and beta both at rounding
@@ -200,6 +207,8 @@ def eig_pencil(M, N) -> Spectrum:
     """
     M, N = _lapack_dtype(M, N)
     _check_pencil(M, N)
+    if M.shape[0] <= DIRECT_EIG_MAX_ORDER:
+        return eig_small(M, N)
     try:
         alpha, beta = scipy.linalg.eigvals(M, N, homogeneous_eigvals=True)
     except np.linalg.LinAlgError as exc:
@@ -210,12 +219,14 @@ def eig_pencil(M, N) -> Spectrum:
 def eig_small(M, N=None) -> Spectrum:
     """Eigenvalues of M, or of the pencil M - lambda*N, by one direct LAPACK call.
 
-    For the order-2n pencils of the 1D level-set tests: ``geev`` (beta = 1)
+    For the order-2n pencils of the 1D level-set tests, and every pencil
+    of ``eig_pencil`` up to order DIRECT_EIG_MAX_ORDER: ``geev`` (beta = 1)
     or ``ggev``, real when the matrices are real under ``_lapack_dtype``'s
-    rule, with LAPACK's default workspace.  At those orders (below 128,
-    where LAPACK's blocked reductions start) the values are bitwise those
-    of ``scipy.linalg.eigvals``, whose checks and workspace query cost about
-    70 us at order 12, a third of the call.
+    rule, with LAPACK's default workspace.  Up to that order the values are
+    bitwise those of ``scipy.linalg.eigvals``, whose checks and workspace
+    query cost about 70 us at order 12, a third of the call; from order 124
+    on, real ``dggev`` with the default workspace takes another path and
+    its values differ in the last bits.
     """
     mats = _lapack_dtype(M) if N is None else _lapack_dtype(M, N)
     real = mats[0].dtype == float
@@ -399,7 +410,11 @@ def gen_sylvester_solver(M, Mt, N, Nt):
     The QZ decompositions of (M, N) and (Mt*, Nt*), the scale and every
     column's triangular coefficient, with its singularity check, are
     computed here, once; each ``solve(Y)`` is a column-by-column triangular
-    substitution, O(n^3).  Requires the pencils M - lambda*N and
+    substitution, O(n^3).  Each column is one direct LAPACK ``trtrs`` call,
+    the call ``scipy.linalg.solve_triangular`` makes for these upper
+    triangular coefficients, which are Fortran-ordered as QZ returns its
+    factors, without its validation, which costs more than the solve at
+    these orders.  Requires the pencils M - lambda*N and
     Nt* - lambda*Mt* to be regular with disjoint spectra.
     """
     M = np.asarray(M, dtype=complex)
@@ -427,6 +442,7 @@ def gen_sylvester_solver(M, Mt, N, Nt):
                 "(pencil spectra too close)"
             )
         T.append(Tj)
+    trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (TM,))
 
     def solve(Y):
         Y = np.asarray(Y, dtype=complex)
@@ -441,7 +457,11 @@ def gen_sylvester_solver(M, Mt, N, Nt):
             else:
                 rm = rn = np.zeros(p, dtype=complex)
             rhs = C[:, j] - TM @ rm + TN @ rn
-            X[:, j] = scipy.linalg.solve_triangular(T[j], rhs, lower=False)
+            x, info = trtrs(T[j], rhs)
+            if info != 0:
+                raise NearSingularOperatorError(
+                    f"triangular solve of column {j} failed (info={info})")
+            X[:, j] = x
         W = ZL @ X @ QRH
         resid = np.linalg.norm(M @ W @ MtH - N @ W @ NtH - Y)
         if not np.all(np.isfinite(W)) or resid > 1e-10 * max(scale * np.linalg.norm(W), np.linalg.norm(Y)):

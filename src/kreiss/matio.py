@@ -50,6 +50,8 @@ _ZERO_EIG_RTOL = 1e-14
 # error the Schur decomposition itself commits, so the split A differs
 # from A by no more than the decomposition already did.
 SPLIT_COUPLING_FACTOR = 10.0
+# MatrixProblem.stability_gap takes this share of its Lyapunov bound
+GAP_SAFETY = 0.5
 
 
 class TimeDomain(str, enum.Enum):
@@ -153,6 +155,49 @@ class MatrixProblem:
     def norm2(self) -> float:
         """Spectral norm of A: its largest singular value (``svals``)."""
         return float(self.svals[0])
+
+    @property
+    def stability_gap(self) -> float:
+        """A proven lower bound on sigma_min(z I - A) over the barrier curve
+        (the imaginary axis, or the unit circle), computed on first use.
+
+        The minimum is the complex stability radius of A (Hinrichsen &
+        Pritchard, Systems & Control Letters 1986), and one Lyapunov (Stein)
+        solve bounds it from below.  In continuous time the Hermitian P
+        solves A*P + PA = -I up to the residual R, ||R|| = r < 1.  Let
+        sigma_min(iyI - A) = s: some Delta with ||Delta|| = s has
+        (A + Delta) v = iy v, and then v*((A + Delta)*P + P(A + Delta))v = 0,
+        while that form is -I + R + Delta*P + P Delta, negative definite
+        when r + 2 s ||P|| < 1.  So s >= (1 - r)/(2||P||).  In discrete time
+        A*PA - P = -I + R, and (A + Delta) v = e^{it} v gives
+        v*((A + Delta)*P(A + Delta) - P)v = 0, while the form is
+        -I + R + Delta*PA + A*P Delta + Delta*P Delta, negative definite when
+        ||P|| (s^2 + 2 s ||A||) < 1 - r; so s >= q/(sqrt(||A||^2 + q) + ||A||)
+        with q = (1 - r)/||P||.  The bound returned is GAP_SAFETY times that,
+        which covers the rounding in R and in the norms; a result that is not
+        finite and positive gives 0.
+
+        Since sigma_min((x + iy)I - A) >= sigma_min(iyI - A) - x (Weyl),
+        g(x, y) > gamma on every line x < gap/(1 + gamma), and likewise
+        h(r, theta) > gamma on every circle with r - 1 < gap/(1 + gamma)
+        (``objective.Domain.search_interval``).
+        """
+
+        def build():
+            A, eye = self.A, np.eye(self.n)
+            Ah = A.conj().T
+            if self.is_continuous:
+                P = scipy.linalg.solve_continuous_lyapunov(Ah, -eye)
+            else:
+                P = scipy.linalg.solve_discrete_lyapunov(Ah, eye)
+            P = 0.5 * (P + P.conj().T)
+            R = (Ah @ P + P @ A if self.is_continuous else Ah @ P @ A - P) + eye
+            q = (1.0 - np.linalg.norm(R, 2)) / np.linalg.norm(P, 2)
+            a = self.norm2
+            gap = GAP_SAFETY * (0.5 * q if self.is_continuous else q / (np.sqrt(a * a + q) + a))
+            return float(gap) if np.isfinite(gap) and gap > 0.0 else 0.0
+
+        return self._memo("_stability_gap", build)
 
     def level(self, key, build):
         """The certificate level cached under ``key``, or ``build()`` cached in its place.

@@ -90,10 +90,13 @@ class Domain:
     c1 <= barrier.  ``wrap`` normalizes c2 (theta into [0, 2*pi)).  The 1D
     level-set tests run along the curve c2 -> point(c1, c2), with tangent
     ``dpoint`` and Newton steps at most ``polish_cap(c2)`` long.
-    ``search_interval(||A||, gamma)`` = [barrier, hi] is a proven enclosure
-    of every c1 with a point at level gamma or below, and ``start(prob)`` a
-    heuristic starting point.  The two instances are immutable and reached
-    through ``domain(prob)``.
+    ``search_interval(prob, gamma)`` = [lo, hi] is a proven enclosure of
+    every c1 with a point at level gamma or below: by Weyl,
+    sigma_min(z I - A) >= d - scale(c1) when d bounds sigma_min on the
+    barrier curve from below, so lo = barrier + d/(1 + gamma) with d the
+    problem's ``stability_gap``; and sigma_min(z I - A) >= |z| - ||A||
+    gives hi.  ``start(prob)`` is a heuristic starting point.  The two
+    instances are immutable and reached through ``domain(prob)``.
     """
 
     __slots__ = ()
@@ -101,6 +104,11 @@ class Domain:
 
     def scale(self, c1):
         return c1 - self.barrier
+
+    def search_interval(self, prob, gamma):
+        """[lo, hi]: every c1 whose line or circle has a point at level gamma
+        or below lies inside (class docstring)."""
+        return self.barrier + prob.stability_gap / (1.0 + gamma), self._upper(prob.norm2, gamma)
 
     def matrix(self, A, c1, c2):
         """G(x, y) or H(r, theta): (z I - A)/scale(c1) at z = point(c1, c2)."""
@@ -140,10 +148,10 @@ class _Continuous(Domain):
         lead = eigs[int(np.argmax(eigs.real))]
         return max(1.0, -2.0 * prob.spectral_abscissa), float(lead.imag)
 
-    def search_interval(self, norm, gamma):
+    def _upper(self, norm, gamma):
         # sigma_min((x+iy)I - A) >= x - ||A||, so gamma-level points need
         # x <= ||A||/(1 - gamma): a proven enclosure, no doubling ever needed
-        return self.barrier, 1.1 * max(norm / (1.0 - gamma), 4.0 * max(norm, 1.0))
+        return 1.1 * max(norm / (1.0 - gamma), 4.0 * max(norm, 1.0))
 
     def polish_cap(self, y):
         return 0.5 * max(1.0, abs(y))
@@ -184,10 +192,10 @@ class _Discrete(Domain):
         lead = eigs[int(np.argmax(np.abs(eigs)))]
         return 1.0 + 0.5 * (1.0 / prob.spectral_radius - 1.0), float(np.angle(lead))
 
-    def search_interval(self, norm, gamma):
+    def _upper(self, norm, gamma):
         # sigma_min(r e^{i t} I - A) >= r - ||A||, so gamma-level points need
         # gamma (r - 1) >= r - ||A||, i.e. r <= (||A|| - gamma)/(1 - gamma)
-        return self.barrier, 1.0 + 1.1 * max((norm - gamma) / (1.0 - gamma), 4.0 * (norm + 1.0))
+        return 1.0 + 1.1 * max((norm - gamma) / (1.0 - gamma), 4.0 * (norm + 1.0))
 
     def polish_cap(self, theta):
         return 0.5

@@ -75,6 +75,7 @@ class TraceEntry:
     eta: float
     verdict: str
     points: int = 0
+    search_lo: Optional[float] = None
 
 
 @dataclass
@@ -174,7 +175,7 @@ class _Run:
             return None
         self.reports.append(report)
         self.trace.append(TraceEntry(phase, gamma, eta, "empty" if report.empty else "points",
-                                     len(report.points)))
+                                     len(report.points), report.search_lo))
         if report.empty and self.certificate.startswith("variable"):
             # report.gamma, not gamma: the discrete-time tests may nudge it
             self.message = f"certified 1/K > {report.gamma - 0.5 * eta:.17g}"

@@ -127,6 +127,26 @@ def assert_split_reports_agree(prob, variant, levels, monkeypatch):
                 assert np.min(np.abs(other - x)) <= 1e-8 * max(1.0, abs(x)), (a.gamma, x)
 
 
+def record_qz(monkeypatch):
+    """(dtype, order) of every pencil handed to QZ from here on: through
+    ``scipy.linalg.eigvals``, or through the direct LAPACK call that
+    ``linalg.eig_small`` makes (pencils up to ``linalg.DIRECT_EIG_MAX_ORDER``
+    and the 1D tests' pencils)."""
+    calls = []
+
+    def recording(fn):
+        def record(M, N, *args, **kwargs):
+            calls.append((M.dtype, M.shape[0]))
+            return fn(M, N, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", recording(scipy.linalg.eigvals))
+    for name in ("dggev", "zggev"):
+        monkeypatch.setattr(scipy.linalg.lapack, name,
+                            recording(getattr(scipy.linalg.lapack, name)))
+    return calls
+
+
 class MatrixOperator(LinearOperator):
     """Dense standard eigenproblem A1 x = lambda x behind the implicit-operator
     interface, for testing the shift-and-invert sweep on known spectra."""

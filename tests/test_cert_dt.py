@@ -19,7 +19,7 @@ from kreiss.oracle import grid_min
 from kreiss.solver import CERTIFICATE_CHOICES
 
 from conftest import (assert_split_reports_agree, jordan_block, random_normal_stable,
-                      random_stable, three_levels, two_block)
+                      random_stable, record_qz, three_levels, two_block)
 
 JORDAN_DT_MIN = 5.0 / 13.0  # global min of h for the discrete Jordan at 0.9
 
@@ -219,22 +219,15 @@ def test_the_threshold_decides_the_split(monkeypatch):
 
 
 def test_real_block_diagonal_matrix_reaches_qz_in_real_arithmetic(monkeypatch):
-    orders = []
-    eigvals = scipy.linalg.eigvals
-
-    def record(M, N, **kwargs):
-        if M.shape[0] > 2 * prob.n:  # not the 1D circular test
-            assert M.dtype == N.dtype == np.float64
-            orders.append(M.shape[0])
-        return eigvals(M, N, **kwargs)
-
     # a real Jordan block beside a real 2 x 2 block with a complex pair
     A = scipy.linalg.block_diag(jordan_block(2, 0.8, 0.5), [[0.3, 0.6], [-0.6, 0.3]])
     prob = MatrixProblem(A.astype(complex), "discrete")
     assert prob.split.sizes == (2, 2) and not prob.split.T.imag.any()
-    monkeypatch.setattr(scipy.linalg, "eigvals", record)
+    calls = record_qz(monkeypatch)
     report = variable_distance_test_dt(prob, 0.9, 0.01)
-    assert orders == report.qz_orders == [24, 24, 24, 24]
+    qz = [(dtype, k) for dtype, k in calls if k > 2 * prob.n]  # not the 1D circular test
+    assert all(dtype == np.float64 for dtype, _ in qz)
+    assert [k for _, k in qz] == report.qz_orders == [24, 24, 24, 24]
     assert report.large_eig_count == 6 * prob.n ** 2
 
 

@@ -1,7 +1,8 @@
 """The level-set pipeline shared by every 2D certificate.
 
-Two properties: the candidate map gives the same guarantees for every
-variant, time domain and eigensolver, and the benchmark's tracer
+Three properties: the candidate map gives the same guarantees for every
+variant, time domain and eigensolver, the candidates it drops below the
+problem's stability gap carry no point, and the benchmark's tracer
 (``bench/tracing.py``, loaded read-only) still reaches every layer of it.
 """
 
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 
 import kreiss
-from kreiss import cert_ct, cert_dt, certify
+from kreiss import MatrixProblem, cert_ct, cert_dt, certify, gen_test_matrix
 from kreiss.cert_ct import LINE_DEDUP_ATOL
 from kreiss.solver import CERTIFICATE_CHOICES
 
-from conftest import random_normal_stable
+from conftest import random_normal_stable, random_stable, three_levels, two_block
 
 JORDAN_MIN = 1.0 / 1.1333333333333333  # global min of g for the ct Jordan fixture
 
@@ -91,6 +92,54 @@ def test_candidate_map_invariants(variant, use_dnc, jordan_ct, jordan_dt):
                               _pair_maps(variant, discrete, report.gamma, eta))
 
 
+def _without_gap(monkeypatch):
+    monkeypatch.setattr(MatrixProblem, "stability_gap", property(lambda self: 0.0))
+
+
+def test_lines_below_the_stability_gap_are_dropped(monkeypatch):
+    # the ct Jordan block of order 3 at a level its owr-bt solve tests: the
+    # dense pencil's roots scattered near the barrier lie below the gap, the
+    # lines near 0.197 and 1.894 above it
+    A = np.diag(np.full(3, -0.3, dtype=complex)) + np.diag(np.ones(2), 1)
+    prob = MatrixProblem(A, "continuous")
+    report = certify(prob, "fixed-v", 0.484819, 7.5e-8)
+    lines = np.asarray(report.candidate_lines)
+    assert report.search_lo == prob.stability_gap / (1.0 + 0.484819) > 3e-5
+    assert np.all(lines >= report.search_lo)
+    for x in (0.19724, 1.89464):
+        assert np.min(np.abs(lines - x)) <= 1e-4
+    _without_gap(monkeypatch)
+    plain = certify(prob, "fixed-v", 0.484819, 7.5e-8)
+    assert plain.search_lo == 0.0 and min(plain.candidate_lines) < 3e-5
+    assert report.candidate_lines == [x for x in plain.candidate_lines if x >= report.search_lo]
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+def test_the_stability_gap_drops_no_point(time_domain, monkeypatch):
+    # the benchmark's kinds (seeded random, Jordan block, normal, two
+    # clusters) at three levels: the dense reports with the gap and without
+    # it have the same points, verdict and rejected points
+    barrier = 0.0 if time_domain == "continuous" else 1.0
+    probs = [random_stable(4, 3, time_domain),
+             gen_test_matrix("jordan-shifted", 4, time_domain=time_domain),
+             random_normal_stable(3, 4, time_domain), two_block(time_domain)]
+    variants = CERTIFICATE_CHOICES if time_domain == "continuous" else ("fixed-v", "variable-v")
+    runs = [(prob, variant, gamma, eta) for prob in probs for gamma, eta in three_levels(prob)
+            for variant in variants]
+    reports = [certify(*run) for run in runs]
+    with monkeypatch.context() as m:
+        _without_gap(m)
+        plain = [certify(*run) for run in runs]
+    dropped = 0
+    for run, a, b in zip(runs, reports, plain):
+        assert a.search_lo > barrier and b.search_lo == barrier
+        assert (a.empty, a.rejected_points) == (b.empty, b.rejected_points), run
+        assert [p.coords for p in a.points] == [p.coords for p in b.points], run
+        assert a.candidate_lines == [x for x in b.candidate_lines if x >= a.search_lo]
+        dropped += len(b.candidate_lines) - len(a.candidate_lines)
+    assert dropped > 0
+
+
 # --------------------------------------------------------------------------
 # the benchmark's tracer
 # --------------------------------------------------------------------------
@@ -115,7 +164,7 @@ def test_tracer_sees_every_certificate_layer(variant, jordan_ct, jordan_dt):
         quadratic_solves = 1 if layer == "cert_dt" else 0
         assert names.count("linalg.eig_quadratic") == names.count("cert_dt.test") == quadratic_solves
         names, _ = _span_names(prob, variant, gamma, use_dnc=True)
-        assert {f"{layer}.test", "dnc.real_eigs"} <= set(names)
+        assert {f"{layer}.test", "dnc.real_eigs", "linalg.eigs_shift_invert"} <= set(names)
         assert f"{layer}.pencil_build" not in names
         assert "linalg.eig_quadratic" not in names
     # a reducible matrix: its pencil is factored part by part, still within

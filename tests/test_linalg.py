@@ -12,16 +12,18 @@ from kreiss import (
     eig_quadratic,
     eigs_shift_invert,
     gen_test_matrix,
+    op_quad_dt,
     solve_gen_sylvester,
     solve_sylvester,
     sylvester_solver,
     vertical_level_points,
 )
 from kreiss.cert_dt import _symplectic_pencil
-from kreiss.linalg import eig_pencil_deflated, eig_small
+from kreiss.linalg import (DIRECT_EIG_MAX_ORDER, eig_pencil_deflated, eig_small,
+                           gen_sylvester_solver)
 from kreiss.errors import NearSingularOperatorError
 
-from conftest import MatrixOperator
+from conftest import MatrixOperator, record_qz
 
 
 def test_eig_pencil_double_root():
@@ -98,7 +100,7 @@ def _scrambled(mats, sizes, rng):
 
 @pytest.mark.parametrize("imag", [1.0, 0.0])
 def test_split_pencils_give_the_unsplit_eigenvalues(imag, monkeypatch):
-    calls = _record_qz(monkeypatch)
+    calls = record_qz(monkeypatch)
     rng = np.random.default_rng(31)
     sizes = (3, 16, 5, 18)  # 3 and 5 rows are grouped with the next part
     dtype = np.complex128 if imag else np.float64
@@ -141,19 +143,6 @@ def test_split_pencils_give_the_unsplit_eigenvalues(imag, monkeypatch):
     assert spec.order == eig_quadratic(Q0, Q1, Q2).order
 
 
-def _record_qz(monkeypatch):
-    """(dtype, order) of every pencil handed to QZ from here on."""
-    calls = []
-    eigvals = scipy.linalg.eigvals
-
-    def record(M, N, **kwargs):
-        calls.append((M.dtype, M.shape[0]))
-        return eigvals(M, N, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigvals", record)
-    return calls
-
-
 def _conjugation_closed(vals):
     # real QZ returns each pair's alpha exactly conjugate; the two betas
     # differ by rounding
@@ -162,7 +151,7 @@ def _conjugation_closed(vals):
 
 
 def test_real_valued_complex_pencils_run_real_qz(monkeypatch):
-    calls = _record_qz(monkeypatch)
+    calls = record_qz(monkeypatch)
     rng = np.random.default_rng(8)
     X = rng.standard_normal((5, 5))
     T = np.zeros((5, 5))
@@ -268,6 +257,49 @@ def test_gen_sylvester_residual_random():
     assert resid <= 1e-10 * max(np.linalg.norm(Y), np.linalg.norm(W))
 
 
+def _gen_sylvester_reference(M, Mt, N, Nt, Y):
+    """M W Mt* - N W Nt* = Y by the column loop of scipy.linalg.solve_triangular."""
+    M, N = np.asarray(M, dtype=complex), np.asarray(N, dtype=complex)
+    MtH = np.asarray(Mt, dtype=complex).conj().T
+    NtH = np.asarray(Nt, dtype=complex).conj().T
+    TM, TN, QL, ZL = scipy.linalg.qz(M, N, output="complex")
+    SM, SN, QR, ZR = scipy.linalg.qz(MtH, NtH, output="complex")
+    C = QL.conj().T @ np.asarray(Y, dtype=complex) @ ZR
+    p, q = C.shape
+    X = np.zeros((p, q), dtype=complex)
+    for j in range(q):
+        if j > 0:
+            rm, rn = X[:, :j] @ SM[:j, j], X[:, :j] @ SN[:j, j]
+        else:
+            rm = rn = np.zeros(p, dtype=complex)
+        X[:, j] = scipy.linalg.solve_triangular(SM[j, j] * TM - SN[j, j] * TN,
+                                                C[:, j] - TM @ rm + TN @ rn, lower=False)
+    return ZL @ X @ QR.conj().T
+
+
+def test_gen_sylvester_solver_is_the_solve_triangular_loop():
+    # one direct trtrs call per column gives the values of solve_triangular
+    rng = np.random.default_rng(17)
+    for m in (1, 4, 8):
+        M, Mt, N, Nt = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                        for _ in range(4))
+        M += 6 * np.eye(m)
+        solve = gen_sylvester_solver(M, Mt, N, Nt)
+        for _ in range(2):
+            Y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            assert np.array_equal(solve(Y), _gen_sylvester_reference(M, Mt, N, Nt, Y))
+    # the shifted solve of the discrete-time operator, at the real-valued
+    # coefficients of a real A
+    prob = gen_test_matrix("jordan-shifted", 3, time_domain="discrete")
+    op = op_quad_dt(prob, 0.45, 0.01, "variable")
+    s = 1.3 + 0.02j
+    M, N = op.C0 + s * op.C1, op.E0 + s * op.E1
+    MtH, NtH = op.D0 + op.beta * s * op.D1, op.F0 + op.beta * s * op.F1
+    Y = rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape)
+    assert np.array_equal(gen_sylvester_solver(M, MtH.conj().T, N, NtH.conj().T)(Y),
+                          _gen_sylvester_reference(M, MtH.conj().T, N, NtH.conj().T, Y))
+
+
 def test_shift_invert_diag_examples():
     op = MatrixOperator(np.diag([1.0, 2.0, 10.0]))
     ritz = eigs_shift_invert(op, 1.9, 1)
@@ -302,10 +334,11 @@ def test_symplectic_pencil_reciprocal_symmetry():
 
 
 def test_eig_small_is_scipy_eigvals_under_the_dtype_rule(monkeypatch):
-    # the 1D tests' direct LAPACK call gives scipy's values at their orders,
-    # in real arithmetic for a real-valued matrix or pencil
+    # the direct LAPACK call gives scipy's values at the 1D tests' orders and
+    # at every order eig_pencil hands it, in real arithmetic for a
+    # real-valued matrix or pencil
     rng = np.random.default_rng(11)
-    for order in (2, 12, 24):
+    for order in (2, 12, 24, 64, DIRECT_EIG_MAX_ORDER):
         X = rng.standard_normal((order, order))
         Y = rng.standard_normal((order, order))
         # scipy sees the arrays that the dtype rule hands to LAPACK
@@ -313,8 +346,8 @@ def test_eig_small_is_scipy_eigvals_under_the_dtype_rule(monkeypatch):
                                     ((X.astype(complex), Y.astype(complex)), (X, Y))):
             assert np.array_equal(eig_small(M).alpha, scipy.linalg.eigvals(lapack_args[0]))
             alpha, beta = scipy.linalg.eigvals(*lapack_args, homogeneous_eigvals=True)
-            spec = eig_small(M, N)
-            assert np.array_equal(spec.alpha, alpha) and np.array_equal(spec.beta, beta)
+            for spec in (eig_small(M, N), eig_pencil(M, N)):
+                assert np.array_equal(spec.alpha, alpha) and np.array_equal(spec.beta, beta)
     calls = []
     for name in ("dgeev", "zgeev", "dggev", "zggev"):
         fn = getattr(scipy.linalg.lapack, name)

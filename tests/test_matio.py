@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 from kreiss import MatrixProblem, TimeDomain, gen_test_matrix, load_matrix, save_matrix
 from kreiss.errors import (
@@ -192,3 +194,73 @@ def test_singular_values_are_computed_once():
     assert np.array_equal(svals, np.linalg.svd(prob.A, compute_uv=False))
     assert prob.svals is svals and not svals.flags.writeable
     assert prob.norm2 == np.linalg.norm(prob.A, 2) == svals[0]
+
+
+def _barrier_minimum(prob):
+    """An attained value of sigma_min(z I - A) on the barrier curve, near its
+    minimum: the best point of a grid in y (or theta), polished by a bounded
+    scalar search.  It bounds the stability radius from above."""
+    eye = np.eye(prob.n)
+    if prob.is_continuous:
+        reach = 2.0 * prob.norm2 + 1.0
+        grid = np.concatenate([np.linspace(-reach, reach, 801), prob.eigenvalues.imag])
+        point, step = (lambda t: 1j * t), 2.0 * reach / 800
+    else:
+        grid = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 800, endpoint=False),
+                               np.angle(prob.eigenvalues)])
+        point, step = (lambda t: np.exp(1j * t)), 2.0 * np.pi / 800
+
+    def sigma_min(t):
+        return np.linalg.svd(point(t) * eye - prob.A, compute_uv=False)[-1]
+
+    values = [sigma_min(t) for t in grid]
+    t0 = grid[int(np.argmin(values))]
+    polished = scipy.optimize.minimize_scalar(sigma_min, bounds=(t0 - step, t0 + step),
+                                              method="bounded", options={"xatol": 1e-12})
+    return min(min(values), float(polished.fun))
+
+
+def _gap_problems():
+    from conftest import (jordan_block, random_normal_stable, random_stable,
+                          real_random_stable, two_block)
+    from test_acceptance import CORPUS
+    from test_stress import random_matrix
+
+    probs = [MatrixProblem(random_matrix(n, td, seed), td)
+             for td, n, seed in (("continuous", 8, 2), ("discrete", 3, 321452671),
+                                 ("discrete", 5, 109), ("discrete", 4, 1025))]
+    probs += [random_stable(n, seed, td) for n, seed, td in CORPUS]
+    # the fixtures: scalar, 2 x 2 Jordan, and a 6 x 6 Jordan block whose
+    # Lyapunov solution has norm 2.5e13
+    for td, scalar, eps, lam in (("continuous", -1.0, 0.3, -0.05), ("discrete", 0.5, 0.1, 0.95)):
+        probs += [MatrixProblem(np.array([[scalar]]), td),
+                  gen_test_matrix("jordan-shifted", 2, time_domain=td, eps=eps),
+                  MatrixProblem(jordan_block(6, lam, 1.0), td),
+                  random_normal_stable(3, 4, td), two_block(td), two_block(td, 0.3)]
+    probs += [real_random_stable(4, seed) for seed in range(3)]
+    return probs
+
+
+def test_stability_gap_bounds_the_barrier_minimum():
+    # the gap is a lower bound on sigma_min(z I - A) over the barrier curve,
+    # so it stays below every value attained there
+    probs = _gap_problems()
+    assert {p.time_domain for p in probs} == set(TimeDomain)
+    for prob in probs:
+        gap = prob.stability_gap
+        assert 0.0 < gap <= _barrier_minimum(prob), (prob.time_domain, prob.A)
+
+
+def test_stability_gap_is_computed_on_first_use(monkeypatch):
+    calls = []
+    for name in ("solve_continuous_lyapunov", "solve_discrete_lyapunov"):
+        solve = getattr(scipy.linalg, name)
+        monkeypatch.setattr(scipy.linalg, name,
+                            lambda *a, _f=solve, _n=name: calls.append(_n) or _f(*a))
+    for td, name in (("continuous", "solve_continuous_lyapunov"),
+                     ("discrete", "solve_discrete_lyapunov")):
+        calls.clear()
+        prob = gen_test_matrix("jordan-shifted", 3, time_domain=td)
+        assert calls == []
+        gap = prob.stability_gap
+        assert prob.stability_gap == gap and calls == [name]

@@ -167,7 +167,8 @@ def test_zero_sigma_rejected(scalar_ct):
 @pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
 def test_search_interval_encloses_the_sublevel_set(time_domain):
     # the divide-and-conquer sweep finds only the candidates inside
-    # search_interval, so its soundness rests on g (or h) > gamma beyond hi
+    # search_interval, and both eigensolvers drop the candidates below lo, so
+    # soundness rests on g (or h) > gamma beyond hi and below lo
     probs = [gen_test_matrix("jordan-shifted", n, time_domain=time_domain, eps=eps)
              for n in (2, 4) for eps in (0.1, 0.3)]
     probs += [random_stable(n, seed, time_domain) for n, seed in ((2, 1), (3, 2), (5, 3))]
@@ -181,8 +182,8 @@ def test_search_interval_encloses_the_sublevel_set(time_domain):
             c2s = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False),
                                   np.angle(eigs)])
         for gamma in (0.1, 0.5, 0.9, 0.999):
-            lo, hi = dom.search_interval(prob.norm2, gamma)
-            assert lo == dom.barrier
-            for c1 in (hi, dom.barrier + 3.0 * dom.scale(hi)):
+            lo, hi = dom.search_interval(prob, gamma)
+            assert dom.barrier < lo < hi
+            for c1 in (hi, dom.barrier + 3.0 * dom.scale(hi), lo, 0.5 * (dom.barrier + lo)):
                 vals = [evaluate(prob, c1, c2).value for c2 in c2s]
                 assert min(vals) > gamma, (prob.A, gamma, c1)
