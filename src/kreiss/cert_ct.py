@@ -17,13 +17,13 @@ operator, the pair's partner map and a 1D test:
 
 1. real eigenvalues come from dense QZ on the pencil (its ``spectrum()``)
    or from the opt-in sweep of ``dnc`` over the domain's
-   ``search_interval``, which never builds the pencil; both keep the
-   eigenvalues inside one capture band around the real axis
-   (``_capture_band_rel``);
+   ``search_interval``, which never builds the pencil and makes no query
+   when that interval is empty; both keep the eigenvalues inside one
+   capture band around the real axis (``_capture_band_rel``);
 2. ``_candidates`` is the single step from eigenvalues to candidate lines
-   (or circles), and the candidates below the lower end of
-   ``search_interval`` are dropped: by the problem's ``stability_gap``
-   they carry no point at level gamma;
+   (or circles), and the candidates outside ``search_interval`` are
+   dropped: by the problem's ``stability_gap`` below it, and by its
+   ``numerical_range_bound`` above it, they carry no point at level gamma;
 3. ``_collect_points`` runs the 1D test on each: ``_polish``
    Newton-polishes a level-set point along the line Re z = x or the circle
    |z| = r, and ``_verify_point`` confirms by a direct SVD that gamma is a
@@ -192,8 +192,10 @@ class CertificateReport:
     divide-and-conquer.
     ``gamma_nudged`` says whether the discrete-time tests moved gamma off a
     singular value of A (``cert_dt._nudge_gamma``); ``gamma`` is then the
-    level actually tested.  ``search_lo`` is the lower end of the domain's
-    ``search_interval`` that the test used: no candidate lies below it.
+    level actually tested.  ``search_lo`` and ``search_hi`` are the ends of
+    the domain's ``search_interval`` that the test used: every candidate
+    lies between them, and when search_hi <= search_lo the report is empty
+    by that proof alone.
     """
 
     gamma: float
@@ -207,6 +209,7 @@ class CertificateReport:
     qz_orders: list[int] = field(default_factory=list)
     gamma_nudged: bool = False
     search_lo: Optional[float] = None
+    search_hi: Optional[float] = None
 
     @property
     def empty(self) -> bool:
@@ -795,16 +798,22 @@ def _level_set_test(prob, report, build, operator, partner, level_points, use_dn
     ``use_dnc``, from the sweep at level gamma on ``operator()``, seeded by
     ``seed``, with no dense pencil built; both keep the eigenvalues inside
     the capture band ``_capture_band_rel``.  The sweep runs on the domain's
-    ``search_interval`` [lo, hi], and every candidate below lo is dropped,
-    which only removes lines (or circles) that provably carry no point;
-    ``search_lo`` records lo.  ``large_eig_count`` is the order QZ factored
-    or the operator's dimension.  A ``MaxShiftsError`` from the sweep
-    propagates to the caller.  ``qz_orders`` lists the orders QZ factored
-    (``Spectrum.orders``).
+    ``search_interval`` [lo, hi], and every candidate outside it is
+    dropped, which only removes lines (or circles) that provably carry no
+    point; ``search_lo`` and ``search_hi`` record lo and hi.  When hi <= lo
+    no line carries a point: the dense pencil is still factored, but under
+    ``use_dnc`` no operator is built, no query is made, and the report is
+    empty with ``large_eig_count`` 0.  Otherwise ``large_eig_count`` is the
+    order QZ factored or the operator's dimension.  A ``MaxShiftsError``
+    from the sweep propagates to the caller.  ``qz_orders`` lists the
+    orders QZ factored (``Spectrum.orders``).
     """
     dom = objective.domain(prob)
     lo, hi = dom.search_interval(prob, report.gamma)
+    report.search_lo, report.search_hi = lo, hi
     if use_dnc:
+        if hi <= lo:
+            return report
         op = operator()
         xs = dnc.real_eigs_in_interval(op, lo, hi, seed=seed,
                                        real_rtol=_capture_band_rel(REAL_AXIS_RTOL, report.eta))
@@ -814,8 +823,7 @@ def _level_set_test(prob, report, build, operator, partner, level_points, use_dn
         xs = _near_real(spec, report.eta)
         report.large_eig_count = spec.order
         report.qz_orders = list(spec.orders)
-    report.search_lo = lo
-    report.candidate_lines = [c for c in _candidates(xs, dom.barrier, partner) if c >= lo]
+    report.candidate_lines = [c for c in _candidates(xs, dom.barrier, partner) if lo <= c <= hi]
     return _collect_points(prob, level_points, report)
 
 

@@ -17,11 +17,12 @@ Both radial tests are thin entries into the one pipeline of
 then the 1D circular test, built on the symplectic pencil of the ray
 condition, with the polish, SVD verification and point collection of
 ``cert_ct``.  Both eigensolvers keep the roots inside the one capture band
-of ``cert_ct``, and no circle below the lower end of the domain's
-``search_interval`` (1 plus the problem's ``stability_gap`` over
-1 + gamma) is probed: none carries a point.  This module keeps
-only the quadratic problem, the symplectic 1D eigenproblem and the
-clustering of its unimodular eigenvalues.  The empty outcome of the
+of ``cert_ct``, and no circle outside the domain's ``search_interval`` is
+probed: none below 1 plus the problem's ``stability_gap`` over 1 + gamma,
+and none beyond the end that its numerical radius bound
+(``numerical_range_bound``) sets; none of them carries a point.  This
+module keeps only the quadratic problem, the symplectic 1D eigenproblem
+and the clustering of its unimodular eigenvalues.  The empty outcome of the
 variable-distance test certifies 1/K > gamma - eta/2.
 
 q0, q1 and q2 are affine in eta (through delta and beta), so both

@@ -32,7 +32,7 @@ from .errors import (
 from .matio import load_matrix
 from .solver import SolveStatus
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _log = logging.getLogger("kreiss")
 
@@ -170,7 +170,8 @@ def cmd_kreiss(args) -> int:
         trace_doc = {
             "schema_version": SCHEMA_VERSION,
             "trace": [{"phase": t.phase, "gamma": t.gamma, "eta": t.eta,
-                       "verdict": t.verdict, "points": t.points, "search_lo": t.search_lo}
+                       "verdict": t.verdict, "points": t.points,
+                       "search_lo": t.search_lo, "search_hi": t.search_hi}
                       for t in result.trace],
             "bounds": [[b.lb, b.ub] for b in result.bounds_history],
         }
@@ -206,6 +207,7 @@ def cmd_certify(args) -> int:
         "qz_orders": [int(k) for k in report.qz_orders],
         "gamma_nudged": report.gamma_nudged,
         "search_lo": report.search_lo,
+        "search_hi": report.search_hi,
     }
     print(json.dumps(doc))
     return 0

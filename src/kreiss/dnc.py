@@ -14,10 +14,12 @@ query sends at that shift costs only triangular solves.  A
 recursive interval sweep then finds all real eigenvalues in [lo, hi] with
 shift-and-invert queries: each shift clears a disk whose radius is a
 conservative fraction of the distance to the k-th converged Ritz value,
-and uncovered subintervals are recursed on.  The certificates sweep the
-domain's ``search_interval``, whose lower end the problem's
-``stability_gap`` lifts off the barrier, and count as real the Ritz values
-inside dense QZ's capture band.
+and uncovered subintervals are recursed on.  The certificates sweep only
+the domain's ``search_interval``: the problem's ``stability_gap`` lifts its
+lower end off the barrier, and its ``numerical_range_bound`` sets its upper
+end, so the sweep's width follows omega(A) (or w(A) - 1), not ||A||.  When
+that interval is empty no operator is built and no query is made.  The sweep counts as
+real the Ritz values inside dense QZ's capture band.
 
 Dense QZ remains the default certificate backend; this layer is opt-in
 because shift-and-invert solvers can miss nearby eigenvalues, a failure
@@ -228,7 +230,9 @@ def real_eigs_in_interval(op: LinearOperator, lo: float, hi: float,
     reported; the certificates pass the capture band of dense QZ
     (``cert_ct._capture_band_rel``), so both backends forward the same
     near-real roots.  The default is the strict band
-    ``cert_ct.REAL_AXIS_RTOL``.
+    ``cert_ct.REAL_AXIS_RTOL``.  The certificates pass the domain's proven
+    ``search_interval`` as [lo, hi] and never call this when it is empty;
+    the number of shifts grows with hi - lo.
 
     Raises MaxShiftsError when the budget (default 4 * dim) is exhausted.
     No caller catches it: it propagates out of the certificate test, and a

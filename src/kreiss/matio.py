@@ -52,6 +52,8 @@ _ZERO_EIG_RTOL = 1e-14
 SPLIT_COUPLING_FACTOR = 10.0
 # MatrixProblem.stability_gap takes this share of its Lyapunov bound
 GAP_SAFETY = 0.5
+# MatrixProblem.numerical_range_bound adds this times n * eps * ||A||
+NUMRANGE_MARGIN = 4.0
 
 
 class TimeDomain(str, enum.Enum):
@@ -198,6 +200,42 @@ class MatrixProblem:
             return float(gap) if np.isfinite(gap) and gap > 0.0 else 0.0
 
         return self._memo("_stability_gap", build)
+
+    @property
+    def numerical_range_bound(self) -> float:
+        """A proven upper bound on the numerical abscissa omega(A) (continuous
+        time) or the numerical radius w(A) (discrete time), computed on first use.
+
+        sigma_min(zI - A) is the least ||(zI - A)v|| over unit vectors v, and
+        ||(zI - A)v|| >= |v*(zI - A)v| = |z - v*Av| by Cauchy-Schwarz.  In
+        continuous time |z - v*Av| >= Re z - Re(v*Av) >= Re z - omega(A),
+        with omega(A) = lambda_max((A + A*)/2), one ``eigvalsh``; in discrete
+        time |z - v*Av| >= |z| - w(A), and w(A) <= (||A|| + ||A^2||^(1/2))/2
+        (Kittaneh, Studia Math. 158, 2003), which never exceeds ||A||.  So
+        sigma_min(zI - A) >= Re z - omega(A), or >= |z| - w(A) (Trefethen &
+        Embree, Spectra and Pseudospectra, 2005, ch. 17).  The bound returned
+        adds a rounding margin of NUMRANGE_MARGIN * n * eps * ||A||, which
+        covers the backward errors of ``eigvalsh`` and of the SVDs behind the
+        norms; under the root, n * margin * ||A|| covers the rounding of the
+        product A^2.
+
+        So g(x, y) > gamma on every line x > omega/(1 - gamma), and
+        h(r, theta) > gamma on every circle with r - 1 > (w - 1)/(1 - gamma)
+        (``objective.Domain.search_interval``); when omega <= 0 (w <= 1) no
+        point at any gamma < 1 exists, and K = 1.
+        """
+
+        def build():
+            a = self.norm2
+            margin = NUMRANGE_MARGIN * self.n * np.finfo(float).eps * a
+            if self.is_continuous:
+                bound = np.linalg.eigvalsh(0.5 * (self.A + self.A.conj().T))[-1]
+            else:
+                a2 = np.linalg.norm(self.A @ self.A, 2)
+                bound = min(a, 0.5 * (a + np.sqrt(a2 + self.n * margin * a)))
+            return float(bound + margin)
+
+        return self._memo("_numerical_range_bound", build)
 
     def level(self, key, build):
         """The certificate level cached under ``key``, or ``build()`` cached in its place.

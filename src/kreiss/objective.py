@@ -94,9 +94,14 @@ class Domain:
     every c1 with a point at level gamma or below: by Weyl,
     sigma_min(z I - A) >= d - scale(c1) when d bounds sigma_min on the
     barrier curve from below, so lo = barrier + d/(1 + gamma) with d the
-    problem's ``stability_gap``; and sigma_min(z I - A) >= |z| - ||A||
-    gives hi.  ``start(prob)`` is a heuristic starting point.  The two
-    instances are immutable and reached through ``domain(prob)``.
+    problem's ``stability_gap``; and the numerical range gives
+    sigma_min(z I - A) >= Re z - omega(A) (continuous) or >= |z| - w(A)
+    (discrete), so hi (``_upper``) follows from the problem's
+    ``numerical_range_bound``.  The interval is empty (hi <= lo) whenever
+    omega(A) <= 0 or w(A) <= 1, and may be for other A too: then no line
+    or circle carries a point at level gamma.  ``start(prob)`` is a
+    heuristic starting point.  The two instances are immutable and reached
+    through ``domain(prob)``.
     """
 
     __slots__ = ()
@@ -107,8 +112,9 @@ class Domain:
 
     def search_interval(self, prob, gamma):
         """[lo, hi]: every c1 whose line or circle has a point at level gamma
-        or below lies inside (class docstring)."""
-        return self.barrier + prob.stability_gap / (1.0 + gamma), self._upper(prob.norm2, gamma)
+        or below lies inside (class docstring); hi <= lo when none does."""
+        lo = self.barrier + prob.stability_gap / (1.0 + gamma)
+        return lo, self._upper(prob.numerical_range_bound, gamma)
 
     def matrix(self, A, c1, c2):
         """G(x, y) or H(r, theta): (z I - A)/scale(c1) at z = point(c1, c2)."""
@@ -148,10 +154,10 @@ class _Continuous(Domain):
         lead = eigs[int(np.argmax(eigs.real))]
         return max(1.0, -2.0 * prob.spectral_abscissa), float(lead.imag)
 
-    def _upper(self, norm, gamma):
-        # sigma_min((x+iy)I - A) >= x - ||A||, so gamma-level points need
-        # x <= ||A||/(1 - gamma): a proven enclosure, no doubling ever needed
-        return 1.1 * max(norm / (1.0 - gamma), 4.0 * max(norm, 1.0))
+    def _upper(self, omega, gamma):
+        """sigma_min((x+iy)I - A) >= x - omega, so gamma-level points need
+        x - omega <= gamma x, i.e. x <= omega/(1 - gamma); none when omega <= 0."""
+        return 1.1 * max(omega, 0.0) / (1.0 - gamma)
 
     def polish_cap(self, y):
         return 0.5 * max(1.0, abs(y))
@@ -192,10 +198,10 @@ class _Discrete(Domain):
         lead = eigs[int(np.argmax(np.abs(eigs)))]
         return 1.0 + 0.5 * (1.0 / prob.spectral_radius - 1.0), float(np.angle(lead))
 
-    def _upper(self, norm, gamma):
-        # sigma_min(r e^{i t} I - A) >= r - ||A||, so gamma-level points need
-        # gamma (r - 1) >= r - ||A||, i.e. r <= (||A|| - gamma)/(1 - gamma)
-        return 1.0 + 1.1 * max((norm - gamma) / (1.0 - gamma), 4.0 * (norm + 1.0))
+    def _upper(self, w, gamma):
+        """sigma_min(r e^{i t} I - A) >= r - w, so gamma-level points need
+        r - w <= gamma (r - 1), i.e. r - 1 <= (w - 1)/(1 - gamma); none when w <= 1."""
+        return 1.0 + 1.1 * max(w - 1.0, 0.0) / (1.0 - gamma)
 
     def polish_cap(self, theta):
         return 0.5

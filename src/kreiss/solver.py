@@ -76,6 +76,7 @@ class TraceEntry:
     verdict: str
     points: int = 0
     search_lo: Optional[float] = None
+    search_hi: Optional[float] = None
 
 
 @dataclass
@@ -175,7 +176,7 @@ class _Run:
             return None
         self.reports.append(report)
         self.trace.append(TraceEntry(phase, gamma, eta, "empty" if report.empty else "points",
-                                     len(report.points), report.search_lo))
+                                     len(report.points), report.search_lo, report.search_hi))
         if report.empty and self.certificate.startswith("variable"):
             # report.gamma, not gamma: the discrete-time tests may nudge it
             self.message = f"certified 1/K > {report.gamma - 0.5 * eta:.17g}"

@@ -60,6 +60,14 @@ def jordan_block(k, lam, scale):
     return np.diag(np.full(k, lam, dtype=complex)) + scale * np.diag(np.ones(k - 1), 1)
 
 
+def contractive(time_domain):
+    """A nonnormal 2 x 2 matrix with omega(A) = -0.5 < 0 (continuous time)
+    or w(A) = 0.55 < 1 (discrete time): no point at any level below 1, K = 1."""
+    if time_domain == "continuous":
+        return MatrixProblem(np.array([[-1.0, 1.0], [0.0, -1.0]]), time_domain)
+    return MatrixProblem(np.array([[0.3, 0.5], [0.0, 0.3]]), time_domain)
+
+
 def two_block(time_domain, coupling=0.0):
     """Two nonnormal 2 x 2 Jordan blocks, uncoupled but for ``coupling`` at
     A[0, 2]: a problem that splits into blocks of orders (2, 2)."""

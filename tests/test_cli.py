@@ -32,7 +32,7 @@ def test_kreiss_scalar(tmp_path):
     proc = run_cli("kreiss", "--input", str(path), "--method", "owr")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert doc["kreiss"] == pytest.approx(1.0, abs=1e-6)
     assert doc["status"] in ("converged", "tolerance-reached")
 
@@ -64,12 +64,14 @@ def test_start_flag_and_trace(jordan_file, tmp_path):
                    "--emit-trace", str(trace_path))
     assert proc.returncode == 0
     trace = json.loads(trace_path.read_text())
-    assert trace["trace"] and trace["bounds"] and trace["schema_version"] == 4
-    # each certificate records the lower end of the interval it searched
+    assert trace["trace"] and trace["bounds"] and trace["schema_version"] == 5
+    # each certificate records the ends of the interval it searched
     prob = gen_test_matrix("jordan-shifted", 2, time_domain="continuous", eps=0.3)
     certs = [t for t in trace["trace"] if t["verdict"] != "minimized"]
     assert certs and all(t["search_lo"] == prob.stability_gap / (1.0 + t["gamma"])
                          for t in certs)
+    assert all(t["search_hi"] == 1.1 * prob.numerical_range_bound / (1.0 - t["gamma"])
+               for t in certs)
     widths = [ub - lb for lb, ub in trace["bounds"]]
     assert widths[0] > 0 and widths[-1] <= widths[0]
 
@@ -112,11 +114,12 @@ def test_certify_variants_match_library(variant, time_domain, eps, gamma, tmp_pa
                              for p in report.points]
     assert doc["empty"] == report.empty
     assert doc["rejected_points"] == report.rejected_points
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert doc["qz_orders"] == report.qz_orders
     assert sum(doc["qz_orders"]) == doc["large_eig_count"] == report.large_eig_count
     assert doc["gamma_nudged"] is report.gamma_nudged is False
     assert doc["search_lo"] == report.search_lo > (0.0 if time_domain == "continuous" else 1.0)
+    assert doc["search_hi"] == report.search_hi > doc["search_lo"]
 
 
 def test_certify_cmd_reports_the_split_and_the_nudge(tmp_path, capsys):

@@ -24,9 +24,9 @@ from kreiss import (
 )
 from kreiss.cert_ct import build_horizontal_pencil
 from kreiss.errors import MaxShiftsError, NearSingularOperatorError, ZeroShiftError
-from kreiss.solver import CERTIFICATE_CHOICES
+from kreiss.solver import CERTIFICATE_CHOICES, SolveStatus, solve_owr_backtracking
 
-from conftest import MatrixOperator, random_stable
+from conftest import MatrixOperator, random_normal_stable, random_stable
 
 
 def _companion(pen):
@@ -302,3 +302,21 @@ def test_dnc_finds_every_dense_candidate_at_small_eta():
         raise RuntimeError(f"dense QZ no longer reports the lines: {dense}")
     for x in wanted:
         assert via_dnc and np.min(np.abs(np.asarray(via_dnc) - x)) <= 1e-4 * x
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+def test_dnc_solve_of_a_contractive_matrix_makes_no_query(time_domain, monkeypatch):
+    # a normal A has omega(A) = alpha(A) < 0 (w(A) = rho(A) < 1), so every
+    # search interval is empty: the sweep builds no operator and makes no
+    # query, and the solve certifies K = 1 as the dense one does
+    prob = random_normal_stable(3, 4, time_domain)
+    dense = solve_owr_backtracking(prob)
+    queries = []
+    monkeypatch.setattr(dnc_mod, "eigs_shift_invert",
+                        lambda *a, **k: queries.append(a[1]) or eigs_shift_invert(*a, **k))
+    res = solve_owr_backtracking(prob, use_dnc=True)
+    assert res.status is SolveStatus.CONVERGED and res.kreiss == 1.0 and queries == []
+    assert (res.kreiss, res.certificate_calls) == (dense.kreiss, dense.certificate_calls)
+    for report in res.reports:
+        assert report.search_hi <= report.search_lo
+        assert report.empty and report.large_eig_count == 0 and report.candidate_lines == []

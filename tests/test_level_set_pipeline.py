@@ -2,8 +2,9 @@
 
 Three properties: the candidate map gives the same guarantees for every
 variant, time domain and eigensolver, the candidates it drops below the
-problem's stability gap carry no point, and the benchmark's tracer
-(``bench/tracing.py``, loaded read-only) still reaches every layer of it.
+problem's stability gap or above its numerical range's upper end carry no
+point, and the benchmark's tracer (``bench/tracing.py``, loaded
+read-only) still reaches every layer of it.
 """
 
 import types
@@ -96,18 +97,31 @@ def _without_gap(monkeypatch):
     monkeypatch.setattr(MatrixProblem, "stability_gap", property(lambda self: 0.0))
 
 
+def _without_upper_end(monkeypatch):
+    monkeypatch.setattr(MatrixProblem, "numerical_range_bound",
+                        property(lambda self: 1e3 * max(1.0, self.norm2)))
+
+
 def test_lines_below_the_stability_gap_are_dropped(monkeypatch):
     # the ct Jordan block of order 3 at a level its owr-bt solve tests: the
     # dense pencil's roots scattered near the barrier lie below the gap, the
-    # lines near 0.197 and 1.894 above it
+    # line near 0.197 inside the interval, and the line near 1.894 above its
+    # upper end, 1.1 omega(A)/(1 - gamma) = 0.869 with omega(A) = 0.407
     A = np.diag(np.full(3, -0.3, dtype=complex)) + np.diag(np.ones(2), 1)
     prob = MatrixProblem(A, "continuous")
     report = certify(prob, "fixed-v", 0.484819, 7.5e-8)
     lines = np.asarray(report.candidate_lines)
     assert report.search_lo == prob.stability_gap / (1.0 + 0.484819) > 3e-5
-    assert np.all(lines >= report.search_lo)
-    for x in (0.19724, 1.89464):
-        assert np.min(np.abs(lines - x)) <= 1e-4
+    assert report.search_hi == pytest.approx(0.8692, abs=1e-4)
+    assert np.all((lines >= report.search_lo) & (lines <= report.search_hi))
+    assert np.min(np.abs(lines - 0.19724)) <= 1e-4
+    assert np.min(np.abs(lines - 1.89464)) > 0.5
+    with monkeypatch.context() as m:
+        _without_upper_end(m)
+        wide = certify(prob, "fixed-v", 0.484819, 7.5e-8)
+    assert np.min(np.abs(np.asarray(wide.candidate_lines) - 1.89464)) <= 1e-4
+    assert report.candidate_lines == [x for x in wide.candidate_lines if x <= report.search_hi]
+    assert [p.coords for p in report.points] == [p.coords for p in wide.points]
     _without_gap(monkeypatch)
     plain = certify(prob, "fixed-v", 0.484819, 7.5e-8)
     assert plain.search_lo == 0.0 and min(plain.candidate_lines) < 3e-5
@@ -136,6 +150,30 @@ def test_the_stability_gap_drops_no_point(time_domain, monkeypatch):
         assert (a.empty, a.rejected_points) == (b.empty, b.rejected_points), run
         assert [p.coords for p in a.points] == [p.coords for p in b.points], run
         assert a.candidate_lines == [x for x in b.candidate_lines if x >= a.search_lo]
+        dropped += len(b.candidate_lines) - len(a.candidate_lines)
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+def test_the_upper_end_drops_no_point(time_domain, monkeypatch):
+    # the same kinds and levels, with and without the numerical range's upper
+    # end: the same points and verdict, and only fewer lines and rejected points
+    probs = [random_stable(4, 3, time_domain),
+             gen_test_matrix("jordan-shifted", 4, time_domain=time_domain),
+             random_normal_stable(3, 4, time_domain), two_block(time_domain)]
+    variants = ("fixed-v", "variable-h") if time_domain == "continuous" else ("variable-v",)
+    runs = [(prob, variant, gamma, eta) for prob in probs for gamma, eta in three_levels(prob)
+            for variant in variants]
+    reports = [certify(*run) for run in runs]
+    with monkeypatch.context() as m:
+        _without_upper_end(m)
+        wide = [certify(*run) for run in runs]
+    dropped = 0
+    for run, a, b in zip(runs, reports, wide):
+        assert a.search_lo < a.search_hi < b.search_hi or a.search_hi <= a.search_lo
+        assert a.empty == b.empty and a.rejected_points <= b.rejected_points, run
+        assert [p.coords for p in a.points] == [p.coords for p in b.points], run
+        assert a.candidate_lines == [x for x in b.candidate_lines if x <= a.search_hi]
         dropped += len(b.candidate_lines) - len(a.candidate_lines)
     assert dropped > 0
 

@@ -264,3 +264,44 @@ def test_stability_gap_is_computed_on_first_use(monkeypatch):
         assert calls == []
         gap = prob.stability_gap
         assert prob.stability_gap == gap and calls == [name]
+
+
+def _numerical_range_estimate(prob, samples=720):
+    """omega(A) in continuous time; in discrete time a value the numerical
+    radius w(A) attains, max over a theta grid of lambda_max(Re(e^{i theta} A))."""
+    def top(X):
+        return np.linalg.eigvalsh(0.5 * (X + X.conj().T))[-1]
+
+    if prob.is_continuous:
+        return top(prob.A)
+    return max(top(np.exp(1j * t) * prob.A)
+               for t in np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+
+
+def test_numerical_range_bound_bounds_the_numerical_range():
+    # omega(A) (or w(A)) <= the bound <= ||A|| plus the rounding margin, and
+    # Kittaneh's bound is tight for a normal A (w(A) = ||A||)
+    probs = _gap_problems()
+    assert {p.time_domain for p in probs} == set(TimeDomain)
+    for prob in probs:
+        bound = prob.numerical_range_bound
+        margin = 1e-12 * max(1.0, prob.norm2)
+        assert _numerical_range_estimate(prob) <= bound <= prob.norm2 + margin, prob.A
+    from conftest import random_normal_stable
+
+    normal = random_normal_stable(3, 4, "discrete")
+    assert normal.numerical_range_bound == pytest.approx(normal.spectral_radius, rel=1e-12)
+
+
+def test_numerical_range_bound_is_computed_on_first_use(monkeypatch):
+    calls = []
+    for name in ("eigvalsh", "norm"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _f=fn, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    for td, name in (("continuous", "eigvalsh"), ("discrete", "norm")):
+        calls.clear()
+        prob = gen_test_matrix("jordan-shifted", 3, time_domain=td)
+        assert calls == [] and getattr(prob, "_numerical_range_bound", None) is None
+        bound = prob.numerical_range_bound
+        assert prob.numerical_range_bound == bound and calls == [name]

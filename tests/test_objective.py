@@ -15,7 +15,7 @@ from kreiss import (
 from kreiss.errors import NonsimpleSigmaError, ZeroSigmaError
 from kreiss.objective import _eval_from_matrix, domain
 
-from conftest import random_normal_stable, random_stable
+from conftest import contractive, random_normal_stable, random_stable
 
 
 def test_g_scalar_values(scalar_ct):
@@ -167,12 +167,14 @@ def test_zero_sigma_rejected(scalar_ct):
 @pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
 def test_search_interval_encloses_the_sublevel_set(time_domain):
     # the divide-and-conquer sweep finds only the candidates inside
-    # search_interval, and both eigensolvers drop the candidates below lo, so
-    # soundness rests on g (or h) > gamma beyond hi and below lo
+    # search_interval, and both eigensolvers drop the candidates outside it,
+    # so soundness rests on g (or h) > gamma beyond hi and below lo, and
+    # everywhere when the interval is empty
     probs = [gen_test_matrix("jordan-shifted", n, time_domain=time_domain, eps=eps)
              for n in (2, 4) for eps in (0.1, 0.3)]
     probs += [random_stable(n, seed, time_domain) for n, seed in ((2, 1), (3, 2), (5, 3))]
-    probs.append(random_normal_stable(3, 4, time_domain))
+    probs += [random_normal_stable(3, 4, time_domain), contractive(time_domain)]
+    empty = 0
     for prob in probs:
         dom = domain(prob)
         eigs = prob.eigenvalues
@@ -183,7 +185,15 @@ def test_search_interval_encloses_the_sublevel_set(time_domain):
                                   np.angle(eigs)])
         for gamma in (0.1, 0.5, 0.9, 0.999):
             lo, hi = dom.search_interval(prob, gamma)
-            assert dom.barrier < lo < hi
-            for c1 in (hi, dom.barrier + 3.0 * dom.scale(hi), lo, 0.5 * (dom.barrier + lo)):
+            # barrier < lo < hi, or the interval is empty
+            assert dom.barrier < lo
+            c1s = [hi, dom.barrier + 3.0 * dom.scale(hi), lo, 0.5 * (dom.barrier + lo)]
+            if hi <= lo:
+                empty += 1
+                c1s = dom.barrier + np.geomspace(1e-3 * dom.scale(lo),
+                                                 1e3 * max(1.0, prob.norm2), 61)
+            for c1 in c1s:
                 vals = [evaluate(prob, c1, c2).value for c2 in c2s]
                 assert min(vals) > gamma, (prob.A, gamma, c1)
+    # the normal and the contractive matrix: empty at every level
+    assert empty >= 8

@@ -2,9 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from kreiss import MatrixProblem, solve_owr
+from kreiss import MatrixProblem, gen_test_matrix, solve_owr
 from kreiss.oracle import field_grid, grid_min, ratio_curve, write_curve_csv, write_field_csv
+
+from conftest import contractive, jordan_block, random_normal_stable
 
 
 def test_normal_scalar_tends_to_one(scalar_ct):
@@ -79,3 +82,31 @@ def test_oracle_never_beats_certified_optimum(jordan_ct, jordan_dt):
         kinv = 1.0 / solve_owr(prob).kreiss
         val, _ = grid_min(prob, levels=4)
         assert val >= kinv - 1e-3 * kinv
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+def test_what_the_numerical_range_calls_contractive_is(time_domain):
+    # solver-free evidence for every matrix with omega(A) <= 0 (w(A) <= 1) by
+    # MatrixProblem.numerical_range_bound: ||e^{tA}|| <= 1 on a t-grid, or
+    # ||A^k|| <= 2 (Berger's w(A^k) <= w(A)^k with ||X|| <= 2 w(X)), and the
+    # grid oracle's minimum of g (or h) is not below 1
+    if time_domain == "continuous":
+        blocks = [jordan_block(4, -1.0, 1.0), jordan_block(3, -0.5 + 2.0j, 0.6)]
+    else:
+        blocks = [jordan_block(3, 0.4, 0.4), jordan_block(2, 0.6j, 0.5)]
+    probs = [MatrixProblem(A, time_domain) for A in blocks]
+    probs += [contractive(time_domain),
+              gen_test_matrix("jordan-shifted", 2, time_domain=time_domain)]
+    probs += [random_normal_stable(n, seed, time_domain) for n, seed in ((2, 1), (3, 4), (4, 7))]
+    probs = [p for p in probs if p.numerical_range_bound <= (0.0 if p.is_continuous else 1.0)]
+    # all but the Jordan fixture, whose K exceeds 1
+    assert len(probs) == 6
+    for prob in probs:
+        if prob.is_continuous:
+            growth = max(np.linalg.norm(scipy.linalg.expm(t * prob.A), 2)
+                         for t in np.geomspace(1e-3, 1e2, 60))
+            assert growth <= 1.0 + 1e-12, prob.A
+        else:
+            powers = [np.linalg.matrix_power(prob.A, k) for k in range(1, 60)]
+            assert max(np.linalg.norm(P, 2) for P in powers) <= 2.0, prob.A
+        assert grid_min(prob, levels=3)[0] >= 1.0 - 1e-10, prob.A
