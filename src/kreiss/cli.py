@@ -32,7 +32,7 @@ from .errors import (
 from .matio import load_matrix
 from .solver import SolveStatus
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _log = logging.getLogger("kreiss")
 
@@ -163,12 +163,14 @@ def cmd_kreiss(args) -> int:
         "method": result.method,
         "wall_time_s": result.wall_time,
         "message": result.message,
+        "decided_by": result.decided_by,
     }
     print(json.dumps(doc))
 
     if args.emit_trace:
         trace_doc = {
             "schema_version": SCHEMA_VERSION,
+            "decided_by": result.decided_by,
             "trace": [{"phase": t.phase, "gamma": t.gamma, "eta": t.eta,
                        "verdict": t.verdict, "points": t.points,
                        "search_lo": t.search_lo, "search_hi": t.search_hi}

@@ -54,6 +54,8 @@ SPLIT_COUPLING_FACTOR = 10.0
 GAP_SAFETY = 0.5
 # MatrixProblem.numerical_range_bound adds this times n * eps * ||A||
 NUMRANGE_MARGIN = 4.0
+# and samples the numerical radius at this many equally spaced angles
+NUMRANGE_ANGLES = 256
 
 
 class TimeDomain(str, enum.Enum):
@@ -210,19 +212,29 @@ class MatrixProblem:
         ||(zI - A)v|| >= |v*(zI - A)v| = |z - v*Av| by Cauchy-Schwarz.  In
         continuous time |z - v*Av| >= Re z - Re(v*Av) >= Re z - omega(A),
         with omega(A) = lambda_max((A + A*)/2), one ``eigvalsh``; in discrete
-        time |z - v*Av| >= |z| - w(A), and w(A) <= (||A|| + ||A^2||^(1/2))/2
-        (Kittaneh, Studia Math. 158, 2003), which never exceeds ||A||.  So
-        sigma_min(zI - A) >= Re z - omega(A), or >= |z| - w(A) (Trefethen &
-        Embree, Spectra and Pseudospectra, 2005, ch. 17).  The bound returned
-        adds a rounding margin of NUMRANGE_MARGIN * n * eps * ||A||, which
-        covers the backward errors of ``eigvalsh`` and of the SVDs behind the
-        norms; under the root, n * margin * ||A|| covers the rounding of the
+        time |z - v*Av| >= |z| - w(A).  So sigma_min(zI - A) >= Re z - omega(A),
+        or >= |z| - w(A) (Trefethen & Embree, Spectra and Pseudospectra, 2005,
+        ch. 17).
+
+        w(A) is the maximum over theta of f(theta) = lambda_max(Re(e^{-i theta} A)),
+        Re X = (X + X*)/2, and two bounds on it are taken, the lesser kept:
+        (||A|| + ||A^2||^(1/2))/2 (Kittaneh, Studia Math. 158, 2003), which
+        never exceeds ||A||, and the largest f on the m = NUMRANGE_ANGLES
+        angles 2 pi k/m plus ||A|| pi/m: f is Lipschitz with constant ||A||,
+        as ||Re((e^{-i s} - e^{-i t}) A)|| <= |s - t| ||A||, and every angle
+        lies within pi/m of the grid.  One batched ``eigvalsh`` on the grid's
+        first half gives the whole grid, since f(theta + pi) is minus the
+        least eigenvalue of Re(e^{-i theta} A).  The bound returned adds a
+        rounding margin of NUMRANGE_MARGIN * n * eps * ||A||, which covers the
+        backward errors of ``eigvalsh`` and of the SVDs behind the norms;
+        under the root, n * margin * ||A|| covers the rounding of the
         product A^2.
 
         So g(x, y) > gamma on every line x > omega/(1 - gamma), and
         h(r, theta) > gamma on every circle with r - 1 > (w - 1)/(1 - gamma)
         (``objective.Domain.search_interval``); when omega <= 0 (w <= 1) no
-        point at any gamma < 1 exists, and K = 1.
+        point at any gamma < 1 exists, and K = 1
+        (``objective.Domain.contractive``).
         """
 
         def build():
@@ -232,7 +244,12 @@ class MatrixProblem:
                 bound = np.linalg.eigvalsh(0.5 * (self.A + self.A.conj().T))[-1]
             else:
                 a2 = np.linalg.norm(self.A @ self.A, 2)
-                bound = min(a, 0.5 * (a + np.sqrt(a2 + self.n * margin * a)))
+                kittaneh = 0.5 * (a + np.sqrt(a2 + self.n * margin * a))
+                half = NUMRANGE_ANGLES // 2
+                R = np.exp(-1j * np.pi * np.arange(half) / half)[:, None, None] * self.A
+                lam = np.linalg.eigvalsh(0.5 * (R + R.conj().transpose(0, 2, 1)))
+                sampled = max(lam[:, -1].max(), -lam[:, 0].min()) + a * np.pi / NUMRANGE_ANGLES
+                bound = min(a, kittaneh, sampled)
             return float(bound + margin)
 
         return self._memo("_numerical_range_bound", build)

@@ -98,10 +98,10 @@ class Domain:
     sigma_min(z I - A) >= Re z - omega(A) (continuous) or >= |z| - w(A)
     (discrete), so hi (``_upper``) follows from the problem's
     ``numerical_range_bound``.  The interval is empty (hi <= lo) whenever
-    omega(A) <= 0 or w(A) <= 1, and may be for other A too: then no line
-    or circle carries a point at level gamma.  ``start(prob)`` is a
-    heuristic starting point.  The two instances are immutable and reached
-    through ``domain(prob)``.
+    omega(A) <= 0 or w(A) <= 1, which ``contractive(prob)`` tests, and may
+    be for other A too: then no line or circle carries a point at level
+    gamma.  ``start(prob)`` is a heuristic starting point.  The two
+    instances are immutable and reached through ``domain(prob)``.
     """
 
     __slots__ = ()
@@ -115,6 +115,16 @@ class Domain:
         or below lies inside (class docstring); hi <= lo when none does."""
         lo = self.barrier + prob.stability_gap / (1.0 + gamma)
         return lo, self._upper(prob.numerical_range_bound, gamma)
+
+    def contractive(self, prob):
+        """Whether the numerical range proves K = 1: omega(A) <= 0 (w(A) <= 1).
+
+        The problem's ``numerical_range_bound`` b gives
+        sigma_min(z I - A) >= scale(c1) + barrier - b, so b <= barrier makes
+        g (h) >= 1 everywhere, and g (h) tends to 1 far from the barrier
+        (Lumer-Phillips).  Every search interval is then empty.
+        """
+        return prob.numerical_range_bound <= self.barrier
 
     def matrix(self, A, c1, c2):
         """G(x, y) or H(r, theta): (z I - A)/scale(c1) at z = point(c1, c2)."""

@@ -12,8 +12,12 @@ objective with a 2D level-set globality certificate:
 * ``solve_trisection``: lower/upper bound trisection on the same
   variable-distance certificate, shrinking the bracket by 2/3 per step.
 
-The two restart methods share one loop and differ only in the (gamma, eta)
-levels they test per minimum.  No method accepts a plateau value (>= 1) as
+The three methods share one start (``_solve``): when the numerical range
+proves K = 1 (omega(A) <= 0, or w(A) <= 1 in discrete time;
+``objective.Domain.contractive``), the solve returns K = 1 with that proof
+and runs no local optimization and no certificate.  The two restart
+methods share one loop and differ only in the (gamma, eta) levels they
+test per minimum.  Otherwise no method accepts a plateau value (>= 1) as
 K = 1 without a certificate: the restart methods test just below 1, and
 trisection caps its upper bound at 1.  All three support both time
 domains; ``certify`` maps a CERTIFICATE_CHOICES variant to its test, with
@@ -91,6 +95,13 @@ class Bounds:
 
 @dataclass
 class KreissResult:
+    """One solve's Kreiss constant K = 1/gamma_inv and how it was reached.
+
+    ``decided_by`` names the proof behind K: "numerical-range" (K = 1 from
+    omega(A) <= 0 or w(A) <= 1, with no optimization and no certificate),
+    "certificate" (the method's iteration), or "grid" (the oracle, no proof).
+    """
+
     kreiss: float
     gamma_inv: float
     minimizer: Optional[objective.EvalPoint]
@@ -103,6 +114,7 @@ class KreissResult:
     bounds_history: list[Bounds] = field(default_factory=list)
     message: str = ""
     reports: list = field(default_factory=list)
+    decided_by: str = "certificate"
 
 
 def default_start(prob: MatrixProblem):
@@ -165,6 +177,7 @@ class _Run:
         self.reports: list = []
         self.status = SolveStatus.CONVERGED
         self.message = ""
+        self.decided_by = "certificate"
 
     def certify(self, gamma, eta, phase="certificate"):
         """The traced report of the certificate at (gamma, eta); None once it failed."""
@@ -192,7 +205,27 @@ class _Run:
             certificate_calls=len(self.reports), trace=self.trace, status=self.status,
             wall_time=time.perf_counter() - self.t0, method=self.method,
             bounds_history=list(bounds_history), message=self.message, reports=self.reports,
+            decided_by=self.decided_by,
         )
+
+
+def _solve(prob, method, certificate, use_dnc, seed, iterate):
+    """The start the three methods share: ``iterate(run)`` runs the method,
+    unless the numerical range already proves K = 1.
+
+    A contractive A (``objective.Domain.contractive``) has g >= 1 (h >= 1)
+    everywhere, with 1 approached far from the barrier, so K = 1 needs no
+    local optimization and no certificate; the result records the bound.
+    """
+    run = _Run(prob, method, certificate, use_dnc, seed)
+    dom = objective.domain(prob)
+    if dom.contractive(prob):
+        run.decided_by = "numerical-range"
+        radius = "omega(A)" if prob.is_continuous else "w(A)"
+        run.message = (f"numerical range proves K = 1: {radius} <= "
+                       f"{prob.numerical_range_bound:.17g} <= {dom.barrier:g}")
+        return run.finish(1.0, None)
+    return iterate(run)
 
 
 def _initial_minimum(prob, start, opt_opts):
@@ -267,22 +300,24 @@ def solve_owr_backtracking(
     _check_certificate("owr-bt", certificate, "fixed")
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
-    run = _Run(prob, "owr-bt", certificate, use_dnc, seed)
-    res = _initial_minimum(prob, start, opt_opts)
-    if eta0 is None:
-        eta0 = 0.1 * objective.domain(prob).scale(res.minimizer.coords[0])
-    if eta_tol is None:
-        eta_tol = 1e-8 * eta0
 
-    def levels(g_k):
-        gamma, eta = min(g_k, 1.0 - _PLATEAU_PROBE_GAP), eta0
-        while True:
-            yield gamma, eta
-            if eta <= eta_tol:
-                return
-            eta = c * eta
+    def iterate(run):
+        res = _initial_minimum(prob, start, opt_opts)
+        eta_max = (0.1 * objective.domain(prob).scale(res.minimizer.coords[0])
+                   if eta0 is None else eta0)
+        eta_min = 1e-8 * eta_max if eta_tol is None else eta_tol
 
-    return _restart_loop(run, res, levels, opt_opts)
+        def levels(g_k):
+            gamma, eta = min(g_k, 1.0 - _PLATEAU_PROBE_GAP), eta_max
+            while True:
+                yield gamma, eta
+                if eta <= eta_min:
+                    return
+                eta = c * eta
+
+        return _restart_loop(run, res, levels, opt_opts)
+
+    return _solve(prob, "owr-bt", certificate, use_dnc, seed, iterate)
 
 
 def solve_owr(
@@ -305,14 +340,15 @@ def solve_owr(
     _check_certificate("owr", certificate, "variable")
     if gamma_tol <= 0:
         raise ValueError("gamma_tol must be positive")
-    run = _Run(prob, "owr", certificate, use_dnc, seed)
-    res = _initial_minimum(prob, start, opt_opts)
 
     def levels(g_k):
         return [(min(g_k * (1.0 - 0.5 * gamma_tol), 1.0 - _PLATEAU_PROBE_GAP),
                  g_k * gamma_tol)]
 
-    return _restart_loop(run, res, levels, opt_opts)
+    def iterate(run):
+        return _restart_loop(run, _initial_minimum(prob, start, opt_opts), levels, opt_opts)
+
+    return _solve(prob, "owr", certificate, use_dnc, seed, iterate)
 
 
 def solve_trisection(
@@ -335,40 +371,42 @@ def solve_trisection(
     _check_certificate("trisection", certificate, "variable")
     if gamma_tol <= 0:
         raise ValueError("gamma_tol must be positive")
-    run = _Run(prob, "trisection", certificate, use_dnc, seed)
-    run.status = SolveStatus.TOLERANCE_REACHED
 
-    start = default_start(prob) if start is None else tuple(map(float, start))
-    ub = objective.evaluate(prob, *start).value
-    if not np.isfinite(ub):
-        raise InfeasibleStartError(f"objective is +inf at start {start}")
-    if ub >= 1.0:
-        # the certificate needs gamma < 1; pull the upper bound down, and
-        # cap it at 1, a valid bound on 1/K since g and h tend to 1 at infinity
-        ub = localopt.minimize(prob, start, **opt_opts).value
-        run.trace.append(TraceEntry("optimize", ub, 0.0, "minimized"))
-        ub = min(ub, 1.0)
-    lb = 0.0
-    history = [Bounds(lb, ub)]
+    def iterate(run):
+        run.status = SolveStatus.TOLERANCE_REACHED
+        x0 = default_start(prob) if start is None else tuple(map(float, start))
+        ub = objective.evaluate(prob, *x0).value
+        if not np.isfinite(ub):
+            raise InfeasibleStartError(f"objective is +inf at start {x0}")
+        if ub >= 1.0:
+            # the certificate needs gamma < 1; pull the upper bound down, and
+            # cap it at 1, a valid bound on 1/K since g and h tend to 1 at infinity
+            ub = localopt.minimize(prob, x0, **opt_opts).value
+            run.trace.append(TraceEntry("optimize", ub, 0.0, "minimized"))
+            ub = min(ub, 1.0)
+        lb = 0.0
+        history = [Bounds(lb, ub)]
 
-    for _ in range(_MAX_TRISECTION_ITERS):
-        if (ub - lb) <= ub * gamma_tol:
-            break
-        diff = ub - lb
-        eta = (2.0 / 3.0) * diff
-        gamma = lb + eta
-        report = run.certify(gamma, eta, phase="trisection")
-        if report is None:
-            break
-        if report.points:
-            ub = gamma
+        for _ in range(_MAX_TRISECTION_ITERS):
+            if (ub - lb) <= ub * gamma_tol:
+                break
+            diff = ub - lb
+            eta = (2.0 / 3.0) * diff
+            gamma = lb + eta
+            report = run.certify(gamma, eta, phase="trisection")
+            if report is None:
+                break
+            if report.points:
+                ub = gamma
+            else:
+                lb = lb + diff / 3.0
+            history.append(Bounds(lb, ub))
         else:
-            lb = lb + diff / 3.0
-        history.append(Bounds(lb, ub))
-    else:
-        run.fail("trisection iteration budget exhausted")
+            run.fail("trisection iteration budget exhausted")
 
-    return run.finish(ub, None, bounds_history=history)
+        return run.finish(ub, None, bounds_history=history)
+
+    return _solve(prob, "trisection", certificate, use_dnc, seed, iterate)
 
 
 def compute_kreiss(prob: MatrixProblem, method: str = "owr", **kwargs) -> KreissResult:
@@ -388,6 +426,7 @@ def compute_kreiss(prob: MatrixProblem, method: str = "owr", **kwargs) -> Kreiss
         from . import oracle
 
         run = _Run(prob, "grid")
+        run.decided_by = "grid"
         kwargs.pop("start", None)
         val, coords = oracle.grid_min(prob, **kwargs)
         run.trace.append(TraceEntry("grid", val, 0.0, "minimized"))

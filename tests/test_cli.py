@@ -29,12 +29,19 @@ def test_kreiss_scalar(tmp_path):
     prob = MatrixProblem(np.array([[-1.0]]), "continuous")
     path = tmp_path / "s.json"
     save_matrix(prob, path, "json")
-    proc = run_cli("kreiss", "--input", str(path), "--method", "owr")
+    trace_path = tmp_path / "trace.json"
+    proc = run_cli("kreiss", "--input", str(path), "--method", "owr",
+                   "--emit-trace", str(trace_path))
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
     assert doc["kreiss"] == pytest.approx(1.0, abs=1e-6)
     assert doc["status"] in ("converged", "tolerance-reached")
+    # omega(A) = -1 <= 0 decides K = 1 without a certificate
+    assert doc["decided_by"] == "numerical-range" and doc["certificate_calls"] == 0
+    assert doc["message"].startswith("numerical range proves K = 1")
+    trace = json.loads(trace_path.read_text())
+    assert trace["decided_by"] == "numerical-range" and trace["trace"] == []
 
 
 def test_kreiss_methods_and_grid(jordan_file):
@@ -45,8 +52,9 @@ def test_kreiss_methods_and_grid(jordan_file):
     assert owr["kreiss"] == pytest.approx(1.1333333333, rel=1e-8)
     assert grid["kreiss"] == pytest.approx(owr["kreiss"], rel=1e-3)
     for key in ("kreiss", "gamma_inv", "minimizer", "restarts",
-                "certificate_calls", "status", "wall_time_s", "method"):
+                "certificate_calls", "status", "wall_time_s", "method", "decided_by"):
         assert key in owr
+    assert (owr["decided_by"], grid["decided_by"]) == ("certificate", "grid")
 
 
 def test_kreiss_deterministic(jordan_file):
@@ -64,7 +72,8 @@ def test_start_flag_and_trace(jordan_file, tmp_path):
                    "--emit-trace", str(trace_path))
     assert proc.returncode == 0
     trace = json.loads(trace_path.read_text())
-    assert trace["trace"] and trace["bounds"] and trace["schema_version"] == 5
+    assert trace["trace"] and trace["bounds"] and trace["schema_version"] == 6
+    assert trace["decided_by"] == "certificate"
     # each certificate records the ends of the interval it searched
     prob = gen_test_matrix("jordan-shifted", 2, time_domain="continuous", eps=0.3)
     certs = [t for t in trace["trace"] if t["verdict"] != "minimized"]
@@ -114,7 +123,7 @@ def test_certify_variants_match_library(variant, time_domain, eps, gamma, tmp_pa
                              for p in report.points]
     assert doc["empty"] == report.empty
     assert doc["rejected_points"] == report.rejected_points
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
     assert doc["qz_orders"] == report.qz_orders
     assert sum(doc["qz_orders"]) == doc["large_eig_count"] == report.large_eig_count
     assert doc["gamma_nudged"] is report.gamma_nudged is False

@@ -307,16 +307,19 @@ def test_dnc_finds_every_dense_candidate_at_small_eta():
 @pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
 def test_dnc_solve_of_a_contractive_matrix_makes_no_query(time_domain, monkeypatch):
     # a normal A has omega(A) = alpha(A) < 0 (w(A) = rho(A) < 1), so every
-    # search interval is empty: the sweep builds no operator and makes no
-    # query, and the solve certifies K = 1 as the dense one does
+    # search interval is empty: a fixed-distance test at any level builds no
+    # operator and makes no query, and the solve needs no test at all
     prob = random_normal_stable(3, 4, time_domain)
-    dense = solve_owr_backtracking(prob)
+    test = fixed_distance_test if time_domain == "continuous" else cert_dt.fixed_distance_test_dt
     queries = []
     monkeypatch.setattr(dnc_mod, "eigs_shift_invert",
                         lambda *a, **k: queries.append(a[1]) or eigs_shift_invert(*a, **k))
+    for gamma, eta in ((0.5, 0.1), (0.9, 1e-3), (1.0 - 1e-9, 1e-6), (0.99, 1e-10)):
+        report = test(prob, gamma, eta, use_dnc=True)
+        assert report.search_hi <= report.search_lo
+        assert report.empty and report.points == [] and report.candidate_lines == []
+        assert report.large_eig_count == 0
+    assert queries == []
     res = solve_owr_backtracking(prob, use_dnc=True)
     assert res.status is SolveStatus.CONVERGED and res.kreiss == 1.0 and queries == []
-    assert (res.kreiss, res.certificate_calls) == (dense.kreiss, dense.certificate_calls)
-    for report in res.reports:
-        assert report.search_hi <= report.search_lo
-        assert report.empty and report.large_eig_count == 0 and report.candidate_lines == []
+    assert res.certificate_calls == 0 and res.decided_by == "numerical-range"

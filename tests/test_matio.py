@@ -293,15 +293,29 @@ def test_numerical_range_bound_bounds_the_numerical_range():
     assert normal.numerical_range_bound == pytest.approx(normal.spectral_radius, rel=1e-12)
 
 
+def test_discrete_bound_lies_between_the_numerical_radius_and_kittanehs():
+    # w(A) on a dense theta grid <= the bound <= Kittaneh's (||A|| + ||A^2||^(1/2))/2
+    probs = [p for p in _gap_problems() if not p.is_continuous]
+    probs.append(MatrixProblem(np.array([[0.6j, 0.7], [0.0, 0.6j]]), "discrete"))
+    for prob in probs:
+        bound = prob.numerical_range_bound
+        margin = 1e-12 * max(1.0, prob.norm2)
+        kittaneh = 0.5 * (prob.norm2 + np.sqrt(np.linalg.norm(prob.A @ prob.A, 2)))
+        assert _numerical_range_estimate(prob, samples=4096) <= bound <= kittaneh + margin
+    # w = 0.6 + 0.35 = 0.95: Kittaneh's bound reads 1.0156, the grid's proves w < 1
+    assert 0.95 <= probs[-1].numerical_range_bound < 0.97
+
+
 def test_numerical_range_bound_is_computed_on_first_use(monkeypatch):
     calls = []
     for name in ("eigvalsh", "norm"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _f=fn, _n=name, **k: calls.append(_n) or _f(*a, **k))
-    for td, name in (("continuous", "eigvalsh"), ("discrete", "norm")):
+    # discrete time: Kittaneh's ||A^2||, then one batched eigvalsh over the angles
+    for td, names in (("continuous", ["eigvalsh"]), ("discrete", ["norm", "eigvalsh"])):
         calls.clear()
         prob = gen_test_matrix("jordan-shifted", 3, time_domain=td)
         assert calls == [] and getattr(prob, "_numerical_range_bound", None) is None
         bound = prob.numerical_range_bound
-        assert prob.numerical_range_bound == bound and calls == [name]
+        assert prob.numerical_range_bound == bound and calls == names

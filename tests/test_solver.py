@@ -4,7 +4,9 @@ import pytest
 from kreiss import (
     MatrixProblem,
     compute_kreiss,
+    default_start,
     gen_test_matrix,
+    minimize,
     solve_owr,
     solve_owr_backtracking,
     solve_trisection,
@@ -25,22 +27,55 @@ def test_scalar_normal_all_methods(scalar_ct):
         assert result.status is not SolveStatus.FAILED
 
 
+def _three_methods(prob):
+    return (solve_owr_backtracking(prob), solve_owr(prob),
+            solve_trisection(prob, gamma_tol=1e-6))
+
+
+def _assert_decided_by_the_numerical_range(result, prob):
+    radius = "omega(A)" if prob.is_continuous else "w(A)"
+    bound = prob.numerical_range_bound
+    assert (result.kreiss, result.gamma_inv) == (1.0, 1.0)
+    assert result.status is SolveStatus.CONVERGED
+    assert result.certificate_calls == 0 and result.reports == [] and result.trace == []
+    assert result.restarts == 0 and result.minimizer is None
+    assert result.decided_by == "numerical-range"
+    assert result.message == (f"numerical range proves K = 1: {radius} <= {bound:.17g} "
+                              f"<= {0 if prob.is_continuous else 1}")
+
+
 @pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
 def test_normal_plateau_certified_by_every_method(time_domain):
-    # g and h exceed 1 everywhere for a normal matrix: K = 1 must come with
-    # an empty certificate, never from the plateau value alone
+    # a normal A has omega(A) = alpha(A) < 0 (w(A) = rho(A) < 1): g and h
+    # exceed 1 everywhere, and the numerical range proves K = 1 before any
+    # optimization or certificate
     prob = random_normal_stable(3, 4, time_domain)
-    for result in (solve_owr_backtracking(prob), solve_owr(prob),
-                   solve_trisection(prob, gamma_tol=1e-6)):
-        assert result.kreiss == pytest.approx(1.0, abs=1e-8)
-        assert result.status is not SolveStatus.FAILED
-        assert result.certificate_calls >= 1
-        assert result.reports[-1].empty
-        if result.method == "owr":
-            last = result.reports[-1]
-            bound = last.gamma - 0.5 * last.eta
-            assert bound < 1.0
-            assert result.message == f"certified 1/K > {bound:.17g}"
+    for result in _three_methods(prob):
+        _assert_decided_by_the_numerical_range(result, prob)
+
+
+@pytest.mark.parametrize("time_domain, A", [
+    ("continuous", [[-1.0, 1.0], [0.0, -1.0]]),  # omega(A) = -0.5
+    ("discrete", [[0.6j, 0.7], [0.0, 0.6j]]),    # w(A) = 0.95, Kittaneh's bound 1.0156
+], ids=["continuous", "discrete"])
+def test_nonnormal_contractive_decided_by_the_numerical_range(time_domain, A):
+    prob = MatrixProblem(np.array(A), time_domain)
+    assert grid_min(prob, levels=4)[0] >= 1.0 - 1e-12
+    for result in _three_methods(prob) + (solve_owr_backtracking(prob, c=0.25, use_dnc=True),):
+        _assert_decided_by_the_numerical_range(result, prob)
+
+
+def test_plateau_start_of_a_noncontractive_matrix_is_certified():
+    # the grid attains h < 1, so K > 1, yet the default start descends onto
+    # the plateau: the numerical range decides nothing, and every method certifies
+    rng = np.random.default_rng(267)
+    B = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    prob = MatrixProblem(B / (np.max(np.abs(np.linalg.eigvals(B))) / 0.7), "discrete")
+    assert prob.numerical_range_bound > 1.0 and grid_min(prob, levels=3)[0] < 1.0
+    assert minimize(prob, default_start(prob)).value >= 1.0
+    for result in _three_methods(prob):
+        assert result.decided_by == "certificate"
+        assert result.certificate_calls >= 1 and result.status is not SolveStatus.FAILED
 
 
 def test_discrete_normal_identity():

@@ -71,6 +71,23 @@ def test_jordan_variable_certificate_bounds_the_oracle(jordan_ct, gamma, eta):
     assert not report.empty or g_grid > gamma - 0.5 * eta
 
 
+@_KNOWN_WRONG
+@pytest.mark.parametrize("gamma, eta", [(1.0 - 1e-9, 1e-2), (1.0 - 1e-6, 1e-6)],
+                         ids=["gamma1-1e-9-eta1e-2", "gamma1-1e-6-eta1e-6"])
+def test_plateau_probe_certificate_bounds_the_oracle(gamma, eta):
+    # block B of the benchmark's dt-two-cluster-n4 matrix (solve-dt, seed 7):
+    # just below the plateau the test captures no circle at all, while at
+    # 1 - 1e-4 it finds points; this is the certificate behind the plateau solves
+    B = np.array([[0.526 - 0.563j, 0.667], [0.0, 0.526 - 0.563j]])
+    prob = MatrixProblem(B, "discrete")
+    g_grid = grid_min(prob, levels=4)[0]
+    _pinned(g_grid, 0.93402944, "the grid minimum")
+    if not certify(prob, "variable-v", 1.0 - 1e-4, 1e-6).points:
+        pytest.fail("the test at 1 - 1e-4 no longer finds points: not the intended case")
+    report = certify(prob, "variable-v", gamma, eta)
+    assert not report.empty or g_grid > report.gamma - 0.5 * eta
+
+
 _N5_SEED109 = (5, 109, 1.0394616)
 _N4_SEED1025 = (4, 1025, 1.0120221)
 
