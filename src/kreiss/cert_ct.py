@@ -24,11 +24,14 @@ operator, the pair's partner map and a 1D test:
    (or circles), and the candidates outside ``search_interval`` are
    dropped: by the problem's ``stability_gap`` below it, and by its
    ``numerical_range_bound`` above it, they carry no point at level gamma;
-3. ``_collect_points`` runs the 1D test on each: ``_polish``
-   Newton-polishes a level-set point along the line Re z = x or the circle
-   |z| = r, and ``_verify_point`` confirms by a direct SVD that gamma is a
-   singular value there, which keeps the certificate sound however the
-   candidate eigenvalues were obtained.
+3. ``_collect_points`` runs the 1D test on each: ``_level_points``, one
+   test for both time domains, takes the eigenvalues of the domain's 1D
+   eigenproblem (``objective.Domain.pencil_1d``) near its curve, merges
+   split double roots, and Newton-polishes each level-set point along the
+   line Re z = x or the circle |z| = r (``_polish``); ``_verify_point``
+   confirms by a direct SVD that gamma is a singular value there, which
+   keeps the certificate sound however the candidate eigenvalues were
+   obtained.
 
 Dense QZ runs on order 2n^2 for the fixed pencil, whose 2n^2 structural
 infinite eigenvalues are deflated first, and on order 4n^2 for the
@@ -52,10 +55,10 @@ n^2 - n after the fixed pencil's deflation, which ``linalg`` factors half
 by half, unless the halves would regroup into one QZ call
 (``_halves_for``).  The horizontal pencils and every pencil of a complex T
 do not commute with the transpose and stay whole.  The 1D tests, the SVD
-verification and the
-divide-and-conquer operators keep using A, so every reported point is
-verified against the input matrix.  The 1D test fills its Hamiltonian
-matrix from blocks of A that the problem keeps
+verification and the divide-and-conquer operators keep using A, so every
+reported point is verified against the input matrix.  The 1D test fills
+the Hamiltonian matrix (continuous time) or symplectic pencil (discrete
+time) from blocks of A that the problem keeps
 (``MatrixProblem.blocks_1d``) and takes its eigenvalues from
 ``linalg.eig_small``, in real arithmetic for a real A.
 """
@@ -70,7 +73,7 @@ import numpy as np
 import scipy.sparse
 
 from . import dnc, linalg, objective
-from .errors import SingularDError
+from .errors import SingularDError, SingularPencilError
 from .matio import MatrixProblem, TimeDomain
 
 __all__ = [
@@ -216,60 +219,49 @@ class CertificateReport:
         return len(self.points) == 0
 
 
-def _hamiltonian_blocks(A):
-    """(H0, J, K) with [[A - xI, gamma x I], [-gamma x I, xI - A*]] =
-    H0 + x J + (gamma x) K: H0 = [[A, 0], [0, -A*]], J = diag(-I, I) and
-    K = [[0, I], [-I, 0]]."""
-    n = A.shape[0]
-    H0 = np.zeros((2 * n, 2 * n), dtype=complex)
-    H0[:n, :n] = A
-    H0[n:, n:] = -A.conj().T
-    return H0, np.diag(np.repeat([-1.0, 1.0], n)), np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
-
-
-def _hamiltonian_vertical(prob, gamma, x):
-    """The Hamiltonian matrix of the 1D test, from blocks of A that the
-    problem keeps (``MatrixProblem.blocks_1d``)."""
-    H0, J, K = prob.blocks_1d(lambda: _hamiltonian_blocks(prob.A))
-    return H0 + x * J + (gamma * x) * K
-
-
 def vertical_level_points(prob: MatrixProblem, gamma: float, x: float) -> list[float]:
-    """All y with gamma a singular value of G(x, y), via the Hamiltonian test.
-
-    gamma is a singular value of G(x, y) iff i*y is an eigenvalue of the
-    2n x 2n Hamiltonian matrix [[A - xI, gamma*x*I], [-gamma*x*I, xI - A*]].
-    Eigenvalues within CAPTURE_FACTOR * 1e-8 * max(1, |Im|) * ||A|| of the
-    imaginary axis are kept; near-duplicates are merged (a double root
-    perturbs into a symmetric pair, whose mean restores the root) and each
-    y is polished by a 1D Newton iteration on sigma(G(x, .)) = gamma.
-    """
+    """All y, in increasing order, with gamma a singular value of G(x, y),
+    i.e. with i*y an eigenvalue of the Hamiltonian matrix
+    [[A - xI, gamma*x*I], [-gamma*x*I, xI - A*]] (``_level_points``)."""
     objective.check_domain(prob, TimeDomain.CONTINUOUS, "vertical_level_points")
+    return _level_points(prob, gamma, x)
+
+
+def _level_points(prob, gamma, c1):
+    """The 1D test of both time domains: every c2, in increasing order, with
+    gamma a singular value of the objective's matrix at (c1, c2).
+
+    The domain's ``pencil_1d`` has an eigenvalue on its normalized curve
+    (the imaginary axis, the unit circle) at each such c2; ``on_curve`` keeps
+    the ones within CAPTURE_FACTOR times the strict band, as points w on it.
+    Rounding splits a double root into a symmetric pair, so each chain
+    closer than 1e-6 * max(1, max |Im w|) in c2 order is merged into its
+    mean (``mean_coordinate``); the first and last chain may join across the
+    circle's seam.  Each c2 is polished (``_polish``), wrapped and sorted.
+    """
+    dom = objective.domain(prob)
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    if x == 0.0:
-        raise ValueError("x must be nonzero")
-    lam = linalg.eig_small(_hamiltonian_vertical(prob, gamma, x)).alpha
-    scale = max(prob.norm2, 1e-300)
-    band = 1e-8 * np.maximum(1.0, np.abs(lam.imag)) * scale
-    keep = np.abs(lam.real) <= CAPTURE_FACTOR * band
-    ys = np.sort(lam[keep].imag)
-    if ys.size == 0:
+    if c1 == dom.barrier or c1 == 0.0:
+        raise ValueError(f"the 1D test needs c1 off 0 and off the barrier; got {c1}")
+    lam = linalg.eig_small(*dom.pencil_1d(prob, gamma, c1)).finite_values
+    if lam.size == 0:
+        raise SingularPencilError("the 1D pencil has no finite eigenvalues")
+    w = dom.on_curve(prob, lam, CAPTURE_FACTOR)
+    if w.size == 0:
         return []
-    ys = _merge_close(ys, atol=1e-6 * max(1.0, float(np.max(np.abs(ys)))))
-    return [float(_polish(prob, gamma, x, y)) for y in ys]
-
-
-def _merge_close(vals, atol):
-    """Average runs of values closer than atol (restores split double roots)."""
-    vals = np.sort(np.asarray(vals, dtype=float))
-    groups = [[vals[0]]]
-    for v in vals[1:]:
-        if v - groups[-1][-1] <= atol:
-            groups[-1].append(v)
+    w = w[np.argsort(dom.coordinate(w))]
+    atol = 1e-6 * max(1.0, float(np.max(np.abs(w.imag))))
+    chains = [[w[0]]]
+    for v in w[1:]:
+        if abs(v - chains[-1][-1]) <= atol:
+            chains[-1].append(v)
         else:
-            groups.append([v])
-    return np.array([np.mean(g) for g in groups])
+            chains.append([v])
+    if len(chains) > 1 and abs(chains[0][0] - chains[-1][-1]) <= atol:
+        chains[0].extend(chains.pop())
+    return sorted(float(dom.wrap(_polish(prob, gamma, c1, dom.mean_coordinate(chain))))
+                  for chain in chains)
 
 
 def _polish(prob, gamma, c1, t, steps=25):
@@ -377,26 +369,13 @@ def _pencil_blocks(A, gamma, eta, variant, theta_orient=None):
     problem's A; the dense pencils are built from ``AffineLevel``.
     """
     _check_gamma_eta(gamma, eta, theta_orient)
-    n = A.shape[0]
-    eye = np.eye(n)
     S1, S2, C = _sylvester_blocks(A, gamma)
+    n = A.shape[0]
     if variant == "fixed":
-        e_p, e_m = np.exp(1j * theta_orient), np.exp(-1j * theta_orient)
-        ct = np.cos(theta_orient)
-        Ah = A.conj().T
-        S2 = np.block([
-            [Ah - eta * e_m * eye, -gamma * eta * ct * eye],
-            [gamma * eta * ct * eye, eta * e_p * eye - A],
-        ])
-        return S1, S2, C, C
+        return S1, S2 + eta * np.kron(_fixed_offset(gamma, theta_orient), np.eye(n)), C, C
     if variant == "variable-vertical":
-        D = np.block([
-            [(1 - 1j * eta) * eye, -gamma * eye],
-            [gamma * eye, -(1 + 1j * eta) * eye],
-        ])
-    else:
-        D = _pair_beta(gamma, eta) * C
-    return S1, S2, C, D
+        return S1, S2, C, C - 1j * eta * np.eye(2 * n)
+    return S1, S2, C, _pair_beta(gamma, eta) * C
 
 
 @dataclass(frozen=True)

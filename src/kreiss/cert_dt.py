@@ -14,15 +14,15 @@ Both radial tests are thin entries into the one pipeline of
 ``cert_ct._level_set_test``: real roots by dense QZ
 (``QuadPencil.spectrum``) or the opt-in sweep of ``dnc``, then
 ``cert_ct._candidates`` (circles r > 1 and their partners beta*r + delta),
-then the 1D circular test, built on the symplectic pencil of the ray
-condition, with the polish, SVD verification and point collection of
-``cert_ct``.  Both eigensolvers keep the roots inside the one capture band
-of ``cert_ct``, and no circle outside the domain's ``search_interval`` is
-probed: none below 1 plus the problem's ``stability_gap`` over 1 + gamma,
-and none beyond the end that its numerical radius bound
-(``numerical_range_bound``) sets; none of them carries a point.  This
-module keeps only the quadratic problem, the symplectic 1D eigenproblem
-and the clustering of its unimodular eigenvalues.  The empty outcome of the
+then the one 1D test of ``cert_ct._level_points`` on the symplectic
+pencil of ``objective.Domain.pencil_1d``, with the SVD verification and
+point collection of ``cert_ct``.  Both eigensolvers keep the roots inside
+the one capture band of ``cert_ct``, and no circle outside the domain's
+``search_interval`` is probed: none below 1 plus the problem's
+``stability_gap`` over 1 + gamma, and none beyond the end that its
+numerical radius bound (``numerical_range_bound``) sets; none of them
+carries a point.  This module keeps only the quadratic problem and the
+radial entries into the pipeline.  The empty outcome of the
 variable-distance test certifies 1/K > gamma - eta/2.
 
 q0, q1 and q2 are affine in eta (through delta and beta), so both
@@ -36,9 +36,7 @@ splits into blocks of orders k_b, the quadratic problem falls apart into
 one part of order 4 k_b k_b' per pair of blocks, and the one
 ``eig_quadratic`` call of a test linearizes and factors each at order
 6 k_b k_b'.  The 1D circular test, ``_nudge_gamma`` (on the cached
-``MatrixProblem.svals``) and the divide-and-conquer operator keep using A;
-the 1D test fills its pencil from blocks of A that the problem keeps
-(``MatrixProblem.blocks_1d``) and calls ``linalg.eig_small``.
+``MatrixProblem.svals``) and the divide-and-conquer operator keep using A.
 """
 
 from __future__ import annotations
@@ -47,12 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dnc, objective
-from .cert_ct import (CAPTURE_FACTOR, AffineLevel, CertificateReport, SparseTerm,
-                      _check_gamma_eta, _check_test, _kron_parts, _level_set_test, _pair_beta,
-                      _polish)
-from .errors import SingularPencilError
+from .cert_ct import (AffineLevel, CertificateReport, SparseTerm, _check_gamma_eta,
+                      _check_test, _kron_parts, _level_points, _level_set_test, _pair_beta)
 # QuadPencil.spectrum calls eig_quadratic by this name: bench/tracing.py wraps it here
-from .linalg import eig_quadratic, eig_small
+from .linalg import eig_quadratic
 from .matio import MatrixProblem, TimeDomain
 
 __all__ = [
@@ -64,8 +60,6 @@ __all__ = [
     "variable_distance_test_dt",
 ]
 
-# eigenvalue of the symplectic pencil counts as unimodular when ||lam|-1| <= this
-UNIMODULAR_ATOL = 1e-8
 # gamma closer than this (times max(1, ||A||)) to a singular value of A gets nudged
 GAMMA_SV_GUARD = 1e-8
 
@@ -146,76 +140,13 @@ def _quad_level(prob, gamma):
 # 1D circular test
 # --------------------------------------------------------------------------
 
-def _circle_blocks(A):
-    """(Ma, P, Q, Na, P', Q') with [[A, g I], [0, r I]] = Ma + r P + g Q and
-    [[r I, 0], [g I, A*]] = Na + r P' + g Q'."""
-    n = A.shape[0]
-
-    def unit(i, j):
-        """The block matrix with I at block (i, j) and zeros elsewhere."""
-        U = np.zeros((2 * n, 2 * n))
-        U[i * n:(i + 1) * n, j * n:(j + 1) * n] = np.eye(n)
-        return U
-
-    Ma = np.zeros((2 * n, 2 * n), dtype=complex)
-    Na = np.zeros((2 * n, 2 * n), dtype=complex)
-    Ma[:n, :n] = A
-    Na[n:, n:] = A.conj().T
-    return Ma, unit(1, 1), unit(0, 1), Na, unit(0, 0), unit(1, 0)
-
-
-def _symplectic_pencil(prob, gamma, r):
-    """The symplectic pencil of the 1D test with g = gamma (r - 1), from
-    blocks of A that the problem keeps (``MatrixProblem.blocks_1d``)."""
-    Ma, P, Q, Na, P2, Q2 = prob.blocks_1d(lambda: _circle_blocks(prob.A))
-    g = gamma * (r - 1.0)
-    return Ma + r * P + g * Q, Na + r * P2 + g * Q2
-
-
 def circular_level_points(prob: MatrixProblem, gamma: float, r: float) -> list[float]:
-    """All theta in [0, 2*pi) with gamma a singular value of H(r, theta).
-
-    gamma is a singular value of H(r, theta) iff e^{i theta} is an
-    eigenvalue of the symplectic pencil
-    [[A, gamma(r-1)I], [0, rI]] - lam [[rI, 0], [gamma(r-1)I, A*]],
-    which is regular since A is nonsingular (problem invariant) and r != 0.
-    Unimodular eigenvalues are clustered on the circle (double roots split
-    symmetrically; the circular mean restores them) and polished by a 1D
-    Newton iteration on sigma(H(r, .)) = gamma.
-    """
+    """All theta in [0, 2*pi), in increasing order, with gamma a singular
+    value of H(r, theta), i.e. with e^{i theta} an eigenvalue of the
+    symplectic pencil [[A, gamma(r-1)I], [0, rI]] - lam [[rI, 0],
+    [gamma(r-1)I, A*]] (``cert_ct._level_points``)."""
     objective.check_domain(prob, TimeDomain.DISCRETE, "circular_level_points")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if r == 1.0 or r == 0.0:
-        raise ValueError("r must differ from 0 and 1")
-    M, N = _symplectic_pencil(prob, gamma, r)
-    lam = eig_small(M, N).finite_values
-    if lam.size < M.shape[0] // 4:
-        # mostly infinite eigenvalues would mean a (near-)singular pencil
-        if not np.isfinite(lam).any():
-            raise SingularPencilError("symplectic pencil has no finite eigenvalues")
-    lam = lam[np.abs(np.abs(lam) - 1.0) <= CAPTURE_FACTOR * UNIMODULAR_ATOL]
-    if lam.size == 0:
-        return []
-    wrap = objective.domain(prob).wrap
-    return sorted(wrap(_polish(prob, gamma, r, t)) for t in _cluster_on_circle(lam))
-
-
-def _cluster_on_circle(lam, atol=1e-6):
-    """Merge near-duplicate unimodular eigenvalues via their circular mean."""
-    z = lam / np.abs(lam)
-    order = np.argsort(np.angle(z))
-    z = z[order]
-    groups = [[z[0]]]
-    for w in z[1:]:
-        if abs(w - groups[-1][-1]) <= atol:
-            groups[-1].append(w)
-        else:
-            groups.append([w])
-    # the first and last group may wrap around the circle seam
-    if len(groups) > 1 and abs(groups[0][0] - groups[-1][-1]) <= atol:
-        groups[0].extend(groups.pop())
-    return [float(np.angle(np.mean(g))) for g in groups]
+    return _level_points(prob, gamma, r)
 
 
 # --------------------------------------------------------------------------

@@ -266,8 +266,9 @@ class MatrixProblem:
         return self._memo("_level", build, key)
 
     def blocks_1d(self, build):
-        """The blocks of the 1D level-set test's matrix or pencil, ``build()``
-        on first use: they depend on A alone, so every test reuses them."""
+        """The blocks of the 1D level-set test's matrix or pencil
+        (``objective.Domain.pencil_1d``), ``build()`` on first use: they
+        depend on A alone, so every test reuses them."""
         return self._memo("_blocks_1d", build)
 
     @property

@@ -88,8 +88,15 @@ class Domain:
     is sigma_min of ``matrix(A, c1, c2)`` = (z I - A)/``scale(c1)``, with
     ``scale(c1)`` = c1 - ``barrier`` (x, or r - 1); it is +inf for
     c1 <= barrier.  ``wrap`` normalizes c2 (theta into [0, 2*pi)).  The 1D
-    level-set tests run along the curve c2 -> point(c1, c2), with tangent
-    ``dpoint`` and Newton steps at most ``polish_cap(c2)`` long.
+    level-set test (``cert_ct._level_points``) runs along the curve
+    c2 -> point(c1, c2), with tangent ``dpoint`` and Newton steps at most
+    ``polish_cap(c2)`` long.  Each domain owns its eigenproblem:
+    ``pencil_1d(prob, gamma, c1)`` has an eigenvalue on the normalized curve
+    (the imaginary axis, the unit circle) at every c2 where gamma is a
+    singular value of ``matrix``; ``on_curve`` keeps the eigenvalues inside
+    the capture band of that curve and maps them to points w on it;
+    ``coordinate(w)`` is their c2, and ``mean_coordinate`` the c2 of a
+    chain's mean.
     ``search_interval(prob, gamma)`` = [lo, hi] is a proven enclosure of
     every c1 with a point at level gamma or below: by Weyl,
     sigma_min(z I - A) >= d - scale(c1) when d bounds sigma_min on the
@@ -172,6 +179,23 @@ class _Continuous(Domain):
     def polish_cap(self, y):
         return 0.5 * max(1.0, abs(y))
 
+    def pencil_1d(self, prob, gamma, x):
+        """[[A - xI, gamma x I], [-gamma x I, xI - A*]] and no N: i y is an
+        eigenvalue iff gamma is a singular value of G(x, y)."""
+        H0, J, K = prob.blocks_1d(lambda: _hamiltonian_blocks(prob.A))
+        return H0 + x * J + (gamma * x) * K, None
+
+    def on_curve(self, prob, lam, factor):
+        """i Im(lam) for each lam within factor * 1e-8 * max(1, |Im lam|) * ||A|| of iR."""
+        band = 1e-8 * np.maximum(1.0, np.abs(lam.imag)) * max(prob.norm2, 1e-300)
+        return 1j * lam[np.abs(lam.real) <= factor * band].imag
+
+    def coordinate(self, w):
+        return w.imag
+
+    def mean_coordinate(self, chain):
+        return float(np.mean(np.imag(chain)))
+
 
 class _Discrete(Domain):
     """The exterior of the unit disk, z = r e^{i theta}, scale r - 1."""
@@ -215,6 +239,43 @@ class _Discrete(Domain):
 
     def polish_cap(self, theta):
         return 0.5
+
+    def pencil_1d(self, prob, gamma, r):
+        """[[A, g I], [0, r I]] - lam [[r I, 0], [g I, A*]], g = gamma (r - 1):
+        e^{i theta} is an eigenvalue iff gamma is a singular value of
+        H(r, theta); regular, as A is nonsingular and r != 0."""
+        Ma, P, Q, Na, P2, Q2 = prob.blocks_1d(lambda: _circle_blocks(prob.A))
+        g = gamma * (r - 1.0)
+        return Ma + r * P + g * Q, Na + r * P2 + g * Q2
+
+    def on_curve(self, prob, lam, factor):
+        """lam/|lam| for the lam with ||lam| - 1| <= factor * 1e-8."""
+        lam = lam[np.abs(np.abs(lam) - 1.0) <= factor * 1e-8]
+        return lam / np.abs(lam)
+
+    def coordinate(self, w):
+        return np.angle(w)
+
+    def mean_coordinate(self, chain):
+        return float(np.angle(np.mean(chain)))  # the circular mean
+
+
+def _hamiltonian_blocks(A):
+    """(H0, J, K) with [[A - xI, gamma x I], [-gamma x I, xI - A*]] =
+    H0 + x J + (gamma x) K."""
+    n = A.shape[0]
+    Z = np.zeros((n, n))
+    return (np.block([[A, Z], [Z, -A.conj().T]]), np.diag(np.repeat([-1.0, 1.0], n)),
+            np.eye(2 * n, k=n) - np.eye(2 * n, k=-n))
+
+
+def _circle_blocks(A):
+    """(Ma, P, Q, Na, P', Q') with [[A, g I], [0, r I]] = Ma + r P + g Q and
+    [[r I, 0], [g I, A*]] = Na + r P' + g Q'."""
+    Z, I = np.zeros(A.shape), np.eye(A.shape[0])
+    return (np.block([[A, Z], [Z, Z]]), np.block([[Z, Z], [Z, I]]), np.block([[Z, I], [Z, Z]]),
+            np.block([[Z, Z], [Z, A.conj().T]]), np.block([[I, Z], [Z, Z]]),
+            np.block([[Z, Z], [I, Z]]))
 
 
 _DOMAINS = MappingProxyType({TimeDomain.CONTINUOUS: _Continuous(),

@@ -13,6 +13,7 @@ from kreiss import (
     horizontal_variable_test,
     kron_sum_inverse,
     minimize,
+    objective,
     solve_owr,
     variable_distance_test,
     vertical_level_points,
@@ -77,6 +78,32 @@ def test_level_points_reject_the_other_domain(jordan_ct, jordan_dt):
         vertical_level_points(jordan_dt, 0.5, 2.0)
     with pytest.raises(ValueError, match="discrete-time problem"):
         circular_level_points(jordan_ct, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+def test_level_points_shared_entry(time_domain):
+    # both 1D tests run one entry: a negative level, the barrier (x = 0,
+    # r = 1) and r = 0 are errors, and every answer comes in increasing c2
+    prob = random_stable(4, 3, time_domain)
+    if time_domain == "continuous":
+        level_points, lines, bad = vertical_level_points, (0.2, 0.5, 1.0, 2.0), (0.0,)
+        ts = np.linspace(-6.0, 6.0, 61)
+    else:
+        level_points, lines, bad = circular_level_points, (1.05, 1.2, 1.5, 2.0), (1.0, 0.0)
+        ts = np.linspace(0.0, 2.0 * np.pi, 61)
+    with pytest.raises(ValueError, match="gamma"):
+        level_points(prob, -0.1, lines[0])
+    for c1 in bad:
+        with pytest.raises(ValueError, match="c1"):
+            level_points(prob, 0.5, c1)
+    crossings = 0
+    for c1 in lines:
+        values = [objective.evaluate(prob, c1, t).value for t in ts]
+        for gamma in np.quantile(values, [0.1, 0.5, 0.9]):
+            c2s = level_points(prob, gamma, c1)
+            assert c2s == sorted(c2s)
+            crossings = max(crossings, len(c2s))
+    assert crossings >= 4
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from kreiss import (
     sylvester_solver,
     vertical_level_points,
 )
-from kreiss.cert_dt import _symplectic_pencil
+from kreiss.objective import domain
 from kreiss.linalg import (DIRECT_EIG_MAX_ORDER, eig_pencil_deflated, eig_small,
                            gen_sylvester_solver)
 from kreiss.errors import NearSingularOperatorError
@@ -325,7 +325,7 @@ def test_symplectic_pencil_reciprocal_symmetry():
     for seed in range(3):
         prob = gen_test_matrix("random-stable-shifted", 4, seed=seed,
                                time_domain="discrete")
-        M, N = _symplectic_pencil(prob, 0.6, 1.7)
+        M, N = domain(prob).pencil_1d(prob, 0.6, 1.7)
         vals = eig_pencil(M, N).finite_values
         vals = vals[np.abs(vals) > 1e-8]
         for lam in vals:
