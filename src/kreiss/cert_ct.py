@@ -15,10 +15,11 @@ tests of ``cert_dt`` included, is a thin entry into one pipeline,
 ``_level_set_test``, supplying a pencil builder, a divide-and-conquer
 operator, the pair's partner map and a 1D test:
 
-1. real eigenvalues come from dense QZ on the pencil (its ``spectrum()``)
-   or from the opt-in sweep of ``dnc`` over the domain's
+1. real eigenvalues come from the dense pencil's ``spectrum()`` (QZ, or
+   QR on m2^-1 m1 for a variable pencil with a well-conditioned m2) or
+   from the opt-in sweep of ``dnc`` over the domain's
    ``search_interval``, which never builds the pencil and makes no query
-   when that interval is empty; both keep the eigenvalues inside one
+   when that interval is empty; all keep the eigenvalues inside one
    capture band around the real axis (``_capture_band_rel``);
 2. ``_candidates`` is the single step from eigenvalues to candidate lines
    (or circles), and the candidates outside ``search_interval`` are
@@ -35,7 +36,13 @@ operator, the pair's partner map and a 1D test:
 
 Dense QZ runs on order 2n^2 for the fixed pencil, whose 2n^2 structural
 infinite eigenvalues are deflated first, and on order 4n^2 for the
-variable ones.  Every 2D test's eigenproblem is affine in eta, and the
+variable ones.  A variable pencil's m2 = I (x) C + D (x) I acts on each
+index (a, i, b, j) of W as a 4 x 4 matrix S on (a, b) and as the identity
+on (i, j), so m2^-1 is known exactly from S^-1 and cond_2(m2) = cond_2(S).
+When that condition is at most MASS_COND_MAX, which holds away from small
+eta, the pencil's eigenvalues are those of K = m2^-1 m1, and QR on K
+(``linalg.eig_standard``) replaces QZ; this 4 x 4 inverse is the only one
+the dense tests take.  Every 2D test's eigenproblem is affine in eta, and the
 backtracking iteration runs many tests at one gamma, so every ``build_*``
 function, in both time domains, scatters its matrices from one
 ``AffineLevel``: an ordered sum of eta-free terms, each scaled by one of the
@@ -43,7 +50,7 @@ test's coefficients and kept by its nonzeros, with the part layout (and,
 for the fixed pencil, the column rotation QZ receives).  A problem keeps
 one level (``MatrixProblem.level``): the fixed pencil's per (gamma,
 theta_orient), and one per gamma that the vertical and horizontal variable
-pencils share.  Nothing is inverted.  The level is built from
+pencils share.  The level is built from
 ``MatrixProblem.split``, whose T is A itself when A does not split.
 Otherwise T is block diagonal and its pencil falls apart into one part of
 order 4 k_b k_b' per pair of blocks (``_kron_parts``), which ``linalg``
@@ -100,25 +107,32 @@ CAPTURE_FACTOR = 100.0
 LINE_DEDUP_ATOL = 1e-12
 # verification: some singular value must match gamma to this times ||A||
 VERIFY_RTOL = 1e-8
+# a variable pencil goes to QR on m2^-1 m1 when cond_2(m2) is at most this
+# (``KroneckerPencil.spectrum``): a backward error of about 2e-13 relative
+MASS_COND_MAX = 1e3
 
 
-def _capture_band_rel(strict_rel, eta):
+def _capture_band_rel(strict_rel, eta, kappa=1.0):
     """Relative half-width of the candidate capture band around the real axis.
 
     Pair-tangent configurations make the pencil's real root a double root,
-    which rounding splits into a conjugate pair with imaginary parts on the
-    order of sqrt(eps / eta); the band grows accordingly as eta shrinks.
-    Captured candidates only feed the verified 1D stage, so a generous band
-    costs time, never correctness.
+    which a backward error of kappa * eps splits into a conjugate pair with
+    imaginary parts on the order of sqrt(kappa * eps / eta); the band grows
+    accordingly as eta shrinks.  kappa is 1 for QZ and for the
+    divide-and-conquer sweep, and the mass matrix's condition
+    (``linalg.Spectrum.mass_cond``) for QR on m2^-1 m1.  Captured
+    candidates only feed the verified 1D stage, so a generous band costs
+    time, never correctness.
     """
     eps = np.finfo(float).eps
-    split = 10.0 * np.sqrt(eps / max(eta, eps))
+    split = 10.0 * np.sqrt(kappa * eps / max(eta, eps))
     return min(max(CAPTURE_FACTOR * strict_rel, split), 0.05)
 
 
 @dataclass
 class KroneckerPencil:
-    """The 4n^2 x 4n^2 pencil m1 - lambda*m2 of a 2D level-set test, as QZ receives it.
+    """The 4n^2 x 4n^2 pencil m1 - lambda*m2 of a 2D level-set test, as its
+    eigensolver receives it (``spectrum``).
 
     ``M`` and ``N`` are m1 and m2 times the unitary Z of ``_rotate_columns``
     when ``rotation`` (``_null_rotation``'s V) is set, which it is for the
@@ -161,17 +175,42 @@ class KroneckerPencil:
             return X
         return _rotate_columns(X, self.rotation, math.isqrt(X.shape[0] // 4), inverse=True)
 
-    def spectrum(self) -> linalg.Spectrum:
-        """The pencil's spectrum by dense QZ; its ``order`` is what QZ factored.
+    @property
+    def mass_core(self) -> Optional[np.ndarray]:
+        """The 4 x 4 core S = I_2 (x) c + d (x) I_2 of a variable pencil's
+        m2 = P (S (x) I_{n^2}) P^T (``_mass_solve``), None for the fixed
+        pencil, whose m2 is singular.
 
-        ``linalg.eig_pencil_deflated`` removes the 2n^2 infinite eigenvalues
-        that the fixed pencil's zero columns of N carry, so QZ runs on order
-        2n^2 there; the variable-distance pencils have an invertible m2 and
-        go to QZ at order 4n^2.  Each part goes to QZ on its own: the two
-        halves of a halved pencil at orders n(2n+1) and n(2n-1), or n^2 + n
-        and n^2 - n after deflation, for the same total.
+        m2 does not depend on A, and S is m2 itself at n = 1: c is
+        [[1, -gamma], [gamma, -1]], and d = c - i eta I_2 (vertical) or
+        beta c (horizontal).
         """
-        return linalg.eig_pencil_deflated(self.M, self.N, self.parts)
+        if self.variant == "fixed":
+            return None
+        return _kron_pencil(*_pencil_blocks(np.zeros((1, 1)), self.gamma, self.eta,
+                                            self.variant))[1]
+
+    def spectrum(self) -> linalg.Spectrum:
+        """The pencil's spectrum; its ``order`` is what the eigensolver factored.
+
+        A variable pencil whose cond_2(m2) = cond_2(S) (``mass_core``) is at
+        most MASS_COND_MAX goes to QR on K = m2^-1 m1 (``_mass_solve``,
+        ``linalg.eig_standard``), taken into the halves when the pencil is
+        halved: K commutes with the transpose when m1 and m2 do.  Every
+        other pencil goes to QZ (``linalg.eig_pencil_deflated``), which
+        first deflates the 2n^2 infinite eigenvalues of the fixed pencil's
+        zero columns of N.  Each part is factored on its own: the two halves
+        of a halved pencil at orders n(2n+1) and n(2n-1), or n^2 + n and
+        n^2 - n after deflation, for the same total.
+        """
+        S = self.mass_core
+        kappa = None if S is None else float(np.linalg.cond(S))
+        if kappa is None or not kappa <= MASS_COND_MAX:
+            return linalg.eig_pencil_deflated(self.M, self.N, self.parts)
+        K = _mass_solve(S, self.m1)
+        if self.halves is not None:
+            K = self.halves.apply(K)
+        return linalg.eig_standard(K, kappa, self.parts)
 
 
 @dataclass
@@ -184,15 +223,18 @@ class CertificateReport:
     from a variable-distance test certifies 1/K > gamma - eta/2.
     ``large_eig_count`` is the order of the large eigenproblem actually
     factored: 2n^2 for the continuous-time fixed pencil and 4n^2 for the
-    variable/horizontal ones (dense QZ), 6n^2 in discrete time (the trimmed
-    linearization of ``linalg.eig_quadratic``), and the operator's
+    variable/horizontal ones (dense QZ or QR), 6n^2 in discrete time (the
+    trimmed linearization of ``linalg.eig_quadratic``), and the operator's
     dimension under divide-and-conquer.  A split or halved pencil counts
-    the sum of the orders QZ factored, which is the same total.
-    ``qz_orders`` lists those orders, one per QZ call: one entry for an
-    unsplit pencil, one per group of parts for a split one, two for the
-    halves of a real A's vertical pencil (n(2n+1) and n(2n-1) for
-    ``variable-v``, n^2 + n and n^2 - n for ``fixed-v``), none under
-    divide-and-conquer.
+    the sum of the orders factored, which is the same total.
+    ``eig_orders`` lists those orders, one per dense eigensolver call: one
+    entry for an unsplit pencil, one per group of parts for a split one,
+    two for the halves of a real A's vertical pencil (n(2n+1) and n(2n-1)
+    for ``variable-v``, n^2 + n and n^2 - n for ``fixed-v``), none under
+    divide-and-conquer.  ``eig_route`` names the dense eigensolver: "qz",
+    or "qr" on m2^-1 m1 (``KroneckerPencil.spectrum``), whose ``mass_cond``
+    is cond_2(m2); None under divide-and-conquer, and ``mass_cond`` None
+    unless QR ran.
     ``gamma_nudged`` says whether the discrete-time tests moved gamma off a
     singular value of A (``cert_dt._nudge_gamma``); ``gamma`` is then the
     level actually tested.  ``search_lo`` and ``search_hi`` are the ends of
@@ -209,10 +251,12 @@ class CertificateReport:
     large_eig_count: int = 0
     theta_orient: Optional[float] = None
     rejected_points: int = 0
-    qz_orders: list[int] = field(default_factory=list)
+    eig_orders: list[int] = field(default_factory=list)
     gamma_nudged: bool = False
     search_lo: Optional[float] = None
     search_hi: Optional[float] = None
+    eig_route: Optional[str] = None
+    mass_cond: Optional[float] = None
 
     @property
     def empty(self) -> bool:
@@ -590,6 +634,21 @@ def _null_rotation(gamma, swap_adapted=False):
     return np.hstack([V[:, 2:], V[:, :2]])
 
 
+def _mass_solve(S, X):
+    """m2^-1 X for a variable pencil's m2 = P (S (x) I_{n^2}) P^T.
+
+    P is ``_rotate_columns``' permutation, which gathers the pair (a, b) of
+    a row (a, i, b, j) into p = 2b + a beside k = j n + i.  So m2^-1 =
+    P (S^-1 (x) I) P^T exactly, and row (p, k) of the result is the sum over
+    q of S^-1[p, q] times row (q, k) of X.
+    """
+    m = X.shape[0]
+    n = math.isqrt(m // 4)
+    Xr = X.reshape(2, n, 2, n, -1).transpose(0, 2, 1, 3, 4).reshape(4, -1)
+    Y = np.linalg.inv(S) @ Xr
+    return Y.reshape(2, 2, n, n, -1).transpose(0, 2, 1, 3, 4).reshape(X.shape)
+
+
 def _rotate_columns(M, V, n, inverse=False):
     """M Z for the unitary Z = P^T (V (x) I_{n^2}) of the fixed pencil, or M Z*.
 
@@ -743,9 +802,10 @@ def _halves_for(split, rotated=False):
 # --------------------------------------------------------------------------
 
 def _near_real(spec, eta):
-    """Real parts of the finite eigenvalues inside the capture band of the real axis."""
+    """Real parts of the finite eigenvalues inside the capture band of the
+    real axis, widened by the mass matrix's condition on the QR route."""
     lam = spec.finite_values
-    rel = _capture_band_rel(REAL_AXIS_RTOL, eta)
+    rel = _capture_band_rel(REAL_AXIS_RTOL, eta, spec.mass_cond or 1.0)
     return lam[np.abs(lam.imag) <= rel * np.maximum(1.0, np.abs(lam.real))].real
 
 
@@ -784,8 +844,9 @@ def _level_set_test(prob, report, build, operator, partner, level_points, use_dn
     ``use_dnc`` no operator is built, no query is made, and the report is
     empty with ``large_eig_count`` 0.  Otherwise ``large_eig_count`` is the
     order QZ factored or the operator's dimension.  A ``MaxShiftsError``
-    from the sweep propagates to the caller.  ``qz_orders`` lists the
-    orders QZ factored (``Spectrum.orders``).
+    from the sweep propagates to the caller.  ``eig_orders`` lists the
+    orders the dense eigensolver factored (``Spectrum.orders``), and
+    ``eig_route`` and ``mass_cond`` say which one it was.
     """
     dom = objective.domain(prob)
     lo, hi = dom.search_interval(prob, report.gamma)
@@ -801,7 +862,8 @@ def _level_set_test(prob, report, build, operator, partner, level_points, use_dn
         spec = build().spectrum()
         xs = _near_real(spec, report.eta)
         report.large_eig_count = spec.order
-        report.qz_orders = list(spec.orders)
+        report.eig_orders = list(spec.orders)
+        report.eig_route, report.mass_cond = spec.route, spec.mass_cond
     report.candidate_lines = [c for c in _candidates(xs, dom.barrier, partner) if lo <= c <= hi]
     return _collect_points(prob, level_points, report)
 

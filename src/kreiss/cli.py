@@ -32,7 +32,7 @@ from .errors import (
 from .matio import load_matrix
 from .solver import SolveStatus
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 _log = logging.getLogger("kreiss")
 
@@ -173,7 +173,8 @@ def cmd_kreiss(args) -> int:
             "decided_by": result.decided_by,
             "trace": [{"phase": t.phase, "gamma": t.gamma, "eta": t.eta,
                        "verdict": t.verdict, "points": t.points,
-                       "search_lo": t.search_lo, "search_hi": t.search_hi}
+                       "search_lo": t.search_lo, "search_hi": t.search_hi,
+                       "eig_route": t.eig_route, "mass_cond": t.mass_cond}
                       for t in result.trace],
             "bounds": [[b.lb, b.ub] for b in result.bounds_history],
         }
@@ -206,7 +207,9 @@ def cmd_certify(args) -> int:
         "empty": report.empty,
         "rejected_points": report.rejected_points,
         "large_eig_count": report.large_eig_count,
-        "qz_orders": [int(k) for k in report.qz_orders],
+        "eig_orders": [int(k) for k in report.eig_orders],
+        "eig_route": report.eig_route,
+        "mass_cond": report.mass_cond,
         "gamma_nudged": report.gamma_nudged,
         "search_lo": report.search_lo,
         "search_hi": report.search_hi,

@@ -4,31 +4,38 @@ Everything here is dense and sized for desk-scale matrices (n up to a few
 tens); the large certificate eigenproblems, which QZ factors at order 2n^2
 (continuous-time fixed distance), 4n^2 (continuous-time variable distance)
 or 6n^2 (discrete time: the trimmed linearization of the 4n^2 quadratic
-problem), are still cheap at that scale.  One dtype rule holds for every
-eigensolver here: a pencil whose entries all have zero imaginary part runs
-in real LAPACK, any other in complex LAPACK.  The large pencils go through
-``scipy.linalg.eigvals`` (``eig_pencil``); the small ones of the 1D
-level-set tests, of order 2n, and the large ones up to order
-DIRECT_EIG_MAX_ORDER through ``eig_small``, one direct LAPACK call without
-scipy's validation and workspace query, which at order 2n cost about as
-much as the factorization itself.
+problem), are still cheap at that scale.  A pencil M - lambda*N whose
+caller has formed K = N^-1 M exactly enough (a continuous-time variable
+pencil with a well-conditioned mass matrix, ``cert_ct.KroneckerPencil``)
+goes to ``eig_standard`` instead: QR (LAPACK ``geev``) on K, 4-8 times
+cheaper than QZ at the same order, with ``Spectrum.mass_cond`` recording
+cond_2(N).  One dtype rule holds for every eigensolver here: a matrix or
+pencil whose entries all have zero imaginary part runs in real LAPACK, any
+other in complex LAPACK.  The large problems go through
+``scipy.linalg.eigvals`` (``eig_pencil``, ``eig_standard``), which queries
+LAPACK for its optimal workspace; the small ones of the 1D level-set
+tests, of order 2n, and the large ones up to order DIRECT_EIG_MAX_ORDER
+through ``eig_small``, one direct LAPACK call without scipy's validation
+and workspace query, which at order 2n cost about as much as the
+factorization itself.
 
 A pencil known to be block diagonal up to row and column permutations (a
 certificate pencil of a matrix that ``MatrixProblem.split`` splits, or the
 symmetric and skew-symmetric halves of a real matrix's vertical
 continuous-time pencil, ``cert_ct.TransposeHalves``) is passed with its
 ``parts``, the row and column indices of each diagonal block.
-``eig_pencil_deflated`` and ``eig_quadratic`` then factor it one group of
-parts at a time and return the union as one ``Spectrum`` whose ``orders``
-lists the orders QZ factored, so QZ work falls from (sum k)^3 to
-sum k^3.  Parts smaller than ``MIN_GROUP_ORDER`` are grouped with their
-neighbours first.  The shift-and-invert path works with implicit operators
-so the divide-and-conquer layer can avoid forming them; it never splits.
+``eig_pencil_deflated``, ``eig_standard`` and ``eig_quadratic`` then
+factor it one group of parts at a time and return the union as one
+``Spectrum`` whose ``orders`` lists the orders factored, so the work falls
+from (sum k)^3 to sum k^3.  Parts smaller than ``MIN_GROUP_ORDER`` are
+grouped with their neighbours first.  The shift-and-invert path works
+with implicit operators so the divide-and-conquer layer can avoid forming
+them; it never splits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -49,6 +56,7 @@ __all__ = [
     "RitzValue",
     "eig_pencil",
     "eig_pencil_deflated",
+    "eig_standard",
     "eig_quadratic",
     "eig_small",
     "sylvester_solver",
@@ -80,16 +88,19 @@ class Spectrum:
     """Eigenvalues as generalized (alpha, beta) pairs; beta == 0 means infinity.
 
     The first ``deflated`` eigenvalues are infinities known from the pencil's
-    structure (see ``eig_pencil_deflated``); QZ factored a problem of order
-    ``order``, the rest.  ``orders`` holds the order of each problem QZ
-    factored: ``(order,)`` for one pencil, one entry per group of parts for
-    a split one (module docstring).
+    structure (see ``eig_pencil_deflated``); the eigensolver factored a
+    problem of order ``order``, the rest.  ``orders`` holds the order of
+    each problem it factored: ``(order,)`` for one pencil, one entry per
+    group of parts for a split one (module docstring).  ``mass_cond`` is
+    None when QZ factored the pencil, and cond_2(N) when QR factored
+    K = N^-1 M (``eig_standard``); ``route`` names the two.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     deflated: int = 0
     orders: Optional[tuple[int, ...]] = None
+    mass_cond: Optional[float] = None
 
     def __post_init__(self):
         if self.orders is None:
@@ -97,6 +108,11 @@ class Spectrum:
 
     def __len__(self):
         return len(self.alpha)
+
+    @property
+    def route(self) -> str:
+        """"qz" for a generalized eigenproblem, "qr" for N^-1 M (``mass_cond``)."""
+        return "qz" if self.mass_cond is None else "qr"
 
     @property
     def order(self) -> int:
@@ -220,9 +236,10 @@ def eig_small(M, N=None) -> Spectrum:
     """Eigenvalues of M, or of the pencil M - lambda*N, by one direct LAPACK call.
 
     For the order-2n pencils of the 1D level-set tests, and every pencil
-    of ``eig_pencil`` up to order DIRECT_EIG_MAX_ORDER: ``geev`` (beta = 1)
-    or ``ggev``, real when the matrices are real under ``_lapack_dtype``'s
-    rule, with LAPACK's default workspace.  Up to that order the values are
+    of ``eig_pencil`` and matrix of ``eig_standard`` up to order
+    DIRECT_EIG_MAX_ORDER: ``geev`` (beta = 1) or ``ggev``, real when the
+    matrices are real under ``_lapack_dtype``'s rule, with LAPACK's
+    default workspace.  Up to that order the values are
     bitwise those of ``scipy.linalg.eigvals``, whose checks and workspace
     query cost about 70 us at order 12, a third of the call; from order 124
     on, real ``dggev`` with the default workspace takes another path and
@@ -242,6 +259,36 @@ def eig_small(M, N=None) -> Spectrum:
         raise ConvergenceFailure(f"LAPACK eigensolver failed (info={out[-1]})")
     alpha = out[0] + 1j * out[1] if real else out[0]
     return Spectrum(np.asarray(alpha, dtype=complex), beta)
+
+
+def eig_standard(K, mass_cond, parts=None) -> Spectrum:
+    """Eigenvalues of the pencil M - lambda*N from K = N^-1 M, by QR.
+
+    The caller forms K and states ``mass_cond``, the 2-norm condition of
+    the N it inverted, which the returned Spectrum keeps: QR's backward
+    error on K is a few eps times ||K||, so as a perturbation of the pencil
+    it is about mass_cond * eps relative, against QZ's eps.  Real LAPACK
+    (``dgeev``) runs when K is real under ``_lapack_dtype``'s rule, complex
+    LAPACK (``zgeev``) otherwise.  Up to order DIRECT_EIG_MAX_ORDER K goes
+    to ``eig_small``'s one direct call, above it to ``scipy.linalg.eigvals``
+    with its workspace query, as in ``eig_pencil``.  ``parts`` (see
+    ``eig_pencil_deflated``) makes each group of K's diagonal blocks a
+    problem of its own.
+    """
+    K, = _lapack_dtype(K)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError("K must be square")
+    if parts is not None:
+        spec = _split(lambda X: eig_standard(X, mass_cond), (K,), parts)
+    elif K.shape[0] <= DIRECT_EIG_MAX_ORDER:
+        spec = eig_small(K)
+    else:
+        try:
+            values = scipy.linalg.eigvals(K)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"QR failed: {exc}") from exc
+        spec = Spectrum(np.asarray(values, dtype=complex), np.ones(len(values), dtype=complex))
+    return replace(spec, mass_cond=float(mass_cond))
 
 
 def _with_infinities(k, spec) -> Spectrum:

@@ -74,6 +74,10 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class TraceEntry:
+    """One step of a solve; a certificate's entry carries its report's
+    search interval and dense eigensolver (``CertificateReport.eig_route``,
+    ``mass_cond``)."""
+
     phase: str
     gamma: float
     eta: float
@@ -81,6 +85,8 @@ class TraceEntry:
     points: int = 0
     search_lo: Optional[float] = None
     search_hi: Optional[float] = None
+    eig_route: Optional[str] = None
+    mass_cond: Optional[float] = None
 
 
 @dataclass
@@ -189,7 +195,8 @@ class _Run:
             return None
         self.reports.append(report)
         self.trace.append(TraceEntry(phase, gamma, eta, "empty" if report.empty else "points",
-                                     len(report.points), report.search_lo, report.search_hi))
+                                     len(report.points), report.search_lo, report.search_hi,
+                                     report.eig_route, report.mass_cond))
         if report.empty and self.certificate.startswith("variable"):
             # report.gamma, not gamma: the discrete-time tests may nudge it
             self.message = f"certified 1/K > {report.gamma - 0.5 * eta:.17g}"

@@ -120,13 +120,13 @@ def assert_split_reports_agree(prob, variant, levels, monkeypatch):
     move with the rounding of the QZ that found them, split or not."""
     barrier = 0.0 if prob.is_continuous else 1.0
     split = [certify(prob, variant, gamma, eta) for gamma, eta in levels]
-    assert all(len(r.qz_orders) > 1 for r in split)
+    assert all(len(r.eig_orders) > 1 for r in split)
     with monkeypatch.context() as m:
         unsplit(m)
         whole = [certify(MatrixProblem(prob.A, prob.time_domain), variant, gamma, eta)
                  for gamma, eta in levels]
     for a, b in zip(split, whole):
-        assert len(b.qz_orders) == 1
+        assert len(b.eig_orders) == 1
         assert a.large_eig_count == b.large_eig_count
         assert (a.empty, len(a.points)) == (b.empty, len(b.points)), (a.gamma, a.eta)
         for p, q in ((a, b), (b, a)):
@@ -135,24 +135,48 @@ def assert_split_reports_agree(prob, variant, levels, monkeypatch):
                 assert np.min(np.abs(other - x)) <= 1e-8 * max(1.0, abs(x)), (a.gamma, x)
 
 
+def _record_lapack(monkeypatch, entry):
+    """The entries ``entry(route, dtype, order)`` that are not None, of every
+    eigenproblem handed to LAPACK from here on: through
+    ``scipy.linalg.eigvals``, or through the direct LAPACK call that
+    ``linalg.eig_small`` makes.  The route is "qz" for a pencil
+    (``eigvals`` with b, ``dggev``, ``zggev``) and "qr" for one matrix
+    (``eigvals`` without b, ``dgeev``, ``zgeev``)."""
+    calls = []
+
+    def recording(fn, route=None):
+        def record(M, *args, **kwargs):
+            pencil = (args[0] if args else kwargs.get("b")) is not None
+            item = entry(route or ("qz" if pencil else "qr"), M.dtype, M.shape[0])
+            if item is not None:
+                calls.append(item)
+            return fn(M, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", recording(scipy.linalg.eigvals))
+    for name, route in (("dggev", "qz"), ("zggev", "qz"), ("dgeev", "qr"), ("zgeev", "qr")):
+        monkeypatch.setattr(scipy.linalg.lapack, name,
+                            recording(getattr(scipy.linalg.lapack, name), route))
+    return calls
+
+
 def record_qz(monkeypatch):
     """(dtype, order) of every pencil handed to QZ from here on: through
     ``scipy.linalg.eigvals``, or through the direct LAPACK call that
     ``linalg.eig_small`` makes (pencils up to ``linalg.DIRECT_EIG_MAX_ORDER``
     and the 1D tests' pencils)."""
-    calls = []
+    return _record_lapack(monkeypatch,
+                          lambda route, dtype, order: (dtype, order) if route == "qz" else None)
 
-    def recording(fn):
-        def record(M, N, *args, **kwargs):
-            calls.append((M.dtype, M.shape[0]))
-            return fn(M, N, *args, **kwargs)
-        return record
 
-    monkeypatch.setattr(scipy.linalg, "eigvals", recording(scipy.linalg.eigvals))
-    for name in ("dggev", "zggev"):
-        monkeypatch.setattr(scipy.linalg.lapack, name,
-                            recording(getattr(scipy.linalg.lapack, name)))
-    return calls
+def record_eig(monkeypatch):
+    """(route, dtype, order) of every eigenproblem handed to LAPACK from here
+    on (``_record_lapack``): "qz" for a pencil, "qr" for one matrix, such
+    as K = m2^-1 m1 of a variable pencil or the Hamiltonian matrix of a
+    continuous-time 1D test.  A 2D test hands over its large eigenproblems
+    first (one per entry of ``eig_orders``), then its 1D tests, of order
+    2n."""
+    return _record_lapack(monkeypatch, lambda route, dtype, order: (route, dtype, order))
 
 
 class MatrixOperator(LinearOperator):

@@ -227,7 +227,7 @@ def test_real_block_diagonal_matrix_reaches_qz_in_real_arithmetic(monkeypatch):
     report = variable_distance_test_dt(prob, 0.9, 0.01)
     qz = [(dtype, k) for dtype, k in calls if k > 2 * prob.n]  # not the 1D circular test
     assert all(dtype == np.float64 for dtype, _ in qz)
-    assert [k for _, k in qz] == report.qz_orders == [24, 24, 24, 24]
+    assert [k for _, k in qz] == report.eig_orders == [24, 24, 24, 24]
     assert report.large_eig_count == 6 * prob.n ** 2
 
 

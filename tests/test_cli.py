@@ -34,7 +34,7 @@ def test_kreiss_scalar(tmp_path):
                    "--emit-trace", str(trace_path))
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert doc["schema_version"] == 6
+    assert doc["schema_version"] == 7
     assert doc["kreiss"] == pytest.approx(1.0, abs=1e-6)
     assert doc["status"] in ("converged", "tolerance-reached")
     # omega(A) = -1 <= 0 decides K = 1 without a certificate
@@ -72,7 +72,7 @@ def test_start_flag_and_trace(jordan_file, tmp_path):
                    "--emit-trace", str(trace_path))
     assert proc.returncode == 0
     trace = json.loads(trace_path.read_text())
-    assert trace["trace"] and trace["bounds"] and trace["schema_version"] == 6
+    assert trace["trace"] and trace["bounds"] and trace["schema_version"] == 7
     assert trace["decided_by"] == "certificate"
     # each certificate records the ends of the interval it searched
     prob = gen_test_matrix("jordan-shifted", 2, time_domain="continuous", eps=0.3)
@@ -81,6 +81,9 @@ def test_start_flag_and_trace(jordan_file, tmp_path):
                          for t in certs)
     assert all(t["search_hi"] == 1.1 * prob.numerical_range_bound / (1.0 - t["gamma"])
                for t in certs)
+    # and its dense route: QR on the first, coarse levels, QZ once eta is small
+    assert {t["eig_route"] for t in certs} == {"qr", "qz"}
+    assert all((t["mass_cond"] is None) == (t["eig_route"] == "qz") for t in certs)
     widths = [ub - lb for lb, ub in trace["bounds"]]
     assert widths[0] > 0 and widths[-1] <= widths[0]
 
@@ -123,9 +126,10 @@ def test_certify_variants_match_library(variant, time_domain, eps, gamma, tmp_pa
                              for p in report.points]
     assert doc["empty"] == report.empty
     assert doc["rejected_points"] == report.rejected_points
-    assert doc["schema_version"] == 6
-    assert doc["qz_orders"] == report.qz_orders
-    assert sum(doc["qz_orders"]) == doc["large_eig_count"] == report.large_eig_count
+    assert doc["schema_version"] == 7
+    assert doc["eig_orders"] == report.eig_orders
+    assert sum(doc["eig_orders"]) == doc["large_eig_count"] == report.large_eig_count
+    assert doc["eig_route"] == report.eig_route == "qz" and doc["mass_cond"] is None
     assert doc["gamma_nudged"] is report.gamma_nudged is False
     assert doc["search_lo"] == report.search_lo > (0.0 if time_domain == "continuous" else 1.0)
     assert doc["search_hi"] == report.search_hi > doc["search_lo"]
@@ -141,8 +145,21 @@ def test_certify_cmd_reports_the_split_and_the_nudge(tmp_path, capsys):
     assert main(["certify", "--input", str(path), "--gamma", "0.5", "--eta", "0.01"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["gamma_nudged"] is True and doc["gamma"] != 0.5
-    assert doc["qz_orders"] == [24, 24, 24, 24]
+    assert doc["eig_orders"] == [24, 24, 24, 24]
     assert doc["large_eig_count"] == 6 * 4 * 4
+
+
+def test_certify_cmd_reports_the_route(jordan_file):
+    # variable-v at gamma = 0.6: QR on m2^-1 m1 at eta = 0.3, QZ at eta = 1e-4
+    prob = gen_test_matrix("jordan-shifted", 2, time_domain="continuous", eps=0.3)
+    for eta, route in ((0.3, "qr"), (1e-4, "qz")):
+        doc = json.loads(run_cli("certify", "--input", jordan_file,
+                                 "--gamma", "0.6", "--eta", str(eta)).stdout)
+        report = certify(prob, "variable-v", 0.6, eta)
+        assert doc["eig_route"] == report.eig_route == route
+        assert doc["mass_cond"] == report.mass_cond
+        assert (report.mass_cond is None) == (route == "qz")
+        assert doc["eig_orders"] == report.eig_orders == [16]
 
 
 def test_certify_gamma_validation(jordan_file):

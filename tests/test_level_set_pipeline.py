@@ -210,7 +210,7 @@ def test_tracer_sees_every_certificate_layer(variant, jordan_ct, jordan_dt):
     for td, layer in (("continuous", "cert_ct"), ("discrete", "cert_dt")):
         prob = random_normal_stable(3, 2, td)
         names, report = _span_names(prob, variant, 0.9)
-        assert prob.split.sizes == (1, 1, 1) and len(report.qz_orders) > 1
+        assert prob.split.sizes == (1, 1, 1) and len(report.eig_orders) > 1
         assert names.count(f"{layer}.test") == names.count(f"{layer}.pencil_build") == 1
         assert names.count("linalg.eig_quadratic") == (1 if layer == "cert_dt" else 0)
 

@@ -119,8 +119,8 @@ def _same_report(a, b):
                                                            b.gamma_nudged)
     assert a.candidate_lines == b.candidate_lines
     assert [p.coords for p in a.points] == [p.coords for p in b.points]
-    assert (a.large_eig_count, a.qz_orders, a.rejected_points) == (
-        b.large_eig_count, b.qz_orders, b.rejected_points)
+    assert (a.large_eig_count, a.eig_orders, a.rejected_points) == (
+        b.large_eig_count, b.eig_orders, b.rejected_points)
 
 
 @pytest.mark.parametrize("td", ["continuous", "discrete"])

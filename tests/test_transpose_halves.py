@@ -182,7 +182,7 @@ def test_halves_agree_with_the_whole_pencil(variant, monkeypatch):
                 fresh = MatrixProblem(prob.A, prob.time_domain)
                 whole = certify(fresh, variant, gamma, eta)
                 roots = _well_conditioned_roots(build(fresh, gamma, eta))
-            assert halved.qz_orders == orders and whole.qz_orders == [sum(orders)]
+            assert halved.eig_orders == orders and whole.eig_orders == [sum(orders)]
             assert halved.large_eig_count == whole.large_eig_count
             assert (halved.empty, len(halved.points)) == (whole.empty, len(whole.points))
             for report in (halved, whole):
@@ -194,7 +194,7 @@ def test_halves_agree_with_the_whole_pencil(variant, monkeypatch):
 @pytest.mark.parametrize("variant", CERTIFICATE_CHOICES)
 def test_pencils_that_stay_whole_are_unchanged(variant, monkeypatch):
     # a complex A, variable-h and fixed-h, and discrete time: the same QZ
-    # input and qz_orders whether or not halves are allowed
+    # input and eig_orders whether or not halves are allowed
     probs = [random_stable(4, 4, "continuous"), gen_test_matrix("jordan-shifted", 4),
              gen_test_matrix("jordan-shifted", 4, time_domain="discrete"),
              random_stable(4, 4, "discrete")]
@@ -219,7 +219,7 @@ def test_pencils_that_stay_whole_are_unchanged(variant, monkeypatch):
         with monkeypatch.context() as m:
             _whole(m)
             ref_report = certify(MatrixProblem(prob.A, prob.time_domain), variant, gamma, eta)
-        assert report.qz_orders == ref_report.qz_orders == [report.large_eig_count]
+        assert report.eig_orders == ref_report.eig_orders == [report.large_eig_count]
         assert report.candidate_lines == ref_report.candidate_lines
 
 
@@ -236,7 +236,7 @@ def test_real_variable_certificate_bounds_the_oracle(n, seed):
     g_grid = grid_min(prob, levels=4)[0]
     for gamma, eta in three_levels(prob):
         report = certify(prob, "variable-v", gamma, eta)
-        assert report.qz_orders == ([n * (2 * n + 1), n * (2 * n - 1)] if n > 3 else [4 * n * n])
+        assert report.eig_orders == ([n * (2 * n + 1), n * (2 * n - 1)] if n > 3 else [4 * n * n])
         # EMPTY certifies 1/K > gamma - eta/2, which the attained grid value refutes
         assert not report.empty or g_grid > gamma - 0.5 * eta, (gamma, eta)
 
