@@ -56,12 +56,10 @@ from .localopt import OptResult, OptStatus, minimize  # noqa: F401
 from .cert_ct import (  # noqa: F401
     CertificateReport,
     KroneckerPencil,
-    KronSumInverse,
     build_fixed_pencil,
     build_variable_pencil,
     fixed_distance_test,
     horizontal_variable_test,
-    kron_sum_inverse,
     variable_distance_test,
     vertical_level_points,
 )

@@ -41,8 +41,8 @@ index (a, i, b, j) of W as a 4 x 4 matrix S on (a, b) and as the identity
 on (i, j), so m2^-1 is known exactly from S^-1 and cond_2(m2) = cond_2(S).
 When that condition is at most MASS_COND_MAX, which holds away from small
 eta, the pencil's eigenvalues are those of K = m2^-1 m1, and QR on K
-(``linalg.eig_standard``) replaces QZ; this 4 x 4 inverse is the only one
-the dense tests take.  Every 2D test's eigenproblem is affine in eta, and the
+(``linalg.eig_standard``) replaces QZ; this 4 x 4 inverse is the package's
+only inverse of m2.  Every 2D test's eigenproblem is affine in eta, and the
 backtracking iteration runs many tests at one gamma, so every ``build_*``
 function, in both time domains, scatters its matrices from one
 ``AffineLevel``: an ordered sum of eta-free terms, each scaled by one of the
@@ -80,20 +80,18 @@ import numpy as np
 import scipy.sparse
 
 from . import dnc, linalg, objective
-from .errors import SingularDError, SingularPencilError
+from .errors import SingularPencilError
 from .matio import MatrixProblem, TimeDomain
 
 __all__ = [
     "CertificateReport",
     "KroneckerPencil",
-    "KronSumInverse",
     "vertical_level_points",
     "build_fixed_pencil",
     "fixed_distance_test",
     "build_variable_pencil",
     "variable_distance_test",
     "horizontal_variable_test",
-    "kron_sum_inverse",
 ]
 
 # eigenvalue lambda of the big pencil counts as real when
@@ -156,7 +154,6 @@ class KroneckerPencil:
     sizes: tuple[int, ...]
     parts: tuple
     rotation: Optional[np.ndarray] = None
-    theta_orient: Optional[float] = None
     beta: Optional[float] = None
     halves: Optional[TransposeHalves] = None
 
@@ -569,8 +566,7 @@ def _kron_pencil_at(prob, variant, gamma, eta, coefficients, theta_orient=None, 
     level = levels[variant]
     M, N = level.matrices(**coefficients)
     return KroneckerPencil(M, N, gamma, eta, variant, prob.split.sizes, level.parts,
-                           level.rotation, theta_orient=theta_orient, beta=beta,
-                           halves=level.halves)
+                           level.rotation, beta=beta, halves=level.halves)
 
 
 def build_fixed_pencil(prob: MatrixProblem, gamma: float, eta: float,
@@ -598,12 +594,13 @@ def build_horizontal_pencil(prob: MatrixProblem, gamma: float, eta: float) -> Kr
 
 
 def _check_gamma_eta(gamma, eta, theta_orient=None):
-    """Validate a test's level gamma in (0, 1) and distance eta > 0, and for
-    fixed-distance pairs in continuous time the orientation theta_orient."""
+    """Validate a test's level gamma in (0, 1) and distance eta, finite and
+    positive, and for fixed-distance pairs in continuous time the
+    orientation theta_orient."""
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0, 1); got {gamma}")
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite; got {eta}")
     if theta_orient is not None and not (-np.pi / 2 < theta_orient <= np.pi / 2):
         raise ValueError("theta_orient must lie in (-pi/2, pi/2]")
 
@@ -923,80 +920,3 @@ def horizontal_variable_test(prob: MatrixProblem, gamma: float, eta: float,
         lambda: build_horizontal_pencil(prob, gamma, eta),
         lambda: dnc.op_horizontal_ct(prob, gamma, eta),
         lambda x: beta * x, vertical_level_points, use_dnc, seed)
-
-
-# --------------------------------------------------------------------------
-# structured Kronecker-sum inverse (variable-distance m2)
-# --------------------------------------------------------------------------
-
-@dataclass
-class KronSumInverse:
-    """Factored inverse of D = I_{2k} (x) C + (C + s I_{2n}) (x) I_{2k}.
-
-    C is the 2n x 2n block matrix [[a I, -b I], [b I, -a I]].  The inverse
-    is s^{-1} I - beta^{-1} U_k (I - 2 s^{-1} I_k (x) C) V_k with
-    beta = s^2 + 4 (b^2 - a^2), applied to a vector in O(k n^2) beyond the
-    two thin products.
-    """
-
-    a: complex
-    b: complex
-    k: int
-    n: int
-    s: complex
-    beta: complex
-    u_factor: scipy.sparse.spmatrix
-    v_factor: scipy.sparse.spmatrix
-    middle: scipy.sparse.spmatrix
-
-    @property
-    def dim(self) -> int:
-        return 4 * self.k * self.n
-
-    def matvec(self, y):
-        y = np.asarray(y, dtype=complex)
-        t = self.v_factor @ y
-        t = t - (2.0 / self.s) * (self.middle @ t)
-        return y / self.s - (self.u_factor @ t) / self.beta
-
-    def dense(self) -> np.ndarray:
-        eye = np.eye(self.dim, dtype=complex)
-        return np.column_stack([self.matvec(eye[:, j]) for j in range(self.dim)])
-
-
-def _structured_factors(a, b, k, n):
-    eye_n = scipy.sparse.identity(n, format="csr", dtype=complex)
-    eye_k = scipy.sparse.identity(k, format="csr", dtype=complex)
-    top = scipy.sparse.bmat([[2 * a * eye_n, -b * eye_n], [b * eye_n, None]], format="csr")
-    Uk = scipy.sparse.vstack([
-        scipy.sparse.kron(eye_k, top, format="csr"),
-        b * scipy.sparse.identity(2 * k * n, dtype=complex, format="csr"),
-    ], format="csr")
-    rightblk = scipy.sparse.bmat(
-        [[None, -eye_n], [eye_n, -2 * a / b * eye_n]], format="csr"
-    )
-    Vk = scipy.sparse.hstack([
-        scipy.sparse.identity(2 * k * n, dtype=complex, format="csr"),
-        scipy.sparse.kron(eye_k, rightblk, format="csr"),
-    ], format="csr")
-    C = scipy.sparse.bmat([[a * eye_n, -b * eye_n], [b * eye_n, -a * eye_n]], format="csr")
-    middle = scipy.sparse.kron(eye_k, C, format="csr")
-    return Uk, Vk, middle
-
-
-def kron_sum_inverse(a, b, k: int, n: int, s) -> KronSumInverse:
-    """Structured inverse of the shifted Kronecker sum (see KronSumInverse).
-
-    Raises SingularDError when s = 0 or beta = s^2 + 4(b^2 - a^2) = 0, the
-    exact singularity conditions.
-    """
-    a, b, s = complex(a), complex(b), complex(s)
-    if b == 0:
-        raise ValueError("b must be nonzero")
-    beta = s**2 + 4.0 * (b**2 - a**2)
-    scale = abs(s) ** 2 + 4.0 * (abs(b) ** 2 + abs(a) ** 2)
-    if abs(s) == 0.0 or abs(beta) <= 1e-14 * scale:
-        raise SingularDError(f"shifted Kronecker sum is singular (s={s}, beta={beta})")
-    Uk, Vk, middle = _structured_factors(a, b, k, n)
-    return KronSumInverse(a=a, b=b, k=k, n=n, s=s, beta=beta,
-                          u_factor=Uk, v_factor=Vk, middle=middle)

@@ -21,9 +21,10 @@ end, so the sweep's width follows omega(A) (or w(A) - 1), not ||A||.  When
 that interval is empty no operator is built and no query is made.  The sweep counts as
 real the Ritz values inside dense QZ's capture band.
 
-Dense QZ remains the default certificate backend; this layer is opt-in
-because shift-and-invert solvers can miss nearby eigenvalues, a failure
-mode the test suite checks for explicitly rather than masks.  The
+The dense eigensolve remains the default certificate backend (QZ, or QR
+on m2^-1 m1 for a variable pencil with a well-conditioned m2); this layer
+is opt-in because shift-and-invert solvers can miss nearby eigenvalues, a
+failure mode the test suite checks for explicitly rather than masks.  The
 operators are built from the problem's A, never from its split form
 (``MatrixProblem.split``): a reducible A gets one operator of the full
 order here, where the dense pencils split into one part per pair of

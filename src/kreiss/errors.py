@@ -73,11 +73,7 @@ class InfeasibleStartError(KreissError):
     """The starting point is outside the feasible search domain."""
 
 
-# --- structured inverses / divide-and-conquer -------------------------------
-
-class SingularDError(KreissError):
-    """The shifted Kronecker-sum matrix is singular (s = 0 or beta = 0)."""
-
+# --- divide-and-conquer ----------------------------------------------------
 
 class ZeroShiftError(KreissError):
     """A zero shift is invalid for this shifted-inverse operator."""

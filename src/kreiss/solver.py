@@ -29,6 +29,7 @@ coordinate-free lower bound).
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -164,6 +165,12 @@ def certify(prob: MatrixProblem, variant: str, gamma: float, eta: float, *,
     if variant == "variable-v":
         return cert_ct.variable_distance_test(prob, gamma, eta, **opts)
     return cert_ct.horizontal_variable_test(prob, gamma, eta, **opts)
+
+
+def _check_tolerance(name, value):
+    """Reject a tolerance that is not finite and positive, NaN included."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite; got {value}")
 
 
 def _check_certificate(method, certificate, kind):
@@ -307,6 +314,9 @@ def solve_owr_backtracking(
     _check_certificate("owr-bt", certificate, "fixed")
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
+    for name, value in (("eta_tol", eta_tol), ("eta0", eta0)):
+        if value is not None:
+            _check_tolerance(name, value)
 
     def iterate(run):
         res = _initial_minimum(prob, start, opt_opts)
@@ -345,8 +355,7 @@ def solve_owr(
     g_k (1 - gamma_tol) below the plateau, and the iteration stops with 1/g_k.
     """
     _check_certificate("owr", certificate, "variable")
-    if gamma_tol <= 0:
-        raise ValueError("gamma_tol must be positive")
+    _check_tolerance("gamma_tol", gamma_tol)
 
     def levels(g_k):
         return [(min(g_k * (1.0 - 0.5 * gamma_tol), 1.0 - _PLATEAU_PROBE_GAP),
@@ -376,8 +385,7 @@ def solve_trisection(
     shrinks by 2/3 per certificate call until ub - lb <= ub * gamma_tol.
     """
     _check_certificate("trisection", certificate, "variable")
-    if gamma_tol <= 0:
-        raise ValueError("gamma_tol must be positive")
+    _check_tolerance("gamma_tol", gamma_tol)
 
     def iterate(run):
         run.status = SolveStatus.TOLERANCE_REACHED

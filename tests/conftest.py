@@ -56,6 +56,18 @@ def random_normal_stable(n, seed, time_domain):
     return MatrixProblem(Q @ np.diag(lam) @ Q.conj().T, time_domain)
 
 
+def gathered_mass(S, n):
+    """P (S (x) I_{n^2}) P^T as a dense matrix: row (a, i, b, j) of vec(W),
+    a n + i + 2n (b n + j), meets the rows (a', i, b', j) with the weights
+    S[2b + a, 2b' + a'].  A variable pencil's m2 is this matrix of its 4 x 4
+    ``mass_core``."""
+    m = 4 * n * n
+    at = np.arange(m).reshape(2, n, 2, n).transpose(0, 2, 1, 3).reshape(-1)
+    out = np.zeros((m, m), dtype=S.dtype)
+    out[np.ix_(at, at)] = np.kron(S, np.eye(n * n))
+    return out
+
+
 def jordan_block(k, lam, scale):
     return np.diag(np.full(k, lam, dtype=complex)) + scale * np.diag(np.ones(k - 1), 1)
 

@@ -17,21 +17,20 @@ import kreiss
 from kreiss import (
     MatrixProblem,
     build_quad_pencil_fixed,
+    build_variable_pencil,
     gen_test_matrix,
     g_eval,
     g_hess,
     h_eval,
     h_hess,
-    kron_sum_inverse,
     solve_owr,
     solve_owr_backtracking,
     solve_trisection,
 )
-from kreiss.cert_ct import _structured_factors
-from kreiss.errors import SingularDError
+from kreiss.cert_ct import _mass_solve, build_horizontal_pencil
 from kreiss.oracle import grid_min
 
-from conftest import random_normal_stable, random_stable
+from conftest import gathered_mass, random_normal_stable, random_stable
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -240,41 +239,38 @@ def test_kreiss_matrix_theorem_bounds_transient_growth(corpus_runs):
 
 def test_criterion_6_structural_theorems():
     rng = np.random.default_rng(77)
-    # (a) factorization identities
-    for _ in range(10):
-        a = complex(rng.standard_normal(), rng.standard_normal())
-        b = complex(rng.standard_normal(), rng.standard_normal())
-        if abs(b) < 0.1:
-            b = b + 0.7
-        k = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 4))
-        Uk, Vk, _ = _structured_factors(a, b, k, n)
-        eye_n = np.eye(n)
-        C = np.block([[a * eye_n, -b * eye_n], [b * eye_n, -a * eye_n]])
-        rhs = np.kron(np.eye(2 * k), C) + np.kron(C, np.eye(2 * k))
-        assert np.linalg.norm((Uk @ Vk).toarray() - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
-        assert np.linalg.norm((Vk @ Uk).toarray() - 2 * np.kron(np.eye(k), C)) \
-            <= 1e-12 * max(1.0, np.linalg.norm(C))
-    # (b) structured inverse vs dense inverse, and the singular cases
-    hits = 0
-    while hits < 10:
-        a = complex(rng.standard_normal(), rng.standard_normal())
-        b = complex(rng.standard_normal(), rng.standard_normal()) + 0.4
-        k, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        s = complex(rng.standard_normal(), rng.standard_normal())
-        if abs(s) < 0.3 or abs(s**2 + 4 * (b**2 - a**2)) < 0.3:
-            continue
-        inv = kron_sum_inverse(a, b, k, n, s)
-        eye_n = np.eye(n)
-        C = np.block([[a * eye_n, -b * eye_n], [b * eye_n, -a * eye_n]])
-        D = np.kron(np.eye(2 * k), C) + np.kron(C + s * np.eye(2 * n), np.eye(2 * k))
-        err = np.linalg.norm(inv.dense() - np.linalg.inv(D))
-        assert err <= 1e-10 * np.linalg.norm(np.linalg.inv(D))
-        hits += 1
-    with pytest.raises(SingularDError):
-        kron_sum_inverse(1.0, 0.5, 2, 2, 0.0)
-    with pytest.raises(SingularDError):
-        kron_sum_inverse(1.0, 0.5, 2, 2, np.sqrt(3.0))  # beta = 0
+    builds = {"variable-vertical": build_variable_pencil,
+              "variable-horizontal": build_horizontal_pencil}
+    for variant, build in builds.items():
+        # (a) m2 = P (S (x) I_{n^2}) P^T with the 4 x 4 core S, and (b) the
+        # exact m2^-1 through S^-1 against a dense solve with m2
+        for draw in range(10):
+            n = int(rng.integers(1, 4))
+            prob = random_stable(n, 60 + draw, "continuous")
+            gamma, eta = float(rng.uniform(0.1, 0.95)), float(10.0 ** rng.uniform(-3, 0))
+            pen = build(prob, gamma, eta)
+            S = pen.mass_core
+            assert S.shape == (4, 4)
+            assert np.array_equal(pen.m2, gathered_mass(S, n)), (variant, gamma, eta)
+            X = rng.standard_normal((4 * n * n, 3)) + 1j * rng.standard_normal((4 * n * n, 3))
+            for rhs in (X, pen.m1):
+                ref = np.linalg.solve(pen.m2, rhs)
+                err = np.linalg.norm(_mass_solve(S, rhs) - ref)
+                assert err <= 1e-10 * np.linalg.norm(ref), (variant, gamma, eta)
+        # the singular limits: S has the eigenvalue -i eta (vertical) or
+        # (1 - beta) sqrt(1 - gamma^2) (horizontal), so it goes singular as
+        # eta -> 0 or beta -> 1, and there the pencil goes to QZ
+        prob = random_stable(2, 60, "continuous")
+        gamma = 0.6
+        for eta in (1e-2, 1e-5, 1e-8, 1e-11):
+            pen = build(prob, gamma, eta)
+            limit = (-1j * eta if variant == "variable-vertical"
+                     else (1.0 - pen.beta) * np.sqrt(1.0 - gamma**2))
+            lam = np.linalg.eigvals(pen.mass_core)
+            assert np.min(np.abs(lam - limit)) <= 1e-14
+            assert np.linalg.svd(pen.mass_core, compute_uv=False)[-1] <= abs(limit) * (1 + 1e-8)
+            if eta <= 1e-5:
+                assert pen.spectrum().route == "qz", (variant, eta)
     # (c) Q2 singular always; Q0 singularity flips at singular values of A
     for seed in range(4):
         prob = random_stable(3, seed + 40, "discrete")
@@ -290,7 +286,8 @@ def test_criterion_6_structural_theorems():
         s_off = np.linalg.svd(build_quad_pencil_fixed(prob, sv + off, 0.2).q0,
                               compute_uv=False)
         assert s_off[-1] > 1e-6 * s_off[0]
-    print("criterion 6: PASS (factorization, structured inverse, Q2/Q0 structure)")
+    print("criterion 6: PASS (m2 = P (S (x) I) P^T, exact m2^-1 from S, "
+          "singular limits on QZ, Q2/Q0 structure)")
 
 
 def test_criterion_7_1d_exactness():

@@ -11,7 +11,6 @@ from kreiss import (
     fixed_distance_test,
     gen_test_matrix,
     horizontal_variable_test,
-    kron_sum_inverse,
     minimize,
     objective,
     solve_owr,
@@ -29,10 +28,8 @@ from kreiss.cert_ct import (
     _null_rotation,
     _pencil_blocks,
     _rotate_columns,
-    _structured_factors,
     build_horizontal_pencil,
 )
-from kreiss.errors import SingularDError
 from kreiss.oracle import grid_min
 from kreiss.solver import CERTIFICATE_CHOICES
 
@@ -277,70 +274,8 @@ def test_gu_lemma_along_horizontal_line(jordan_ct):
 
 
 # --------------------------------------------------------------------------
-# Kronecker-sum inverse
+# the variable pencils' mass matrix
 # --------------------------------------------------------------------------
-
-def test_lemma_factorization_identities():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a = complex(rng.standard_normal(), rng.standard_normal())
-        b = complex(rng.standard_normal(), rng.standard_normal())
-        if abs(b) < 0.1:
-            b += 0.5
-        k = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 4))
-        Uk, Vk, _ = _structured_factors(a, b, k, n)
-        eye_n = np.eye(n)
-        C = np.block([[a * eye_n, -b * eye_n], [b * eye_n, -a * eye_n]])
-        lhs = (Uk @ Vk).toarray()
-        rhs = np.kron(np.eye(2 * k), C) + np.kron(C, np.eye(2 * k))
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
-        vu = (Vk @ Uk).toarray()
-        assert np.linalg.norm(vu - 2 * np.kron(np.eye(k), C)) <= 1e-12 * np.linalg.norm(vu)
-
-
-def test_kron_sum_inverse_matches_dense():
-    a, b, k, n = 1.0, 0.5, 1, 1
-    s = -0.1j
-    inv = kron_sum_inverse(a, b, k, n, s)
-    assert inv.beta == pytest.approx(-3.01)
-    eye_n = np.eye(n)
-    C = np.block([[a * eye_n, -b * eye_n], [b * eye_n, -a * eye_n]])
-    D = np.kron(np.eye(2 * k), C) + np.kron(C + s * np.eye(2 * n), np.eye(2 * k))
-    assert np.linalg.norm(D @ inv.dense() - np.eye(4 * k * n)) <= 1e-12
-
-
-def test_kron_sum_inverse_random_cases():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        a = complex(rng.standard_normal(), rng.standard_normal())
-        b = complex(rng.standard_normal(), rng.standard_normal()) + 0.3
-        k, n = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        s = complex(rng.standard_normal(), rng.standard_normal())
-        beta = s**2 + 4 * (b**2 - a**2)
-        if abs(s) < 0.2 or abs(beta) < 0.2:
-            continue
-        inv = kron_sum_inverse(a, b, k, n, s)
-        eye_n = np.eye(n)
-        C = np.block([[a * eye_n, -b * eye_n], [b * eye_n, -a * eye_n]])
-        D = np.kron(np.eye(2 * k), C) + np.kron(C + s * np.eye(2 * n), np.eye(2 * k))
-        assert np.linalg.norm(D @ inv.dense() - np.eye(D.shape[0])) <= 1e-10
-
-
-def test_kron_sum_inverse_singular_cases():
-    with pytest.raises(SingularDError):
-        kron_sum_inverse(1.0, 0.5, 1, 1, 0.0)  # s = 0 (the eta = 0 case)
-    s = np.sqrt(4.0 * (1.0**2 - 0.5**2))  # beta = 0
-    with pytest.raises(SingularDError):
-        kron_sum_inverse(1.0, 0.5, 1, 1, s)
-
-
-def test_variable_pencil_b2_matches_kron_inverse(jordan_ct):
-    gamma, eta = 0.5, 0.1
-    pen = build_variable_pencil(jordan_ct, gamma, eta)
-    inv = kron_sum_inverse(1.0, gamma, jordan_ct.n, jordan_ct.n, -1j * eta)
-    assert np.linalg.norm(pen.m2 @ inv.dense() - np.eye(pen.m2.shape[0])) <= 1e-10
-
 
 def test_b2_singular_at_eta_zero():
     n = 1

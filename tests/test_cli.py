@@ -172,6 +172,16 @@ def test_certify_gamma_validation(jordan_file):
     assert "eta must be positive" in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerances_exit_1(jordan_file, value, capsys):
+    assert main(["certify", "--input", jordan_file, "--gamma", "0.5", "--eta", value]) == 1
+    assert "eta must be positive and finite" in capsys.readouterr().err
+    for method in ("owr", "trisection"):
+        assert main(["kreiss", "--input", jordan_file, "--method", method,
+                     "--tol", value]) == 1
+        assert "gamma_tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_curve_cmd(jordan_file, tmp_path):
     out = tmp_path / "curve.csv"
     proc = run_cli("curve", "--input", jordan_file, "--eps-min", "0.01",

@@ -18,8 +18,8 @@ from kreiss.cert_ct import (MASS_COND_MAX, _kron_pencil, _mass_solve, _pencil_bl
                             build_horizontal_pencil, build_variable_pencil)
 from kreiss.solver import CERTIFICATE_CHOICES
 
-from conftest import (random_stable, real_random_stable, record_eig, three_levels,
-                      two_block)
+from conftest import (gathered_mass, random_stable, real_random_stable, record_eig,
+                      three_levels, two_block)
 
 BUILDS = {"variable-vertical": build_variable_pencil,
           "variable-horizontal": build_horizontal_pencil}
@@ -31,17 +31,6 @@ def _problems():
             two_block("continuous")]
 
 
-def _gathered(S, n):
-    """P (S (x) I_{n^2}) P^T as a dense matrix: row (a, i, b, j) of vec(W),
-    a n + i + 2n (b n + j), meets the rows (a', i, b', j) with the weights
-    S[2b + a, 2b' + a']."""
-    m = 4 * n * n
-    at = np.arange(m).reshape(2, n, 2, n).transpose(0, 2, 1, 3).reshape(-1)
-    out = np.zeros((m, m), dtype=S.dtype)
-    out[np.ix_(at, at)] = np.kron(S, np.eye(n * n))
-    return out
-
-
 @pytest.mark.parametrize("variant", sorted(BUILDS))
 def test_mass_matrix_is_the_core_gathered(variant):
     # exactly: the direct build, and the level's N (in the halves' basis
@@ -51,7 +40,7 @@ def test_mass_matrix_is_the_core_gathered(variant):
             pen = BUILDS[variant](prob, gamma, eta)
             S = pen.mass_core
             assert S.shape == (4, 4)
-            m2 = _gathered(S, prob.n)
+            m2 = gathered_mass(S, prob.n)
             assert np.array_equal(_kron_pencil(*_pencil_blocks(prob.A, gamma, eta, variant))[1], m2)
             assert np.array_equal(pen.N, m2 if pen.halves is None else pen.halves.apply(m2))
 

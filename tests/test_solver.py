@@ -3,6 +3,7 @@ import pytest
 
 from kreiss import (
     MatrixProblem,
+    certify,
     compute_kreiss,
     default_start,
     gen_test_matrix,
@@ -13,7 +14,8 @@ from kreiss import (
 )
 from kreiss.errors import InfeasibleStartError
 from kreiss.oracle import grid_min
-from kreiss.solver import SolveStatus
+from kreiss import solver
+from kreiss.solver import CERTIFICATE_CHOICES, SolveStatus
 
 from conftest import random_normal_stable, random_stable
 
@@ -164,6 +166,28 @@ def test_method_certificate_compatibility(jordan_ct):
         solve_owr(jordan_ct, certificate="bogus")
     with pytest.raises(ValueError):
         compute_kreiss(jordan_ct, method="bogus")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+def test_tolerances_must_be_positive_and_finite(jordan_ct, bad, monkeypatch):
+    # rejected before any certificate runs: a NaN eta0 used to shrink a NaN
+    # eta forever, and a NaN gamma_tol to spend trisection's whole budget
+    calls = []
+    monkeypatch.setattr(solver, "certify", lambda *args, **kwargs: calls.append(args))
+    for solve, name in ((solve_owr_backtracking, "eta0"), (solve_owr_backtracking, "eta_tol"),
+                        (solve_owr, "gamma_tol"), (solve_trisection, "gamma_tol")):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            solve(jordan_ct, **{name: bad})
+    assert calls == []
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+@pytest.mark.parametrize("eta", [np.nan, np.inf])
+def test_certificates_reject_a_non_finite_eta(time_domain, eta):
+    prob = gen_test_matrix("jordan-shifted", 2, time_domain=time_domain, eps=0.3)
+    for variant in CERTIFICATE_CHOICES:
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            certify(prob, variant, 0.5, eta)
 
 
 def test_certificate_backend_choices(jordan_ct):
