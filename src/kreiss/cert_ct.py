@@ -67,7 +67,7 @@ reported point is verified against the input matrix.  The 1D test fills
 the Hamiltonian matrix (continuous time) or symplectic pencil (discrete
 time) from blocks of A that the problem keeps
 (``MatrixProblem.blocks_1d``) and takes its eigenvalues from
-``linalg.eig_small``, in real arithmetic for a real A.
+``linalg.eig_pencil``, in real arithmetic for a real A.
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ def _level_points(prob, gamma, c1):
         raise ValueError("gamma must be >= 0")
     if c1 == dom.barrier or c1 == 0.0:
         raise ValueError(f"the 1D test needs c1 off 0 and off the barrier; got {c1}")
-    lam = linalg.eig_small(*dom.pencil_1d(prob, gamma, c1)).finite_values
+    lam = linalg.eig_pencil(*dom.pencil_1d(prob, gamma, c1)).finite_values
     if lam.size == 0:
         raise SingularPencilError("the 1D pencil has no finite eigenvalues")
     w = dom.on_curve(prob, lam, CAPTURE_FACTOR)

@@ -220,8 +220,8 @@ def cmd_certify(args) -> int:
 
 def cmd_curve(args) -> int:
     prob = _load(args)
-    if args.eps_min <= 0 or args.eps_max <= args.eps_min or args.points < 2:
-        print("kreiss: need 0 < eps-min < eps-max and points >= 2", file=sys.stderr)
+    if not 0 < args.eps_min < args.eps_max < np.inf or args.points < 2:
+        print("kreiss: need 0 < eps-min < eps-max < inf and points >= 2", file=sys.stderr)
         return 1
     eps = np.geomspace(args.eps_min, args.eps_max, args.points)
     rows = oracle.ratio_curve(prob, eps)

@@ -11,13 +11,10 @@ goes to ``eig_standard`` instead: QR (LAPACK ``geev``) on K, 4-8 times
 cheaper than QZ at the same order, with ``Spectrum.mass_cond`` recording
 cond_2(N).  One dtype rule holds for every eigensolver here: a matrix or
 pencil whose entries all have zero imaginary part runs in real LAPACK, any
-other in complex LAPACK.  The large problems go through
-``scipy.linalg.eigvals`` (``eig_pencil``, ``eig_standard``), which queries
-LAPACK for its optimal workspace; the small ones of the 1D level-set
-tests, of order 2n, and the large ones up to order DIRECT_EIG_MAX_ORDER
-through ``eig_small``, one direct LAPACK call without scipy's validation
-and workspace query, which at order 2n cost about as much as the
-factorization itself.
+other in complex LAPACK.  Every dense eigenproblem, from the order-2n
+ones of the 1D level-set tests to the large ones, is one LAPACK call
+(``eig_pencil``) with the workspace LAPACK reports for it, the call
+scipy's ``linalg.eigvals`` makes, without its validation.
 
 A pencil known to be block diagonal up to row and column permutations (a
 certificate pencil of a matrix that ``MatrixProblem.split`` splits, or the
@@ -58,7 +55,6 @@ __all__ = [
     "eig_pencil_deflated",
     "eig_standard",
     "eig_quadratic",
-    "eig_small",
     "sylvester_solver",
     "solve_sylvester",
     "gen_sylvester_solver",
@@ -77,10 +73,6 @@ _BETA_ZERO_RTOL = 1e-14  # |beta| below this (relative) means an infinite eigenv
 # at 8 and at 24, 2.73 s unsplit; ct normal n = 4 takes 90 ms ungrouped,
 # 56 ms at 16 and 48 ms unsplit.
 MIN_GROUP_ORDER = 16
-# eig_pencil hands pencils up to this order to eig_small's direct LAPACK
-# call, whose values are bitwise scipy.linalg.eigvals' there in both dtypes
-# (real dggev with the default workspace differs from order 124 on)
-DIRECT_EIG_MAX_ORDER = 120
 
 
 @dataclass(frozen=True)
@@ -209,51 +201,32 @@ def _split(solve, mats, parts) -> Spectrum:
     return _union([solve(*(X[np.ix_(r, c)] for X in mats)) for r, c in groups])
 
 
-def eig_pencil(M, N) -> Spectrum:
-    """Generalized eigenvalues of the pencil M - lambda*N, infinities included.
+def eig_pencil(M, N=None) -> Spectrum:
+    """Eigenvalues of M, or of the pencil M - lambda*N, infinities included.
 
-    Real LAPACK runs when M and N are real (see ``_lapack_dtype``), complex
-    LAPACK otherwise.  Up to order DIRECT_EIG_MAX_ORDER the pencil goes to
-    ``eig_small``'s one direct call, which gives the same values.
-    Regularity is not checked.  The certificate pencils
+    One LAPACK call, ``geev`` (beta = 1) or ``ggev``, real or complex by
+    ``_lapack_dtype``'s rule, with the workspace LAPACK reports for the
+    problem: the call scipy's ``linalg.eigvals`` makes, so the values are
+    bitwise its own.  Regularity is not checked.  The certificate pencils
     approach the singular boundary by design as eta -> 0, and every
     candidate they yield is verified by a direct SVD downstream.  A
     singular pencil shows up as pairs with alpha and beta both at rounding
     level, which ``is_infinite`` classes as infinite.
     """
-    M, N = _lapack_dtype(M, N)
-    _check_pencil(M, N)
-    if M.shape[0] <= DIRECT_EIG_MAX_ORDER:
-        return eig_small(M, N)
-    try:
-        alpha, beta = scipy.linalg.eigvals(M, N, homogeneous_eigvals=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"QZ failed: {exc}") from exc
-    return Spectrum(np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex))
-
-
-def eig_small(M, N=None) -> Spectrum:
-    """Eigenvalues of M, or of the pencil M - lambda*N, by one direct LAPACK call.
-
-    For the order-2n pencils of the 1D level-set tests, and every pencil
-    of ``eig_pencil`` and matrix of ``eig_standard`` up to order
-    DIRECT_EIG_MAX_ORDER: ``geev`` (beta = 1) or ``ggev``, real when the
-    matrices are real under ``_lapack_dtype``'s rule, with LAPACK's
-    default workspace.  Up to that order the values are
-    bitwise those of ``scipy.linalg.eigvals``, whose checks and workspace
-    query cost about 70 us at order 12, a third of the call; from order 124
-    on, real ``dggev`` with the default workspace takes another path and
-    its values differ in the last bits.
-    """
     mats = _lapack_dtype(M) if N is None else _lapack_dtype(M, N)
+    _check_pencil(mats[0], mats[-1])
     real = mats[0].dtype == float
     lapack = scipy.linalg.lapack
     if N is None:
-        out = (lapack.dgeev if real else lapack.zgeev)(mats[0], compute_vl=0, compute_vr=0)
+        geev, lwork = ((lapack.dgeev, lapack.dgeev_lwork) if real
+                       else (lapack.zgeev, lapack.zgeev_lwork))
+        work, _ = lwork(len(mats[0]), compute_vl=0, compute_vr=0)
+        out = geev(*mats, compute_vl=0, compute_vr=0, lwork=int(work.real))
         beta = np.ones(len(out[0]), dtype=complex)
     else:
-        _check_pencil(*mats)
-        out = (lapack.dggev if real else lapack.zggev)(*mats, compute_vl=0, compute_vr=0)
+        ggev = lapack.dggev if real else lapack.zggev
+        work = ggev(*mats, compute_vl=0, compute_vr=0, lwork=-1)[-2]
+        out = ggev(*mats, compute_vl=0, compute_vr=0, lwork=int(work[0].real))
         beta = np.asarray(out[2 if real else 1], dtype=complex)
     if out[-1] != 0:
         raise ConvergenceFailure(f"LAPACK eigensolver failed (info={out[-1]})")
@@ -267,27 +240,11 @@ def eig_standard(K, mass_cond, parts=None) -> Spectrum:
     The caller forms K and states ``mass_cond``, the 2-norm condition of
     the N it inverted, which the returned Spectrum keeps: QR's backward
     error on K is a few eps times ||K||, so as a perturbation of the pencil
-    it is about mass_cond * eps relative, against QZ's eps.  Real LAPACK
-    (``dgeev``) runs when K is real under ``_lapack_dtype``'s rule, complex
-    LAPACK (``zgeev``) otherwise.  Up to order DIRECT_EIG_MAX_ORDER K goes
-    to ``eig_small``'s one direct call, above it to ``scipy.linalg.eigvals``
-    with its workspace query, as in ``eig_pencil``.  ``parts`` (see
+    it is about mass_cond * eps relative, against QZ's eps.  ``parts`` (see
     ``eig_pencil_deflated``) makes each group of K's diagonal blocks a
-    problem of its own.
+    problem of its own for ``eig_pencil``.
     """
-    K, = _lapack_dtype(K)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError("K must be square")
-    if parts is not None:
-        spec = _split(lambda X: eig_standard(X, mass_cond), (K,), parts)
-    elif K.shape[0] <= DIRECT_EIG_MAX_ORDER:
-        spec = eig_small(K)
-    else:
-        try:
-            values = scipy.linalg.eigvals(K)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"QR failed: {exc}") from exc
-        spec = Spectrum(np.asarray(values, dtype=complex), np.ones(len(values), dtype=complex))
+    spec = eig_pencil(K) if parts is None else _split(eig_pencil, (K,), parts)
     return replace(spec, mass_cond=float(mass_cond))
 
 

@@ -114,8 +114,11 @@ def minimize(
     Raises
     ------
     InfeasibleStartError
-        If the start evaluates to +inf.
+        If a start coordinate is NaN or infinite, or the start evaluates
+        to +inf.
     """
+    if not np.all(np.isfinite(np.asarray(start[:2], dtype=float))):
+        raise InfeasibleStartError(f"start coordinates must be finite; got {tuple(start)}")
     c1, c2 = _clip_coords(prob, float(start[0]), float(start[1]))
     pt = objective.evaluate(prob, c1, c2)
     if not pt.feasible:

@@ -167,10 +167,11 @@ def certify(prob: MatrixProblem, variant: str, gamma: float, eta: float, *,
     return cert_ct.horizontal_variable_test(prob, gamma, eta, **opts)
 
 
-def _check_tolerance(name, value):
-    """Reject a tolerance that is not finite and positive, NaN included."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite; got {value}")
+def _check_tolerance(name, value, upper=math.inf):
+    """Reject a tolerance outside (0, upper), NaN included."""
+    if not 0.0 < value < upper:
+        below = "" if upper == math.inf else f", and below {upper:g}"
+        raise ValueError(f"{name} must be positive and finite{below}; got {value}")
 
 
 def _check_certificate(method, certificate, kind):
@@ -242,9 +243,15 @@ def _solve(prob, method, certificate, use_dnc, seed, iterate):
     return iterate(run)
 
 
-def _initial_minimum(prob, start, opt_opts):
-    start = default_start(prob) if start is None else tuple(map(float, start))
-    return localopt.minimize(prob, start, **opt_opts)
+def _start(prob, start):
+    """The user's start as floats, or ``default_start``; a coordinate that
+    is NaN or infinite raises InfeasibleStartError before any evaluation."""
+    if start is None:
+        return default_start(prob)
+    start = tuple(map(float, start))
+    if not np.all(np.isfinite(start)):
+        raise InfeasibleStartError(f"start coordinates must be finite; got {start}")
+    return start
 
 
 def _usable_restart_points(prob, report, gamma):
@@ -319,7 +326,7 @@ def solve_owr_backtracking(
             _check_tolerance(name, value)
 
     def iterate(run):
-        res = _initial_minimum(prob, start, opt_opts)
+        res = localopt.minimize(prob, _start(prob, start), **opt_opts)
         eta_max = (0.1 * objective.domain(prob).scale(res.minimizer.coords[0])
                    if eta0 is None else eta0)
         eta_min = 1e-8 * eta_max if eta_tol is None else eta_tol
@@ -353,16 +360,18 @@ def solve_owr(
     eta = g_k gamma_tol.  Points restart optimization strictly below the
     previous minimum; an empty test proves 1/K > gamma - eta/2, which is
     g_k (1 - gamma_tol) below the plateau, and the iteration stops with 1/g_k.
+    ``gamma_tol`` must lie in (0, 1): at 1 the proof says only 1/K > 0.
     """
     _check_certificate("owr", certificate, "variable")
-    _check_tolerance("gamma_tol", gamma_tol)
+    _check_tolerance("gamma_tol", gamma_tol, upper=1.0)
 
     def levels(g_k):
         return [(min(g_k * (1.0 - 0.5 * gamma_tol), 1.0 - _PLATEAU_PROBE_GAP),
                  g_k * gamma_tol)]
 
     def iterate(run):
-        return _restart_loop(run, _initial_minimum(prob, start, opt_opts), levels, opt_opts)
+        res = localopt.minimize(prob, _start(prob, start), **opt_opts)
+        return _restart_loop(run, res, levels, opt_opts)
 
     return _solve(prob, "owr", certificate, use_dnc, seed, iterate)
 
@@ -382,14 +391,14 @@ def solve_trisection(
     (optimized first when it is at least 1, and capped at 1).  Each step tests
     gamma = lb + (2/3)(ub - lb) with eta = (2/3)(ub - lb): points give
     ub = gamma, emptiness gives lb += (1/3)(ub - lb), so the bracket width
-    shrinks by 2/3 per certificate call until ub - lb <= ub * gamma_tol.
+    shrinks by 2/3 per call until ub - lb <= ub * gamma_tol, with gamma_tol in (0, 1).
     """
     _check_certificate("trisection", certificate, "variable")
-    _check_tolerance("gamma_tol", gamma_tol)
+    _check_tolerance("gamma_tol", gamma_tol, upper=1.0)
 
     def iterate(run):
         run.status = SolveStatus.TOLERANCE_REACHED
-        x0 = default_start(prob) if start is None else tuple(map(float, start))
+        x0 = _start(prob, start)
         ub = objective.evaluate(prob, *x0).value
         if not np.isfinite(ub):
             raise InfeasibleStartError(f"objective is +inf at start {x0}")

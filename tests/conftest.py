@@ -149,23 +149,20 @@ def assert_split_reports_agree(prob, variant, levels, monkeypatch):
 
 def _record_lapack(monkeypatch, entry):
     """The entries ``entry(route, dtype, order)`` that are not None, of every
-    eigenproblem handed to LAPACK from here on: through
-    ``scipy.linalg.eigvals``, or through the direct LAPACK call that
-    ``linalg.eig_small`` makes.  The route is "qz" for a pencil
-    (``eigvals`` with b, ``dggev``, ``zggev``) and "qr" for one matrix
-    (``eigvals`` without b, ``dgeev``, ``zgeev``)."""
+    eigenproblem handed to LAPACK from here on by ``linalg.eig_pencil``'s
+    one call.  The route is "qz" for a pencil (``dggev``, ``zggev``) and
+    "qr" for one matrix (``dgeev``, ``zgeev``); workspace queries
+    (``lwork=-1``) are not eigenproblems and are skipped."""
     calls = []
 
-    def recording(fn, route=None):
+    def recording(fn, route):
         def record(M, *args, **kwargs):
-            pencil = (args[0] if args else kwargs.get("b")) is not None
-            item = entry(route or ("qz" if pencil else "qr"), M.dtype, M.shape[0])
-            if item is not None:
+            item = entry(route, M.dtype, M.shape[0])
+            if item is not None and kwargs.get("lwork") != -1:
                 calls.append(item)
             return fn(M, *args, **kwargs)
         return record
 
-    monkeypatch.setattr(scipy.linalg, "eigvals", recording(scipy.linalg.eigvals))
     for name, route in (("dggev", "qz"), ("zggev", "qz"), ("dgeev", "qr"), ("zgeev", "qr")):
         monkeypatch.setattr(scipy.linalg.lapack, name,
                             recording(getattr(scipy.linalg.lapack, name), route))
@@ -173,10 +170,8 @@ def _record_lapack(monkeypatch, entry):
 
 
 def record_qz(monkeypatch):
-    """(dtype, order) of every pencil handed to QZ from here on: through
-    ``scipy.linalg.eigvals``, or through the direct LAPACK call that
-    ``linalg.eig_small`` makes (pencils up to ``linalg.DIRECT_EIG_MAX_ORDER``
-    and the 1D tests' pencils)."""
+    """(dtype, order) of every pencil handed to QZ from here on
+    (``_record_lapack``): the large pencils and the 1D tests' pencils."""
     return _record_lapack(monkeypatch,
                           lambda route, dtype, order: (dtype, order) if route == "qz" else None)
 

@@ -182,6 +182,32 @@ def test_non_finite_tolerances_exit_1(jordan_file, value, capsys):
         assert "gamma_tol must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1", "2"])
+def test_gamma_tol_of_1_or_more_exits_1(jordan_file, value, capsys):
+    for method in ("owr", "trisection"):
+        assert main(["kreiss", "--input", jordan_file, "--method", method,
+                     "--tol", value]) == 1
+        assert "gamma_tol must be positive and finite, and below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", ["inf,0", "nan,0", "1,-inf"])
+def test_a_non_finite_start_exits_1(jordan_file, start, capsys):
+    # --start inf,0 used to exit 0 with K = 1.000000002, "converged"
+    for method in ("owr-bt", "owr", "trisection"):
+        assert main(["kreiss", "--input", jordan_file, "--method", method,
+                     "--start", start]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "start coordinates must be finite" in out.err
+
+
+@pytest.mark.parametrize("flags", [("--eps-min", "nan"), ("--eps-max", "inf"),
+                                   ("--eps-min=-inf",), ("--eps-max", "nan")])
+def test_curve_rejects_non_finite_eps(jordan_file, flags, capsys):
+    # a NaN or infinite end used to end in a traceback
+    assert main(["curve", "--input", jordan_file, *flags]) == 1
+    assert "need 0 < eps-min < eps-max < inf" in capsys.readouterr().err
+
+
 def test_curve_cmd(jordan_file, tmp_path):
     out = tmp_path / "curve.csv"
     proc = run_cli("curve", "--input", jordan_file, "--eps-min", "0.01",

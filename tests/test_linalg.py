@@ -19,11 +19,10 @@ from kreiss import (
     vertical_level_points,
 )
 from kreiss.objective import domain
-from kreiss.linalg import (DIRECT_EIG_MAX_ORDER, eig_pencil_deflated, eig_small,
-                           gen_sylvester_solver)
+from kreiss.linalg import eig_pencil_deflated, gen_sylvester_solver
 from kreiss.errors import NearSingularOperatorError
 
-from conftest import MatrixOperator, record_qz
+from conftest import MatrixOperator, record_eig, record_qz
 
 
 def test_eig_pencil_double_root():
@@ -333,38 +332,38 @@ def test_symplectic_pencil_reciprocal_symmetry():
             assert np.min(np.abs(vals - partner)) <= 1e-6 * max(1.0, abs(partner))
 
 
-def test_eig_small_is_scipy_eigvals_under_the_dtype_rule(monkeypatch):
-    # the direct LAPACK call gives scipy's values at the 1D tests' orders and
-    # at every order eig_pencil hands it, in real arithmetic for a
+def test_eig_pencil_is_scipy_eigvals_under_the_dtype_rule(monkeypatch):
+    # the one LAPACK call gives scipy's values at the 1D tests' orders and
+    # at the large ones, on both sides of order 124 (where a call with
+    # LAPACK's minimal workspace first differs), in real arithmetic for a
     # real-valued matrix or pencil
     rng = np.random.default_rng(11)
-    for order in (2, 12, 24, 64, DIRECT_EIG_MAX_ORDER):
+    for order in (2, 12, 24, 64, 120, 124, 136, 200):
         X = rng.standard_normal((order, order))
         Y = rng.standard_normal((order, order))
         # scipy sees the arrays that the dtype rule hands to LAPACK
         for (M, N), lapack_args in (((X + 1j * Y, Y - 1j * X), (X + 1j * Y, Y - 1j * X)),
                                     ((X.astype(complex), Y.astype(complex)), (X, Y))):
-            assert np.array_equal(eig_small(M).alpha, scipy.linalg.eigvals(lapack_args[0]))
+            spec = eig_pencil(M)
+            assert np.array_equal(spec.alpha, scipy.linalg.eigvals(lapack_args[0]))
+            assert np.array_equal(spec.beta, np.ones(order))
             alpha, beta = scipy.linalg.eigvals(*lapack_args, homogeneous_eigvals=True)
-            for spec in (eig_small(M, N), eig_pencil(M, N)):
-                assert np.array_equal(spec.alpha, alpha) and np.array_equal(spec.beta, beta)
-    calls = []
-    for name in ("dgeev", "zgeev", "dggev", "zggev"):
-        fn = getattr(scipy.linalg.lapack, name)
-        monkeypatch.setattr(scipy.linalg.lapack, name,
-                            lambda *a, _f=fn, _n=name, **k: calls.append(_n) or _f(*a, **k))
+            spec = eig_pencil(M, N)
+            assert np.array_equal(spec.alpha, alpha) and np.array_equal(spec.beta, beta)
+    # one call each, to dgeev, dggev, zgeev and zggev
+    calls = record_eig(monkeypatch)
     real = np.eye(3, dtype=complex)
-    eig_small(real)
-    eig_small(real, real)
-    eig_small(1j * real)
-    eig_small(real, 1j * real)
-    assert calls == ["dgeev", "dggev", "zgeev", "zggev"]
+    eig_pencil(real)
+    eig_pencil(real, real)
+    eig_pencil(1j * real)
+    eig_pencil(real, 1j * real)
+    assert calls == [("qr", float, 3), ("qz", float, 3), ("qr", complex, 3), ("qz", complex, 3)]
     # the 1D level-set tests of a real A (stored complex) run real LAPACK
     del calls[:]
     vertical_level_points(gen_test_matrix("jordan-shifted", 3, time_domain="continuous"), 0.5, 0.3)
     circular_level_points(gen_test_matrix("jordan-shifted", 3, time_domain="discrete"), 0.5, 1.3)
-    assert calls == ["dgeev", "dggev"]
+    assert calls == [("qr", float, 6), ("qz", float, 6)]
     # a singular N gives an infinite eigenvalue, which Spectrum classes so
-    spec = eig_small(np.eye(2), np.diag([1.0, 0.0]))
+    spec = eig_pencil(np.eye(2), np.diag([1.0, 0.0]))
     assert spec.is_infinite.tolist() == [False, True] and spec.finite_values.tolist() == [1.0]
 

@@ -14,7 +14,7 @@ from kreiss import (
 )
 from kreiss.errors import InfeasibleStartError
 from kreiss.oracle import grid_min
-from kreiss import solver
+from kreiss import objective, solver
 from kreiss.solver import CERTIFICATE_CHOICES, SolveStatus
 
 from conftest import random_normal_stable, random_stable
@@ -179,6 +179,34 @@ def test_tolerances_must_be_positive_and_finite(jordan_ct, bad, monkeypatch):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             solve(jordan_ct, **{name: bad})
     assert calls == []
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.0])
+def test_gamma_tol_must_lie_below_1(jordan_ct, bad, monkeypatch):
+    # rejected before any certificate runs: gamma_tol = 1 used to "certify
+    # 1/K > 0" and return the uncertified minimum as converged, and 2 to
+    # fail at level 0 inside the solve, after the local minimization
+    calls = []
+    monkeypatch.setattr(solver, "certify", lambda *args, **kwargs: calls.append(args))
+    for solve in (solve_owr, solve_trisection):
+        with pytest.raises(ValueError, match="gamma_tol must be positive and finite, and below 1"):
+            solve(jordan_ct, gamma_tol=bad)
+    assert calls == []
+
+
+@pytest.mark.parametrize("start", [(np.nan, 0.0), (np.inf, 0.0), (0.5, -np.inf), (0.5, np.nan)],
+                         ids=["nan-x", "inf-x", "minus-inf-y", "nan-y"])
+def test_a_non_finite_start_is_infeasible(jordan_ct, start, monkeypatch):
+    # rejected before any evaluation: a NaN start used to end in "SVD did not
+    # converge", and x = inf was clipped to 1e8, where owr "certified" K = 1
+    evaluated = []
+    evaluate = objective.evaluate
+    monkeypatch.setattr(objective, "evaluate",
+                        lambda *args, **kwargs: evaluated.append(args) or evaluate(*args, **kwargs))
+    for solve in (solve_owr_backtracking, solve_owr, solve_trisection, minimize):
+        with pytest.raises(InfeasibleStartError, match="must be finite"):
+            solve(jordan_ct, start)
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("time_domain", ["continuous", "discrete"])

@@ -59,16 +59,38 @@ def test_empty_certificate_bounds_the_oracle(time_domain, n, seed, level, g_min,
     assert not report.empty or g_grid > report.gamma - 0.5 * eta
 
 
+# owr's only level from the plateau start (1e5, 0), where the minimizer
+# stays: g = 0.9999980000125003, gamma = g (1 - 0.5e-10), eta = g 1e-10.
+# Both variants are EMPTY there (the vertical one with a single candidate
+# line, x = 0.22499), while at eta = 1e-8 they find 2 and 12 points.
+_PLATEAU_START_LEVEL = (0.9999979999625004, 9.999980000125003e-11)
+
+
 @_KNOWN_WRONG
-@pytest.mark.parametrize("gamma, eta", [(0.88335, 1e-6), (0.93235, 1e-8)],
-                         ids=["gamma0.88335-eta1e-6", "gamma0.93235-eta1e-8"])
-def test_jordan_variable_certificate_bounds_the_oracle(jordan_ct, gamma, eta):
-    # the 2 x 2 Jordan block at -0.3: its candidate lines carry no verified
-    # point, while the horizontal test at the same arguments finds some
+@pytest.mark.parametrize("variant, gamma, eta", [
+    ("variable-v", 0.88335, 1e-6),
+    ("variable-v", 0.93235, 1e-8),
+    ("variable-v", *_PLATEAU_START_LEVEL),
+    ("variable-h", *_PLATEAU_START_LEVEL),
+], ids=["gamma0.88335-eta1e-6", "gamma0.93235-eta1e-8",
+        "plateau-start-variable-v", "plateau-start-variable-h"])
+def test_jordan_variable_certificate_bounds_the_oracle(jordan_ct, variant, gamma, eta):
+    # the 2 x 2 Jordan block at -0.3: at the first two levels its candidate
+    # lines carry no verified point, while the horizontal test at the same
+    # arguments finds some
     g_grid = grid_min(jordan_ct, levels=4)[0]
     _pinned(g_grid, 0.88235524, "the grid minimum")
-    report = certify(jordan_ct, "variable-v", gamma, eta)
+    report = certify(jordan_ct, variant, gamma, eta)
     assert not report.empty or g_grid > gamma - 0.5 * eta
+
+
+@_KNOWN_WRONG
+def test_owr_from_a_plateau_start_does_not_undercut_the_oracle(jordan_ct):
+    # the minimizer stays at (1e5, 0) and the certificate at
+    # _PLATEAU_START_LEVEL is EMPTY: K = 1.000002; from (1e4, 0) owr gets 1.13333
+    k_grid = 1.0 / grid_min(jordan_ct, levels=4)[0]
+    _pinned(k_grid, 1.0 / 0.88235524, "the grid's K")
+    assert compute_kreiss(jordan_ct, "owr", start=(1e5, 0.0)).kreiss >= k_grid * (1.0 - 1e-8)
 
 
 @_KNOWN_WRONG
