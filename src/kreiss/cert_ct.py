@@ -310,20 +310,20 @@ def _polish(prob, gamma, c1, t, steps=25):
 
     The 1D test runs along the domain's curve z(t) = point(c1, t) at fixed
     first coordinate c1: the vertical line z = c1 + i t (continuous time)
-    or the circle z = c1 e^{it} (discrete time), with d = scale(c1).  The
-    singular values are those of (z(t) I - A)/d, whose t-derivative is
-    (z'(t)/d) I.  A step longer than ``polish_cap(t)`` (0.5 * max(1, |t|)
-    on a line, 0.5 on a circle) ends the polish.
+    or the circle z = c1 e^{it} (discrete time).  The singular values are
+    those of the objective's matrix, and their t-derivative is the
+    objective's own (``Domain.sigma_gradient``).  A step longer than
+    ``polish_cap(t)`` (0.5 * max(1, |t|) on a line, 0.5 on a circle) ends
+    the polish.
     """
     dom = objective.domain(prob)
-    d = dom.scale(c1)
     for _ in range(steps):
         U, s, Vh = np.linalg.svd(dom.matrix(prob.A, c1, t))
         j = int(np.argmin(np.abs(s - gamma)))
         err = s[j] - gamma
         if abs(err) <= 1e-15 * max(1.0, gamma):
             break
-        ds = float(np.real(U[:, j].conj() @ ((dom.dpoint(c1, t) / d) * Vh[j, :].conj())))
+        ds = float(dom.sigma_gradient(c1, t, U[:, j], Vh[j].conj(), s[j])[1])
         if abs(ds) < 1e-14:
             break
         step = -err / ds
@@ -347,14 +347,23 @@ def _collect_points(prob, level_points, report):
     ``level_points(prob, gamma, c1)`` is the 1D test on the line or circle
     at first coordinate c1 (``vertical_level_points`` or
     ``cert_dt.circular_level_points``); points failing verification are
-    counted in ``report.rejected_points``.
+    counted in ``report.rejected_points``.  Candidates closer than the
+    eigensolver's rounding find one point several times, so a verified
+    point z = ``point(c1, c2)`` within 1e-9 * max(1, |z|, |z'|) of a
+    reported z' is the same point and is reported once; comparing points
+    of the plane takes theta modulo 2*pi.
     """
+    dom = objective.domain(prob)
+    found = []  # z of each reported point
     for c1 in report.candidate_lines:
         for c2 in level_points(prob, report.gamma, c1):
             pt = _verify_point(prob, report.gamma, c1, c2)
             if pt is None:
                 report.rejected_points += 1
-            else:
+                continue
+            z = complex(dom.point(*pt.coords))
+            if all(abs(z - w) > 1e-9 * max(1.0, abs(z), abs(w)) for w in found):
+                found.append(z)
                 report.points.append(pt)
     return report
 

@@ -2,10 +2,13 @@
 
 Newton's method with an Armijo backtracking line search, falling back to
 BFGS (when Hessians are disabled or refused) and to steepest descent at
-nonsmooth points.  The +inf barrier of the objectives keeps every accepted
-iterate feasible; for normal matrices, whose infimum is approached only as
-x (or r) grows without bound, iterates are capped so termination stays
-well defined.
+nonsmooth points.  The gradient and Hessian reuse the SVD of the current
+iterate (``objective``), so a Newton step costs one n x n product and a
+closed-form 2 x 2 solve (``_newton_direction``) beyond the line search's
+one SVD per trial point.  The +inf barrier of the objectives keeps every
+accepted iterate feasible; for normal matrices, whose infimum is
+approached only as x (or r) grows without bound, iterates are capped so
+termination stays well defined.
 """
 
 from __future__ import annotations
@@ -56,19 +59,25 @@ def _clip_coords(prob, c1, c2):
 
 
 def _newton_direction(grad, hess):
-    """Solve (H + mu*I) d = -g with mu escalated from 1e-12 until H is PD."""
+    """Solve (H + mu*I) d = -g for the 2 x 2 symmetric H in closed form.
+
+    mu runs 0, 1e-12, 1e-11, ... until H + mu*I is positive definite
+    (h00 + mu > 0 and det > 0) and Cramer's rule gives a descent direction,
+    d.g < 0; past 1e16 * max(1, ||H||_inf) there is none and None is returned.
+    """
+    (h00, h01), (h10, h11) = hess.tolist()
+    g0, g1 = grad.tolist()
+    cap = 1e16 * max(1.0, abs(h00) + abs(h01), abs(h10) + abs(h11))  # ||H||_inf
     mu = 0.0
-    eye = np.eye(2)
     for _ in range(40):
-        try:
-            L = np.linalg.cholesky(hess + mu * eye)
-            d = np.linalg.solve(L.conj().T, np.linalg.solve(L, -grad))
-            if np.dot(d, grad) < 0:
-                return d
-        except np.linalg.LinAlgError:
-            pass
+        a, b = h00 + mu, h11 + mu
+        det = a * b - h01 * h10
+        if a > 0.0 and det > 0.0:
+            d0, d1 = (h01 * g1 - b * g0) / det, (h10 * g0 - a * g1) / det
+            if d0 * g0 + d1 * g1 < 0.0:
+                return np.array([d0, d1])
         mu = 1e-12 if mu == 0.0 else mu * 10.0
-        if mu > 1e16 * max(1.0, np.linalg.norm(hess, np.inf)):
+        if mu > cap:
             break
     return None
 

@@ -5,13 +5,21 @@ right half-plane; discrete time on h(r, theta) = sigma_min((r e^{i theta} I
 - A)/(r-1)) outside the unit circle.  Infeasible points (x <= 0, r <= 1)
 evaluate to +inf so unconstrained optimizers stay in the domain.
 
-Gradients come from singular-value perturbation theory; Hessians from the
-eigensystem of the 2n x 2n Hermitian augmentation [[0, G], [G*, 0]], which
-is assembled for free from the full SVD.
+Every derivative comes from the evaluation's SVD G = U Sigma V* alone.  Each
+partial of G is a scalar combination alpha I + beta G
+(``Domain.coefficients``), so U* (dG) V = alpha W + beta Sigma with
+W = U* V.  The gradient is Re(alpha_a W_nn) + beta_a sigma_n, O(n) work.
+The Hessian is the classical second-order perturbation sum for the n-th
+eigenvalue of the Hermitian augmentation [[0, G], [G*, 0]] over its other
+2n - 1 eigenvectors (u_k, +/- v_k)/sqrt(2) (Lancaster, "On eigenvalues of
+matrices dependent on a parameter", Numer. Math. 1964); its couplings are
+the n-th row and column of W, so it costs one n x n product and O(n) work
+beyond the SVD.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Optional
@@ -89,9 +97,11 @@ class Domain:
     ``scale(c1)`` = c1 - ``barrier`` (x, or r - 1); it is +inf for
     c1 <= barrier.  ``wrap`` normalizes c2 (theta into [0, 2*pi)).  The 1D
     level-set test (``cert_ct._level_points``) runs along the curve
-    c2 -> point(c1, c2), with tangent ``dpoint`` and Newton steps at most
-    ``polish_cap(c2)`` long.  Each domain owns its eigenproblem:
-    ``pencil_1d(prob, gamma, c1)`` has an eigenvalue on the normalized curve
+    c2 -> point(c1, c2), with Newton steps at most ``polish_cap(c2)`` long.
+    ``point_partials(c1, c2)`` = (z_1, z_2, z_11, z_22, z_12) are the
+    partials of z, from which ``coefficients`` and ``sigma_gradient`` give
+    every derivative of the objective and of the 1D test.  Each domain owns
+    its eigenproblem: ``pencil_1d(prob, gamma, c1)`` has an eigenvalue on the normalized curve
     (the imaginary axis, the unit circle) at every c2 where gamma is a
     singular value of ``matrix``; ``on_curve`` keeps the eigenvalues inside
     the capture band of that curve and maps them to points w on it;
@@ -137,6 +147,29 @@ class Domain:
         """G(x, y) or H(r, theta): (z I - A)/scale(c1) at z = point(c1, c2)."""
         return (self.point(c1, c2) * np.eye(A.shape[0]) - A) / self.scale(c1)
 
+    def coefficients(self, c1, c2):
+        """The partials of G = matrix(A, c1, c2) as combinations of I and G.
+
+        With z_a, z_ab the partials of z (``point_partials``) and s =
+        scale(c1), whose only nonzero partial is s_1 = 1:
+        d_a G = alpha_a I + beta_a G with alpha_a = z_a/s, beta_a = -s_a/s;
+        d_ab G = alpha_ab I + beta_ab G with
+        alpha_ab = z_ab/s - (z_a s_b + z_b s_a)/s^2, beta_ab = 2 s_a s_b/s^2.
+        Returns alpha and beta, shape (2,), and alpha_ab and beta_ab, (2, 2).
+        """
+        z1, z2, z11, z22, z12 = self.point_partials(c1, c2)
+        s = self.scale(c1)
+        a12 = (z12 - z2 / s) / s
+        return (np.array([z1 / s, z2 / s]), np.array([-1.0 / s, 0.0]),
+                np.array([[(z11 - 2.0 * z1 / s) / s, a12], [a12, z22 / s]]),
+                np.array([[2.0 / s**2, 0.0], [0.0, 0.0]]))
+
+    def sigma_gradient(self, c1, c2, u, v, sigma):
+        """(d/dc1, d/dc2) of a simple singular value sigma of matrix(A, c1, c2)
+        with singular vectors u, v: Re(alpha_a u* v) + beta_a sigma."""
+        alpha, beta = self.coefficients(c1, c2)[:2]
+        return np.real(alpha * np.vdot(u, v)) + beta * sigma
+
 
 class _Continuous(Domain):
     """The open right half-plane, z = x + iy, scale x."""
@@ -147,24 +180,11 @@ class _Continuous(Domain):
     def point(self, x, y):
         return x + 1j * y
 
-    def dpoint(self, x, y):
-        return 1j
+    def point_partials(self, x, y):
+        return 1.0, 1j, 0.0, 0.0, 0.0
 
     def wrap(self, y):
         return y
-
-    def first_partials(self, prob, x, y):
-        n = prob.n
-        Gx = (prob.A - 1j * y * np.eye(n)) / x**2
-        Gy = (1j / x) * np.eye(n)
-        return Gx, Gy
-
-    def second_partials(self, prob, x, y):
-        n = prob.n
-        Gxx = -2.0 * (prob.A - 1j * y * np.eye(n)) / x**3
-        Gyy = np.zeros((n, n), dtype=complex)
-        Gxy = (-1j / x**2) * np.eye(n)
-        return Gxx, Gyy, Gxy
 
     def start(self, prob):
         eigs = prob.eigenvalues
@@ -206,26 +226,12 @@ class _Discrete(Domain):
     def point(self, r, theta):
         return r * np.exp(1j * theta)
 
-    def dpoint(self, r, theta):
-        return 1j * r * np.exp(1j * theta)
+    def point_partials(self, r, theta):
+        e = cmath.exp(1j * theta)
+        return e, 1j * r * e, 0.0, -r * e, 1j * e
 
     def wrap(self, theta):
         return float(np.mod(theta, 2.0 * np.pi))
-
-    def first_partials(self, prob, r, theta):
-        n = prob.n
-        e = np.exp(1j * theta)
-        Hr = (prob.A - e * np.eye(n)) / (r - 1.0) ** 2
-        Ht = (1j * r * e / (r - 1.0)) * np.eye(n)
-        return Hr, Ht
-
-    def second_partials(self, prob, r, theta):
-        n = prob.n
-        e = np.exp(1j * theta)
-        Hrr = -2.0 * (prob.A - e * np.eye(n)) / (r - 1.0) ** 3
-        Htt = (-r * e / (r - 1.0)) * np.eye(n)
-        Hrt = (-1j * e / (r - 1.0) ** 2) * np.eye(n)
-        return Hrr, Htt, Hrt
 
     def start(self, prob):
         eigs = prob.eigenvalues
@@ -344,15 +350,10 @@ def _check_derivative_preconditions(pt, allow_subgradient):
         raise NonsimpleSigmaError("sigma_min is not simple at this point")
 
 
-def _grad_from_partials(pt, D1, D2):
-    u, v = pt.u, pt.v
-    return np.array([np.real(u.conj() @ (D1 @ v)), np.real(u.conj() @ (D2 @ v))])
-
-
 def _grad(pt, prob, allow_subgradient):
     _check_derivative_preconditions(pt, allow_subgradient)
-    D1, D2 = domain(prob).first_partials(prob, *pt.coords)
-    return Derivatives(grad=_grad_from_partials(pt, D1, D2), subgradient=not pt.simple)
+    grad = domain(prob).sigma_gradient(*pt.coords, pt.u, pt.v, pt.value)
+    return Derivatives(grad=grad, subgradient=not pt.simple)
 
 
 def g_grad(pt: EvalPoint, prob: MatrixProblem, allow_subgradient: bool = False) -> Derivatives:
@@ -369,66 +370,36 @@ def h_grad(pt: EvalPoint, prob: MatrixProblem, allow_subgradient: bool = False) 
     return _grad(pt, prob, allow_subgradient)
 
 
-def _augmented_hessian(pt, D1, D2, D11, D22, D12):
-    """Second derivatives of the n-th eigenvalue of [[0, G], [G*, 0]].
-
-    Eigenvalues of the augmentation are +/- sigma_i; for each singular
-    triple the eigenvectors are (u_i, +/- v_i)/sqrt(2).  sigma_min is the
-    n-th eigenvalue in descending order, and the classical second-order
-    perturbation sum over the remaining 2n - 1 eigenvectors gives its
-    Hessian.  Denominators below DEGENERATE_GAP_ATOL abort rather than
-    amplify rounding noise.
-    """
-    U, S, Vh = pt._U, pt._S, pt._Vh
-    n = U.shape[0]
-    V = Vh.conj().T
-    lam = np.concatenate([S, -S[::-1]])
-    # eigenvector matrix, column k <-> lam[k]
-    Q = np.zeros((2 * n, 2 * n), dtype=complex)
-    Q[:n, :n] = U
-    Q[n:, :n] = V
-    Q[:n, n:] = U[:, ::-1]
-    Q[n:, n:] = -V[:, ::-1]
-    Q /= np.sqrt(2.0)
-
-    def aug(D):
-        Z = np.zeros((2 * n, 2 * n), dtype=complex)
-        Z[:n, n:] = D
-        Z[n:, :n] = D.conj().T
-        return Z
-
-    A1, A2 = aug(D1), aug(D2)
-    A11, A22, A12 = aug(D11), aug(D22), aug(D12)
-    j = n - 1  # index of sigma_min in descending eigenvalue order
-    qj = Q[:, j]
-    denom = lam[j] - lam
-    others = np.arange(2 * n) != j
-    if np.any(np.abs(denom[others]) < DEGENERATE_GAP_ATOL):
-        raise DegenerateGapError("eigenvalue gap below 1e-12; Hessian refused")
-
-    c1 = Q.conj().T @ (A1 @ qj)   # entries q_k* A1 q_j
-    c2 = Q.conj().T @ (A2 @ qj)
-    inv = np.zeros(2 * n)
-    inv[others] = 1.0 / denom[others]
-
-    def second(curv, ca, cb):
-        cross = np.sum(np.conj(ca[others]) * cb[others] * inv[others])
-        return float(np.real(qj.conj() @ (curv @ qj)) + 2.0 * np.real(cross))
-
-    H = np.empty((2, 2))
-    H[0, 0] = second(A11, c1, c1)
-    H[1, 1] = second(A22, c2, c2)
-    H[0, 1] = H[1, 0] = second(A12, c1, c2)
-    return H
-
-
 def _hess(pt, prob):
+    """Gradient and Hessian of sigma_n, the n-th eigenvalue of [[0, G], [G*, 0]].
+
+    The augmentation's eigenpairs are lam_k = +/- sigma_k with eigenvectors
+    (u_k, +/- v_k)/sqrt(2), and
+    H_ab = Re(u_n* (d_ab G) v_n) + 2 Re sum_k conj(c_ak) c_bk/(sigma_n - lam_k)
+    over the 2n - 1 pairs other than (sigma_n, (u_n, v_n)/sqrt(2)).  The
+    couplings come from P_a = U* (d_a G) V = alpha_a W + beta_a Sigma:
+    c_ak = (P_a[k, n] +/- conj(P_a[n, k]))/2 for lam_k = +/- sigma_k.
+    Sigma is diagonal, and its entry beta_a sigma_n cancels from the one
+    pair (k = n, -sigma_n) it reaches, so only the n-th row and column of
+    W enter.  Denominators sigma_n -/+ sigma_k below DEGENERATE_GAP_ATOL
+    abort rather than amplify rounding noise.
+    """
     _check_derivative_preconditions(pt, allow_subgradient=False)
-    dom = domain(prob)
-    D1, D2 = dom.first_partials(prob, *pt.coords)
-    D11, D22, D12 = dom.second_partials(prob, *pt.coords)
-    grad = _grad_from_partials(pt, D1, D2)
-    return Derivatives(grad=grad, hess=_augmented_hessian(pt, D1, D2, D11, D22, D12))
+    S = pt._S
+    denom = np.concatenate([S[-1] - S[:-1], S[-1] + S])
+    if np.abs(denom).min() < DEGENERATE_GAP_ATOL:
+        raise DegenerateGapError("eigenvalue gap below 1e-12; Hessian refused")
+    alpha, beta, alpha2, beta2 = domain(prob).coefficients(*pt.coords)
+    W = (pt._Vh @ pt._U).conj().T  # U* V
+    w = np.vdot(pt.u, pt.v)  # W_nn
+    col = alpha[:, None] * W[:, -1]
+    row = np.conj(alpha[:, None] * W[-1])
+    C = np.concatenate([(col + row)[:, :-1], col - row], axis=1)  # twice the couplings
+    hess = (np.real(alpha2 * w) + beta2 * pt.value
+            + 0.5 * np.real((C.conj() / denom) @ C.T))
+    hess[1, 0] = hess[0, 1]
+    # the gradient as Domain.sigma_gradient computes it, from the same alpha, beta, w
+    return Derivatives(grad=np.real(alpha * w) + beta * pt.value, hess=hess)
 
 
 def g_hess(pt: EvalPoint, prob: MatrixProblem) -> Derivatives:

@@ -33,8 +33,8 @@ from kreiss.cert_ct import (
 from kreiss.oracle import grid_min
 from kreiss.solver import CERTIFICATE_CHOICES
 
-from conftest import (assert_split_reports_agree, random_normal_stable, random_stable,
-                      three_levels, two_block)
+from conftest import (assert_split_reports_agree, jordan_block, random_normal_stable,
+                      random_stable, three_levels, two_block)
 
 JORDAN_MIN = 1.0 / 1.1333333333333333  # global min of g for J(-0.3), = 1/K
 
@@ -234,6 +234,29 @@ def test_horizontal_variant_verdicts(jordan_ct):
     assert not above.empty
     below = horizontal_variable_test(jordan_ct, JORDAN_MIN - 0.02, 0.01)
     assert below.empty
+
+
+def test_each_level_set_point_is_reported_once():
+    # the benchmark's certify operation "horizontal ct-jordan-n8 above": the
+    # eigensolver returns the lines 0.98016 and 1.14266 three times each
+    # (copies 8e-12 apart, above LINE_DEDUP_ATOL = 1e-12), and each copy
+    # finds the same two points; 8 distinct points, each reported once
+    prob = MatrixProblem(jordan_block(8, -0.3, 1.0), "continuous")
+    report = horizontal_variable_test(prob, 0.5019645221250917, 0.24901773893745419)
+    near = [c for c in report.candidate_lines if abs(c - 0.98016) < 1e-4]
+    assert len(near) == 3 and near[-1] - near[0] > 10.0 * LINE_DEDUP_ATOL
+    coords = np.array([p.coords for p in report.points])
+    for i in range(len(coords)):
+        for j in range(i):
+            assert np.max(np.abs(coords[i] - coords[j])) > 1e-6
+    expected = [(x, s * y) for x, y in ((0.3600780557547254, 0.744191873732702),
+                                        (0.41977708456944757, 0.7441918737327033),
+                                        (0.9801594268097089, 0.4767363221264209),
+                                        (1.1426646529098876, 0.18685920526075914))
+                for s in (-1.0, 1.0)]
+    assert len(coords) == len(expected)
+    for point in expected:
+        assert np.min(np.max(np.abs(coords - point), axis=1)) < 1e-8
 
 
 def test_completeness_within_theorem_bound():

@@ -3,7 +3,7 @@ import pytest
 
 from kreiss import gen_test_matrix, minimize
 from kreiss.errors import InfeasibleStartError
-from kreiss.localopt import COORD_CAP, OptStatus
+from kreiss.localopt import COORD_CAP, OptStatus, _newton_direction
 from kreiss.oracle import grid_min
 
 from conftest import random_stable
@@ -79,3 +79,38 @@ def test_iterates_feasible_and_value_finite():
     assert res.minimizer.feasible
     assert res.minimizer.coords[0] > 1.0
     assert 0.0 <= res.minimizer.coords[1] < 2 * np.pi
+
+
+def _cholesky_direction(grad, hess):
+    """Reference: (H + mu I) d = -g by Cholesky, mu = 0, 1e-12, 1e-11, ..."""
+    mu = 0.0
+    for _ in range(40):
+        try:
+            L = np.linalg.cholesky(hess + mu * np.eye(2))
+            d = np.linalg.solve(L.conj().T, np.linalg.solve(L, -grad))
+            if np.dot(d, grad) < 0:
+                return d, mu
+        except np.linalg.LinAlgError:
+            pass
+        mu = 1e-12 if mu == 0.0 else mu * 10.0
+        if mu > 1e16 * max(1.0, np.linalg.norm(hess, np.inf)):
+            break
+    return None, mu
+
+
+@pytest.mark.parametrize("hess, grad, mu", [
+    ([[2.0, 0.5], [0.5, 1.0]], [0.3, -1.2], 0.0),
+    ([[1.0, 0.3], [0.3, -2.0]], [0.7, 0.4], 10.0),
+    ([[-1e30, 0.0], [0.0, 1.0]], [0.7, 0.4], None),
+    ([[2.0, 0.5], [0.5, 1.0]], [0.0, 0.0], None),
+], ids=["positive-definite", "indefinite", "never-definite", "zero-gradient"])
+def test_newton_direction_matches_cholesky(hess, grad, mu):
+    hess, grad = np.array(hess), np.array(grad)
+    ref, ref_mu = _cholesky_direction(grad, hess)
+    d = _newton_direction(grad, hess)
+    if mu is None:
+        assert d is None and ref is None
+        return
+    assert ref_mu == pytest.approx(mu, rel=1e-12)
+    assert np.allclose(d, ref, rtol=1e-14, atol=0.0)
+    assert np.allclose((hess + ref_mu * np.eye(2)) @ d, -grad, rtol=1e-14, atol=1e-15)

@@ -12,8 +12,10 @@ from kreiss import (
     h_grad,
     h_hess,
 )
-from kreiss.errors import NonsimpleSigmaError, ZeroSigmaError
-from kreiss.objective import _eval_from_matrix, domain
+from kreiss.errors import DegenerateGapError, NonsimpleSigmaError, ZeroSigmaError
+from kreiss.matio import TimeDomain
+from kreiss.objective import (DEGENERATE_GAP_ATOL, SIMPLE_GAP_RTOL, _eval_from_matrix,
+                              domain, gradient, hessian)
 
 from conftest import contractive, random_normal_stable, random_stable
 
@@ -197,3 +199,111 @@ def test_search_interval_encloses_the_sublevel_set(time_domain):
                 assert min(vals) > gamma, (prob.A, gamma, c1)
     # the normal and the contractive matrix: empty at every level
     assert empty >= 8
+
+
+def _reference_derivatives(A, time_domain, pt):
+    """The augmented-matrix oracle: gradient and Hessian of sigma_min at
+    ``pt`` from the n x n partials of G = (z I - A)/s and the eigenvectors
+    of [[0, G], [G*, 0]]."""
+    c1, c2 = pt.coords
+    n = A.shape[0]
+    I = np.eye(n)
+    if time_domain == "continuous":
+        E, s = A - 1j * c2 * I, c1
+        D = [E / s**2, 1j / s * I]
+        D2 = [[-2.0 * E / s**3, -1j / s**2 * I], [-1j / s**2 * I, 0.0 * I]]
+    else:
+        z = np.exp(1j * c2)
+        E, s = A - z * I, c1 - 1.0
+        D = [E / s**2, 1j * c1 * z / s * I]
+        D2 = [[-2.0 * E / s**3, -1j * z / s**2 * I], [-1j * z / s**2 * I, -c1 * z / s * I]]
+    U, S, V = pt._U, pt._S, pt._Vh.conj().T
+    Q = np.block([[U, U], [V, -V]]) / np.sqrt(2.0)
+    lam = np.concatenate([S, -S])
+    aug = lambda M: np.block([[0.0 * I, M], [M.conj().T, 0.0 * I]])
+    q = Q[:, n - 1]
+    others = np.arange(2 * n) != n - 1
+    c = [Q.conj().T @ aug(Da) @ q for Da in D]
+    grad = np.array([np.real(q.conj() @ aug(Da) @ q) for Da in D])
+    hess = np.array([[np.real(q.conj() @ aug(D2[a][b]) @ q)
+                      + 2.0 * np.real(np.sum((c[a].conj() * c[b])[others]
+                                             / (lam[n - 1] - lam[others])))
+                      for b in range(2)] for a in range(2)])
+    return grad, hess
+
+
+def _assert_matches_reference(prob, A, pt, rtol=1e-10):
+    grad, hess = _reference_derivatives(A, prob.time_domain.value, pt)
+    der = hessian(pt, prob)
+    assert np.max(np.abs(der.grad - grad)) <= rtol * np.max(np.abs(grad))
+    assert np.array_equal(der.grad, gradient(pt, prob).grad)
+    assert np.max(np.abs(der.hess - hess)) <= rtol * np.max(np.abs(hess))
+    assert der.hess[0, 1] == der.hess[1, 0]
+
+
+def _random_problem(rng, n, time_domain):
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) * rng.integers(2)
+    eigs = np.linalg.eigvals(A)
+    if time_domain == "continuous":
+        return MatrixProblem(A - (np.max(eigs.real) + 0.1) * np.eye(n), time_domain)
+    return MatrixProblem(A / (np.max(np.abs(eigs)) / 0.9), time_domain)
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+def test_derivatives_match_the_augmented_oracle(time_domain):
+    # random points, a fifth of them within 1e-6..1e-2 of the barrier
+    rng = np.random.default_rng(31)
+    barrier = 0.0 if time_domain == "continuous" else 1.0
+    checked = 0
+    for k in range(60):
+        prob = _random_problem(rng, 2 + k % 5, time_domain)
+        gap = 10.0 ** rng.uniform(-6, -2) if k % 5 == 0 else rng.uniform(0.05, 2.0)
+        c2 = rng.standard_normal() if time_domain == "continuous" else rng.uniform(0, 2 * np.pi)
+        pt = evaluate(prob, barrier + gap, c2)
+        if pt.simple:
+            _assert_matches_reference(prob, prob.A, pt)
+            checked += 1
+    assert checked >= 50
+
+
+def _at_singular_values(S, time_domain, seed=0):
+    """(prob, A, pt): the objective's point whose matrix G has singular
+    values S and random singular vectors, with A = z I - s G.  The
+    derivatives read only the point's SVD and the problem's time domain,
+    and such an A is rarely stable, so the problem is a stand-in."""
+    rng = np.random.default_rng(seed)
+    n = len(S)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    G = U @ np.diag(S) @ V.conj().T
+    prob = MatrixProblem(np.array([[0.5]]) - 1.0, time_domain)
+    coords = (0.5, 0.3) if time_domain == "continuous" else (1.5, 0.3)
+    dom = domain(prob)
+    A = dom.point(*coords) * np.eye(n) - dom.scale(coords[0]) * G
+    return prob, A, _eval_from_matrix(coords, G)
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+def test_derivatives_at_a_gap_just_above_the_simple_threshold(time_domain):
+    S = np.array([3.0, 2.0, 1.0 + 4.0 * SIMPLE_GAP_RTOL * 3.0, 1.0])
+    prob, A, pt = _at_singular_values(S, time_domain)
+    assert pt.simple
+    assert pt._S[-2] - pt._S[-1] < 5.0 * SIMPLE_GAP_RTOL * pt._S[0]
+    _assert_matches_reference(prob, A, pt)
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+def test_degenerate_gap_boundary(time_domain):
+    # sigma_1 is small, so a gap a little either side of DEGENERATE_GAP_ATOL
+    # still passes the simple test
+    for factor, refused in ((0.5, True), (2.0, False)):
+        S = np.array([1e-3, 5e-4, 1e-4 + factor * DEGENERATE_GAP_ATOL, 1e-4])
+        prob, A, pt = _at_singular_values(S, time_domain, seed=1)
+        assert pt.simple
+        assert bool(pt._S[-2] - pt._S[-1] < DEGENERATE_GAP_ATOL) is refused
+        if refused:
+            with pytest.raises(DegenerateGapError):
+                hessian(pt, prob)
+            assert gradient(pt, prob).grad.shape == (2,)
+        else:
+            _assert_matches_reference(prob, A, pt)
