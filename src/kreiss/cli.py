@@ -32,7 +32,7 @@ from .errors import (
 from .matio import load_matrix
 from .solver import SolveStatus
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 _log = logging.getLogger("kreiss")
 

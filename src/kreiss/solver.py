@@ -1,29 +1,30 @@
 """Globally convergent Kreiss-constant iterations.
 
 Three methods, each pairing local optimization of the inverse-Kreiss
-objective with a 2D level-set globality certificate:
+objective with a 2D level-set globality certificate.  All three run one
+loop, ``_bracket_loop``, on a bracket [lb, ub] on 1/K (``Bounds``), and
+each is only its level rule, the (gamma, eta) it tests next:
 
-* ``solve_owr_backtracking``: optimization-with-restarts where the
-  fixed-distance certificate is retried with eta shrunk by a factor c
-  until it either finds restart points or eta falls below eta_tol;
-* ``solve_owr``: optimization-with-restarts without backtracking, using a
-  variable-distance certificate at gamma = g_k (1 - 0.5 tol),
-  eta = g_k tol, whose empty outcome certifies 1/K > g_k (1 - tol);
-* ``solve_trisection``: lower/upper bound trisection on the same
-  variable-distance certificate, shrinking the bracket by 2/3 per step.
+* ``solve_owr_backtracking``: fixed-distance tests at gamma = ub, eta shrunk by c;
+* ``solve_owr``: one variable-distance test per minimum, at (ub (1 - tol/2), ub tol);
+* ``solve_trisection``: variable-distance tests at (lb + 2d/3, 2d/3), d = ub - lb.
+
+Only a report moves the bracket.  An EMPTY variable-distance report raises
+lb to report.gamma - eta/2, the level it tested less half its distance (a
+fixed-distance EMPTY proves nothing).  A verified point either restarts
+the descent, whose lower minimum becomes ub, or, in trisection, lowers ub
+to the report's level.  K = 1/ub, and the final ``Bounds`` is the proof.
 
 The three methods share one start (``_solve``): when the numerical range
 proves K = 1 (omega(A) <= 0, or w(A) <= 1 in discrete time;
 ``objective.Domain.contractive``), the solve returns K = 1 with that proof
-and runs no local optimization and no certificate.  The two restart
-methods share one loop and differ only in the (gamma, eta) levels they
-test per minimum.  Otherwise no method accepts a plateau value (>= 1) as
-K = 1 without a certificate: the restart methods test just below 1, and
-trisection caps its upper bound at 1.  All three support both time
-domains; ``certify`` maps a CERTIFICATE_CHOICES variant to its test, with
-fixed variants reserved for the backtracking method and variable variants
-for the other two (their termination semantics require the
-coordinate-free lower bound).
+and runs no local optimization and no certificate.  Otherwise no method
+accepts a plateau value (>= 1) as K = 1 without a certificate: the restart
+methods test just below 1, and trisection caps its upper bound at 1.  All
+three support both time domains; ``certify`` maps a CERTIFICATE_CHOICES
+variant to its test, with fixed variants reserved for the backtracking
+method and variable variants for the other two (their termination
+semantics require the coordinate-free lower bound).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -55,8 +56,7 @@ __all__ = [
 ]
 
 CERTIFICATE_CHOICES = ("fixed-v", "fixed-h", "variable-v", "variable-h")
-_MAX_RESTARTS = 100
-_MAX_TRISECTION_ITERS = 1000
+_MAX_CERTIFICATE_CALLS = 1000
 # optimization can stall on the large-x plateau (value >= 1) even for
 # nonnormal matrices, so a plateau value alone never decides K = 1: the
 # certificates are probed at 1 - _PLATEAU_PROBE_GAP, where emptiness
@@ -107,6 +107,9 @@ class KreissResult:
     ``decided_by`` names the proof behind K: "numerical-range" (K = 1 from
     omega(A) <= 0 or w(A) <= 1, with no optimization and no certificate),
     "certificate" (the method's iteration), or "grid" (the oracle, no proof).
+    ``bounds_history`` holds the bracket on 1/K before the first certificate
+    and after each one: lb rises only on an EMPTY variable-distance report,
+    ub falls only to a lower local minimum or to a level with verified points.
     """
 
     kreiss: float
@@ -193,23 +196,6 @@ class _Run:
         self.message = ""
         self.decided_by = "certificate"
 
-    def certify(self, gamma, eta, phase="certificate"):
-        """The traced report of the certificate at (gamma, eta); None once it failed."""
-        try:
-            report = certify(self.prob, self.certificate, gamma, eta,
-                             use_dnc=self.use_dnc, seed=self.seed)
-        except KreissError as exc:
-            self.fail(f"certificate failure: {exc}")
-            return None
-        self.reports.append(report)
-        self.trace.append(TraceEntry(phase, gamma, eta, "empty" if report.empty else "points",
-                                     len(report.points), report.search_lo, report.search_hi,
-                                     report.eig_route, report.mass_cond))
-        if report.empty and self.certificate.startswith("variable"):
-            # report.gamma, not gamma: the discrete-time tests may nudge it
-            self.message = f"certified 1/K > {report.gamma - 0.5 * eta:.17g}"
-        return report
-
     def fail(self, message):
         self.status, self.message = SolveStatus.FAILED, message
 
@@ -270,34 +256,59 @@ def _usable_restart_points(prob, report, gamma):
     return sorted(out, key=lambda p: p.value)
 
 
-def _restart_loop(run, res, levels, opt_opts):
-    """Optimization with restarts from the local minimum ``res``.
+def _bracket_loop(run, levels, bounds, res=None, opt_opts=None):
+    """Test the (gamma, eta) that ``levels(bounds)`` yields from the live
+    bracket, and move ``bounds`` only by what each report proves.
 
-    After each local minimum g_k the certificate runs at the (gamma, eta)
-    levels of ``levels(g_k)``, in order.  The first usable point whose
-    descent ends strictly below g_k restarts the iteration; a minimum that
-    no level restarts is the result.
+    ``res`` is the restart methods' local minimum, traced as an "optimize"
+    step (None for trisection): the first usable point of a report descends,
+    and a minimum strictly below ub becomes ub and starts ``levels`` again.
+    K = 1/ub once ``levels`` is exhausted; a solve that needs more than
+    ``_MAX_CERTIFICATE_CALLS`` certificates fails.
     """
     prob = run.prob
-    for restarts in range(_MAX_RESTARTS):
-        g_k = res.value
-        run.trace.append(TraceEntry("optimize", g_k, 0.0, "minimized"))
-        for gamma, eta in levels(g_k):
-            report = run.certify(gamma, eta)
-            if report is None:
-                return run.finish(res.value, res.minimizer, restarts)
+    phase = "trisection" if res is None else "certificate"
+    if res is not None:
+        run.trace.append(TraceEntry("optimize", res.value, 0.0, "minimized"))
+    history, restarts, rule, candidates = [replace(bounds)], 0, levels(bounds), []
+    for calls in range(_MAX_CERTIFICATE_CALLS + 1):
+        level = next(rule, None)
+        if level is None:
+            if candidates:
+                run.message = "detected points did not improve the minimum; accepting g_k"
+            break
+        if calls == _MAX_CERTIFICATE_CALLS:
+            run.fail("certificate budget exhausted")
+            break
+        gamma, eta = level
+        try:
+            report = certify(prob, run.certificate, gamma, eta,
+                             use_dnc=run.use_dnc, seed=run.seed)
+        except KreissError as exc:
+            run.fail(f"certificate failure: {exc}")
+            break
+        run.reports.append(report)
+        run.trace.append(TraceEntry(phase, gamma, eta, "empty" if report.empty else "points",
+                                    len(report.points), report.search_lo, report.search_hi,
+                                    report.eig_route, report.mass_cond))
+        candidates = []
+        if report.empty:
+            if run.certificate.startswith("variable"):
+                # report.gamma, not gamma: the discrete-time tests may nudge it
+                bounds.lb = max(bounds.lb, report.gamma - 0.5 * eta)
+                run.message = f"certified 1/K > {bounds.lb:.17g}"
+        elif res is None:
+            bounds.ub = min(bounds.ub, report.gamma)
+        else:
             candidates = _usable_restart_points(prob, report, gamma)
             if candidates:
                 nxt = localopt.minimize(prob, candidates[0].coords, **opt_opts)
-                if nxt.value < g_k * (1.0 - 1e-14):
-                    res = nxt
-                    break
-        else:
-            if candidates:
-                run.message = "detected points did not improve the minimum; accepting g_k"
-            return run.finish(res.value, res.minimizer, restarts)
-    run.fail("restart budget exhausted")
-    return run.finish(res.value, res.minimizer, _MAX_RESTARTS)
+                if nxt.value < bounds.ub * (1.0 - 1e-14):
+                    res, bounds.ub, restarts = nxt, nxt.value, restarts + 1
+                    run.trace.append(TraceEntry("optimize", res.value, 0.0, "minimized"))
+                    rule = levels(bounds)
+        history.append(replace(bounds))
+    return run.finish(bounds.ub, None if res is None else res.minimizer, restarts, history)
 
 
 def solve_owr_backtracking(
@@ -313,10 +324,10 @@ def solve_owr_backtracking(
 ) -> KreissResult:
     """Optimization-with-restarts using a backtracked fixed-distance test.
 
-    After each local minimization (value g_k) the fixed-distance test runs
-    at gamma = g_k with eta shrunk by the factor ``c`` until either
-    level-set points are found (restart) or eta <= eta_tol (terminate:
-    g_k is the global minimum to tolerance, so K = 1/g_k).
+    At each local minimum ub the fixed-distance test runs at gamma = ub
+    (below 1 - _PLATEAU_PROBE_GAP) with eta shrunk by the factor ``c`` until
+    either level-set points restart the descent or eta <= eta_tol (ub is the
+    global minimum to tolerance, so K = 1/ub).  lb stays 0.
     """
     _check_certificate("owr-bt", certificate, "fixed")
     if not (0.0 < c < 1.0):
@@ -331,15 +342,15 @@ def solve_owr_backtracking(
                    if eta0 is None else eta0)
         eta_min = 1e-8 * eta_max if eta_tol is None else eta_tol
 
-        def levels(g_k):
-            gamma, eta = min(g_k, 1.0 - _PLATEAU_PROBE_GAP), eta_max
+        def levels(bounds):
+            gamma, eta = min(bounds.ub, 1.0 - _PLATEAU_PROBE_GAP), eta_max
             while True:
                 yield gamma, eta
                 if eta <= eta_min:
                     return
                 eta = c * eta
 
-        return _restart_loop(run, res, levels, opt_opts)
+        return _bracket_loop(run, levels, Bounds(0.0, res.value), res, opt_opts)
 
     return _solve(prob, "owr-bt", certificate, use_dnc, seed, iterate)
 
@@ -355,23 +366,23 @@ def solve_owr(
 ) -> KreissResult:
     """Optimization-with-restarts without backtracking.
 
-    Each round runs the variable-distance test once, at
-    gamma = min(g_k (1 - 0.5 gamma_tol), 1 - _PLATEAU_PROBE_GAP) and
-    eta = g_k gamma_tol.  Points restart optimization strictly below the
-    previous minimum; an empty test proves 1/K > gamma - eta/2, which is
-    g_k (1 - gamma_tol) below the plateau, and the iteration stops with 1/g_k.
+    At each local minimum ub the variable-distance test runs once, at
+    gamma = min(ub (1 - 0.5 gamma_tol), 1 - _PLATEAU_PROBE_GAP) and
+    eta = ub gamma_tol.  Points restart optimization strictly below ub; an
+    empty test proves lb = gamma - eta/2, which is ub (1 - gamma_tol) below
+    the plateau, and the iteration stops with K = 1/ub.
     ``gamma_tol`` must lie in (0, 1): at 1 the proof says only 1/K > 0.
     """
     _check_certificate("owr", certificate, "variable")
     _check_tolerance("gamma_tol", gamma_tol, upper=1.0)
 
-    def levels(g_k):
-        return [(min(g_k * (1.0 - 0.5 * gamma_tol), 1.0 - _PLATEAU_PROBE_GAP),
-                 g_k * gamma_tol)]
+    def levels(bounds):
+        yield (min(bounds.ub * (1.0 - 0.5 * gamma_tol), 1.0 - _PLATEAU_PROBE_GAP),
+               bounds.ub * gamma_tol)
 
     def iterate(run):
         res = localopt.minimize(prob, _start(prob, start), **opt_opts)
-        return _restart_loop(run, res, levels, opt_opts)
+        return _bracket_loop(run, levels, Bounds(0.0, res.value), res, opt_opts)
 
     return _solve(prob, "owr", certificate, use_dnc, seed, iterate)
 
@@ -389,12 +400,18 @@ def solve_trisection(
 
     Initialized with lb = 0 and ub = the objective value at the start
     (optimized first when it is at least 1, and capped at 1).  Each step tests
-    gamma = lb + (2/3)(ub - lb) with eta = (2/3)(ub - lb): points give
-    ub = gamma, emptiness gives lb += (1/3)(ub - lb), so the bracket width
-    shrinks by 2/3 per call until ub - lb <= ub * gamma_tol, with gamma_tol in (0, 1).
+    gamma = lb + (2/3)(ub - lb) with eta = (2/3)(ub - lb): points lower ub
+    to the level tested, emptiness raises lb to that level less eta/2, so the
+    bracket width shrinks by 2/3 per call until ub - lb <= ub * gamma_tol,
+    with gamma_tol in (0, 1).
     """
     _check_certificate("trisection", certificate, "variable")
     _check_tolerance("gamma_tol", gamma_tol, upper=1.0)
+
+    def levels(bounds):
+        while bounds.ub - bounds.lb > bounds.ub * gamma_tol:
+            eta = (2.0 / 3.0) * (bounds.ub - bounds.lb)
+            yield bounds.lb + eta, eta
 
     def iterate(run):
         run.status = SolveStatus.TOLERANCE_REACHED
@@ -408,27 +425,7 @@ def solve_trisection(
             ub = localopt.minimize(prob, x0, **opt_opts).value
             run.trace.append(TraceEntry("optimize", ub, 0.0, "minimized"))
             ub = min(ub, 1.0)
-        lb = 0.0
-        history = [Bounds(lb, ub)]
-
-        for _ in range(_MAX_TRISECTION_ITERS):
-            if (ub - lb) <= ub * gamma_tol:
-                break
-            diff = ub - lb
-            eta = (2.0 / 3.0) * diff
-            gamma = lb + eta
-            report = run.certify(gamma, eta, phase="trisection")
-            if report is None:
-                break
-            if report.points:
-                ub = gamma
-            else:
-                lb = lb + diff / 3.0
-            history.append(Bounds(lb, ub))
-        else:
-            run.fail("trisection iteration budget exhausted")
-
-        return run.finish(ub, None, bounds_history=history)
+        return _bracket_loop(run, levels, Bounds(0.0, ub))
 
     return _solve(prob, "trisection", certificate, use_dnc, seed, iterate)
 

@@ -34,7 +34,7 @@ def test_kreiss_scalar(tmp_path):
                    "--emit-trace", str(trace_path))
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert doc["schema_version"] == 7
+    assert doc["schema_version"] == 8
     assert doc["kreiss"] == pytest.approx(1.0, abs=1e-6)
     assert doc["status"] in ("converged", "tolerance-reached")
     # omega(A) = -1 <= 0 decides K = 1 without a certificate
@@ -44,9 +44,10 @@ def test_kreiss_scalar(tmp_path):
     assert trace["decided_by"] == "numerical-range" and trace["trace"] == []
 
 
-def test_kreiss_methods_and_grid(jordan_file):
-    owr = json.loads(run_cli("kreiss", "--input", jordan_file,
-                             "--method", "owr").stdout)
+def test_kreiss_methods_and_grid(jordan_file, tmp_path):
+    trace_path = tmp_path / "trace.json"
+    owr = json.loads(run_cli("kreiss", "--input", jordan_file, "--method", "owr",
+                             "--emit-trace", str(trace_path)).stdout)
     grid = json.loads(run_cli("kreiss", "--input", jordan_file,
                               "--method", "grid").stdout)
     assert owr["kreiss"] == pytest.approx(1.1333333333, rel=1e-8)
@@ -55,6 +56,11 @@ def test_kreiss_methods_and_grid(jordan_file):
                 "certificate_calls", "status", "wall_time_s", "method", "decided_by"):
         assert key in owr
     assert (owr["decided_by"], grid["decided_by"]) == ("certificate", "grid")
+    # owr records its bracket too: [0, first minimum], then lb at the proof it prints
+    bounds = json.loads(trace_path.read_text())["bounds"]
+    assert len(bounds) == owr["certificate_calls"] + 1 and bounds[0][0] == 0.0
+    assert owr["message"] == f"certified 1/K > {bounds[-1][0]:.17g}"
+    assert bounds[-1][1] == pytest.approx(owr["gamma_inv"], rel=1e-15)
 
 
 def test_kreiss_deterministic(jordan_file):
@@ -72,7 +78,7 @@ def test_start_flag_and_trace(jordan_file, tmp_path):
                    "--emit-trace", str(trace_path))
     assert proc.returncode == 0
     trace = json.loads(trace_path.read_text())
-    assert trace["trace"] and trace["bounds"] and trace["schema_version"] == 7
+    assert trace["trace"] and trace["bounds"] and trace["schema_version"] == 8
     assert trace["decided_by"] == "certificate"
     # each certificate records the ends of the interval it searched
     prob = gen_test_matrix("jordan-shifted", 2, time_domain="continuous", eps=0.3)
@@ -126,7 +132,7 @@ def test_certify_variants_match_library(variant, time_domain, eps, gamma, tmp_pa
                              for p in report.points]
     assert doc["empty"] == report.empty
     assert doc["rejected_points"] == report.rejected_points
-    assert doc["schema_version"] == 7
+    assert doc["schema_version"] == 8
     assert doc["eig_orders"] == report.eig_orders
     assert sum(doc["eig_orders"]) == doc["large_eig_count"] == report.large_eig_count
     assert doc["eig_route"] == report.eig_route == "qz" and doc["mass_cond"] is None

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import brentq
 
 from kreiss import (
     MatrixProblem,
@@ -120,7 +122,7 @@ def test_restart_and_strictly_decreasing_trace():
 
 
 def test_backtracking_restart():
-    prob = random_stable(10, 10, "continuous") if False else random_stable(4, 10, "continuous")
+    prob = random_stable(4, 10, "continuous")
     r = solve_owr_backtracking(prob, start=(0.2, -2.0), c=0.25)
     assert r.status is SolveStatus.CONVERGED
     ref = solve_owr(prob, gamma_tol=1e-9)
@@ -259,3 +261,83 @@ def test_objective_values_bound_certified_minimum(jordan_ct):
         x = 10.0 ** rng.uniform(-2, 3)
         y = rng.standard_normal() * 3
         assert g_eval(jordan_ct, x, y).value >= kinv - 1e-10
+
+
+def _assert_the_bracket_moves_only_by_what_reports_prove(result):
+    """lb is the running maximum of report.gamma - eta/2 over EMPTY
+    variable-distance reports; ub never rises, and trisection lowers it
+    exactly to the level of a report with verified points."""
+    hist = result.bounds_history
+    assert len(hist) == len(result.reports) + 1
+    lb = hist[0].lb
+    for report, before, after in zip(result.reports, hist, hist[1:]):
+        if report.empty and report.variant.startswith("variable"):
+            lb = max(lb, report.gamma - 0.5 * report.eta)
+        assert after.lb == lb
+        assert after.ub <= before.ub
+        if result.method == "trisection":
+            assert after.ub == (before.ub if report.empty else min(before.ub, report.gamma))
+
+
+@pytest.mark.parametrize("offset", [-3e-10, 3e-10], ids=["below", "above"])
+@pytest.mark.parametrize("coupling, empty", [(2.0, True), (3.0, False)],
+                         ids=["empty", "points"])
+def test_the_bracket_moves_to_the_level_tested_not_the_level_asked(coupling, empty, offset):
+    # trisection's first level, 2/3 of h at the start, lies 3e-10 off the
+    # singular value 0.55 of A, so the discrete-time test nudges it by 1e-6
+    # relative: an EMPTY verdict proves 1/K > report.gamma - eta/2, and
+    # verified points 1/K <= report.gamma, at the level tested only
+    prob = MatrixProblem(np.array([[0.6, coupling, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 0.55]]),
+                         "discrete")
+    target = 1.5 * (0.55 + offset)
+    r0 = brentq(lambda r: objective.evaluate(prob, r, 0.0).value - target, 1.0 + 1e-9, 1.5)
+    result = solve_trisection(prob, start=(r0, 0.0), gamma_tol=1e-6)
+    first, (before, after) = result.reports[0], result.bounds_history[:2]
+    assert first.gamma_nudged and first.empty is empty
+    assert abs(first.gamma - 0.55) == pytest.approx(0.55e-6, rel=1e-3)
+    if empty:
+        assert (after.lb, after.ub) == (first.gamma - 0.5 * first.eta, before.ub)
+    else:
+        assert (after.lb, after.ub) == (0.0, first.gamma)
+    _assert_the_bracket_moves_only_by_what_reports_prove(result)
+    assert result.status is SolveStatus.TOLERANCE_REACHED
+
+
+def _staircase():
+    """Five 2 x 2 Jordan-like blocks, stacked in y, whose basins of g deepen
+    with the coupling: owr from (1, 0) restarts three times, one basin at a
+    time, and makes four certificates at gamma_tol = 1e-6."""
+    blocks = [np.array([[-1.0 + 10j * k, c], [0.0, -1.0 + 10j * k]])
+              for k, c in enumerate([3.0, 3.3, 3.6, 3.9, 4.2])]
+    return MatrixProblem(scipy.linalg.block_diag(*blocks), "continuous")
+
+
+def test_the_restart_methods_report_their_bracket():
+    prob = _staircase()
+    owr = solve_owr(prob, start=(1.0, 0.0), gamma_tol=1e-6)
+    bt = solve_owr_backtracking(prob, start=(1.0, 0.0), c=0.25)
+    for result in (owr, bt):
+        minima = [t.gamma for t in result.trace if t.phase == "optimize"]
+        assert result.restarts >= 1 and result.bounds_history[0].ub == minima[0]
+        assert {b.ub for b in result.bounds_history} == set(minima)
+        assert result.gamma_inv == pytest.approx(result.bounds_history[-1].ub, rel=1e-15)
+        _assert_the_bracket_moves_only_by_what_reports_prove(result)
+    # fixed-distance tests prove nothing about 1/K
+    assert all(b.lb == 0.0 for b in bt.bounds_history)
+    # owr's proof is its bracket's lb, to the last bit
+    assert owr.message.startswith("certified 1/K > ")
+    assert float(owr.message.split("> ")[1]) == owr.bounds_history[-1].lb > 0.0
+
+
+@pytest.mark.parametrize("method", ["owr-bt", "owr", "trisection"])
+def test_one_certificate_budget_for_every_method(method, monkeypatch):
+    prob = _staircase()
+    kwargs = dict(start=(1.0, 0.0))
+    if method != "owr-bt":
+        kwargs["gamma_tol"] = 1e-6
+    assert compute_kreiss(prob, method, **kwargs).certificate_calls > 3
+    monkeypatch.setattr(solver, "_MAX_CERTIFICATE_CALLS", 3)
+    result = compute_kreiss(prob, method, **kwargs)
+    assert result.status is SolveStatus.FAILED
+    assert result.message == "certificate budget exhausted"
+    assert result.certificate_calls == 3 and len(result.bounds_history) == 4
