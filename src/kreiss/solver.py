@@ -14,6 +14,8 @@ lb to report.gamma - eta/2, the level it tested less half its distance (a
 fixed-distance EMPTY proves nothing).  A verified point either restarts
 the descent, whose lower minimum becomes ub, or, in trisection, lowers ub
 to the report's level.  K = 1/ub, and the final ``Bounds`` is the proof.
+One budget bounds the reports that move the bracket; the calls between two
+moves are a finite sweep (owr-bt) or a level that would only repeat.
 
 The three methods share one start (``_solve``): when the numerical range
 proves K = 1 (omega(A) <= 0, or w(A) <= 1 in discrete time;
@@ -56,7 +58,7 @@ __all__ = [
 ]
 
 CERTIFICATE_CHOICES = ("fixed-v", "fixed-h", "variable-v", "variable-h")
-_MAX_CERTIFICATE_CALLS = 1000
+_MAX_BRACKET_MOVES = 1000
 # optimization can stall on the large-x plateau (value >= 1) even for
 # nonnormal matrices, so a plateau value alone never decides K = 1: the
 # certificates are probed at 1 - _PLATEAU_PROBE_GAP, where emptiness
@@ -256,33 +258,26 @@ def _usable_restart_points(prob, report, gamma):
     return sorted(out, key=lambda p: p.value)
 
 
-def _bracket_loop(run, levels, bounds, res=None, opt_opts=None):
+def _bracket_loop(run, phase, levels, bounds, answer):
     """Test the (gamma, eta) that ``levels(bounds)`` yields from the live
-    bracket, and move ``bounds`` only by what each report proves.
-
-    ``res`` is the restart methods' local minimum, traced as an "optimize"
-    step (None for trisection): the first usable point of a report descends,
-    and a minimum strictly below ub becomes ub and starts ``levels`` again.
-    K = 1/ub once ``levels`` is exhausted; a solve that needs more than
-    ``_MAX_CERTIFICATE_CALLS`` certificates fails.
-    """
-    prob = run.prob
-    phase = "trisection" if res is None else "certificate"
-    if res is not None:
-        run.trace.append(TraceEntry("optimize", res.value, 0.0, "minimized"))
-    history, restarts, rule, candidates = [replace(bounds)], 0, levels(bounds), []
-    for calls in range(_MAX_CERTIFICATE_CALLS + 1):
-        level = next(rule, None)
-        if level is None:
-            if candidates:
-                run.message = "detected points did not improve the minimum; accepting g_k"
+    bracket, and return its history.  An EMPTY variable-distance report raises
+    lb; ``answer(report, gamma, bounds)`` takes every other report (points, or
+    a fixed-distance EMPTY) and may lower ub, returning True to start
+    ``levels`` again.  The budget counts reports that move the bracket: a rule
+    is finite between moves, and a level asked again after its report moved
+    nothing would only repeat that report, so the solve stops."""
+    history, rule, moves, stalled = [replace(bounds)], levels(bounds), 0, None
+    while (level := next(rule, None)) is not None:
+        if level == stalled:
+            run.fail(f"certificate at gamma = {level[0]:.17g}, tested at "
+                     f"{run.reports[-1].gamma:.17g}, moved neither bound")
             break
-        if calls == _MAX_CERTIFICATE_CALLS:
+        if moves == _MAX_BRACKET_MOVES:
             run.fail("certificate budget exhausted")
             break
         gamma, eta = level
         try:
-            report = certify(prob, run.certificate, gamma, eta,
+            report = certify(run.prob, run.certificate, gamma, eta,
                              use_dnc=run.use_dnc, seed=run.seed)
         except KreissError as exc:
             run.fail(f"certificate failure: {exc}")
@@ -291,24 +286,43 @@ def _bracket_loop(run, levels, bounds, res=None, opt_opts=None):
         run.trace.append(TraceEntry(phase, gamma, eta, "empty" if report.empty else "points",
                                     len(report.points), report.search_lo, report.search_hi,
                                     report.eig_route, report.mass_cond))
-        candidates = []
-        if report.empty:
-            if run.certificate.startswith("variable"):
-                # report.gamma, not gamma: the discrete-time tests may nudge it
-                bounds.lb = max(bounds.lb, report.gamma - 0.5 * eta)
-                run.message = f"certified 1/K > {bounds.lb:.17g}"
-        elif res is None:
-            bounds.ub = min(bounds.ub, report.gamma)
-        else:
-            candidates = _usable_restart_points(prob, report, gamma)
-            if candidates:
-                nxt = localopt.minimize(prob, candidates[0].coords, **opt_opts)
-                if nxt.value < bounds.ub * (1.0 - 1e-14):
-                    res, bounds.ub, restarts = nxt, nxt.value, restarts + 1
-                    run.trace.append(TraceEntry("optimize", res.value, 0.0, "minimized"))
-                    rule = levels(bounds)
+        if report.empty and run.certificate.startswith("variable"):
+            # report.gamma, not gamma: the discrete-time tests may nudge it
+            bounds.lb = max(bounds.lb, report.gamma - 0.5 * eta)
+            run.message = f"certified 1/K > {bounds.lb:.17g}"
+        elif answer(report, gamma, bounds):
+            rule = levels(bounds)
         history.append(replace(bounds))
-    return run.finish(bounds.ub, None if res is None else res.minimizer, restarts, history)
+        moved = history[-1] != history[-2]
+        moves, stalled = moves + moved, None if moved else level
+    return history
+
+
+class _Descent:
+    """Optimization with restarts, owr's and owr-bt's answer to a report: a
+    descent from its lowest usable point that ends strictly below ub makes
+    that minimum ub, and the level rule starts again from it."""
+
+    def __init__(self, run, start, opt_opts):
+        self.run, self.opt_opts, self.restarts = run, opt_opts, 0
+        self.res = localopt.minimize(run.prob, _start(run.prob, start), **opt_opts)
+        run.trace.append(TraceEntry("optimize", self.res.value, 0.0, "minimized"))
+
+    def __call__(self, report, gamma, bounds):
+        run, candidates = self.run, _usable_restart_points(self.run.prob, report, gamma)
+        run.message = ""
+        if candidates:
+            nxt = localopt.minimize(run.prob, candidates[0].coords, **self.opt_opts)
+            if nxt.value < bounds.ub * (1.0 - 1e-14):
+                self.res, bounds.ub, self.restarts = nxt, nxt.value, self.restarts + 1
+                run.trace.append(TraceEntry("optimize", nxt.value, 0.0, "minimized"))
+                return True
+            run.message = "detected points did not improve the minimum; accepting g_k"
+        return False
+
+    def solve(self, levels):
+        history = _bracket_loop(self.run, "certificate", levels, Bounds(0.0, self.res.value), self)
+        return self.run.finish(self.res.value, self.res.minimizer, self.restarts, history)
 
 
 def solve_owr_backtracking(
@@ -337,8 +351,8 @@ def solve_owr_backtracking(
             _check_tolerance(name, value)
 
     def iterate(run):
-        res = localopt.minimize(prob, _start(prob, start), **opt_opts)
-        eta_max = (0.1 * objective.domain(prob).scale(res.minimizer.coords[0])
+        descent = _Descent(run, start, opt_opts)
+        eta_max = (0.1 * objective.domain(prob).scale(descent.res.minimizer.coords[0])
                    if eta0 is None else eta0)
         eta_min = 1e-8 * eta_max if eta_tol is None else eta_tol
 
@@ -350,7 +364,7 @@ def solve_owr_backtracking(
                     return
                 eta = c * eta
 
-        return _bracket_loop(run, levels, Bounds(0.0, res.value), res, opt_opts)
+        return descent.solve(levels)
 
     return _solve(prob, "owr-bt", certificate, use_dnc, seed, iterate)
 
@@ -380,11 +394,8 @@ def solve_owr(
         yield (min(bounds.ub * (1.0 - 0.5 * gamma_tol), 1.0 - _PLATEAU_PROBE_GAP),
                bounds.ub * gamma_tol)
 
-    def iterate(run):
-        res = localopt.minimize(prob, _start(prob, start), **opt_opts)
-        return _bracket_loop(run, levels, Bounds(0.0, res.value), res, opt_opts)
-
-    return _solve(prob, "owr", certificate, use_dnc, seed, iterate)
+    return _solve(prob, "owr", certificate, use_dnc, seed,
+                  lambda run: _Descent(run, start, opt_opts).solve(levels))
 
 
 def solve_trisection(
@@ -403,7 +414,9 @@ def solve_trisection(
     gamma = lb + (2/3)(ub - lb) with eta = (2/3)(ub - lb): points lower ub
     to the level tested, emptiness raises lb to that level less eta/2, so the
     bracket width shrinks by 2/3 per call until ub - lb <= ub * gamma_tol,
-    with gamma_tol in (0, 1).
+    with gamma_tol in (0, 1).  A discrete-time level nudged off a singular
+    value of A can fall outside a narrow bracket and move neither bound;
+    the solve then fails with the bracket proven so far.
     """
     _check_certificate("trisection", certificate, "variable")
     _check_tolerance("gamma_tol", gamma_tol, upper=1.0)
@@ -412,6 +425,9 @@ def solve_trisection(
         while bounds.ub - bounds.lb > bounds.ub * gamma_tol:
             eta = (2.0 / 3.0) * (bounds.ub - bounds.lb)
             yield bounds.lb + eta, eta
+
+    def lower_ub(report, gamma, bounds):  # a report with points
+        bounds.ub = min(bounds.ub, report.gamma)
 
     def iterate(run):
         run.status = SolveStatus.TOLERANCE_REACHED
@@ -425,7 +441,8 @@ def solve_trisection(
             ub = localopt.minimize(prob, x0, **opt_opts).value
             run.trace.append(TraceEntry("optimize", ub, 0.0, "minimized"))
             ub = min(ub, 1.0)
-        return _bracket_loop(run, levels, Bounds(0.0, ub))
+        history = _bracket_loop(run, "trisection", levels, Bounds(0.0, ub), lower_ub)
+        return run.finish(history[-1].ub, None, bounds_history=history)
 
     return _solve(prob, "trisection", certificate, use_dnc, seed, iterate)
 

@@ -329,15 +329,50 @@ def test_the_restart_methods_report_their_bracket():
     assert float(owr.message.split("> ")[1]) == owr.bounds_history[-1].lb > 0.0
 
 
-@pytest.mark.parametrize("method", ["owr-bt", "owr", "trisection"])
-def test_one_certificate_budget_for_every_method(method, monkeypatch):
+def _moves(result):
+    hist = result.bounds_history
+    return sum(after != before for before, after in zip(hist, hist[1:]))
+
+
+@pytest.mark.parametrize("method, budget", [("owr-bt", 1), ("owr", 3), ("trisection", 3)])
+def test_one_budget_of_bracket_moves_for_every_method(method, budget, monkeypatch):
+    # every report of owr and trisection on the staircase moves the bracket;
+    # owr-bt's first report restarts the descent, and its sweep afterwards
+    # moves nothing
     prob = _staircase()
     kwargs = dict(start=(1.0, 0.0))
     if method != "owr-bt":
         kwargs["gamma_tol"] = 1e-6
-    assert compute_kreiss(prob, method, **kwargs).certificate_calls > 3
-    monkeypatch.setattr(solver, "_MAX_CERTIFICATE_CALLS", 3)
+    full = compute_kreiss(prob, method, **kwargs)
+    assert _moves(full) >= budget and full.certificate_calls > budget
+    monkeypatch.setattr(solver, "_MAX_BRACKET_MOVES", budget)
     result = compute_kreiss(prob, method, **kwargs)
     assert result.status is SolveStatus.FAILED
     assert result.message == "certificate budget exhausted"
-    assert result.certificate_calls == 3 and len(result.bounds_history) == 4
+    assert _moves(result) == result.certificate_calls == len(result.bounds_history) - 1 == budget
+
+
+def test_backtracking_sweeps_are_not_capped_by_the_budget(jordan_ct):
+    # at c = 0.99 one sweep of eta makes 1834 fixed-distance tests, and none
+    # of them moves the bracket
+    result = solve_owr_backtracking(jordan_ct, c=0.99)
+    assert result.status is SolveStatus.CONVERGED
+    assert result.certificate_calls > solver._MAX_BRACKET_MOVES
+    assert result.kreiss == pytest.approx(solve_owr(jordan_ct, gamma_tol=1e-9).kreiss, rel=1e-8)
+
+
+def test_trisection_stops_when_a_nudged_level_moves_neither_bound():
+    # 1/K of the Jordan block J is 20/29, here also a singular value of A:
+    # once the bracket around it is narrower than the discrete-time test's
+    # 1e-6 relative nudge, the level tested lies outside the bracket, moves
+    # neither bound, and the same level would be asked again
+    J = np.array([[0.6, 2.0], [0.0, 0.6]])
+    prob = MatrixProblem(scipy.linalg.block_diag(J, 20.0 / 29.0), "discrete")
+    result = solve_trisection(prob)
+    assert result.status is SolveStatus.FAILED
+    assert "moved neither bound" in result.message
+    last, (before, after) = result.reports[-1], result.bounds_history[-2:]
+    assert last.gamma_nudged and before == after and after.width < 3e-6 * after.ub
+    assert after.lb < 20.0 / 29.0 <= after.ub
+    assert result.certificate_calls < 100
+    _assert_the_bracket_moves_only_by_what_reports_prove(result)
