@@ -32,7 +32,7 @@ from .errors import (
 from .matio import load_matrix
 from .solver import SolveStatus
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 _log = logging.getLogger("kreiss")
 
@@ -177,6 +177,7 @@ def cmd_kreiss(args) -> int:
                        "eig_route": t.eig_route, "mass_cond": t.mass_cond}
                       for t in result.trace],
             "bounds": [[b.lb, b.ub] for b in result.bounds_history],
+            "discarded_lookaheads": result.discarded_lookaheads,
         }
         with open(args.emit_trace, "w") as fh:
             json.dump(trace_doc, fh)

@@ -14,7 +14,12 @@ pencil whose entries all have zero imaginary part runs in real LAPACK, any
 other in complex LAPACK.  Every dense eigenproblem, from the order-2n
 ones of the 1D level-set tests to the large ones, is one LAPACK call
 (``eig_pencil``) with the workspace LAPACK reports for it, the call
-scipy's ``linalg.eigvals`` makes, without its validation.
+scipy's ``linalg.eigvals`` makes, without its validation.  That call goes
+through the function pointers of ``scipy.linalg.cython_lapack`` with
+ctypes, which releases the GIL while LAPACK runs (scipy's f2py wrappers
+hold it), so two certificates on two threads use two cores
+(``solver._bracket_loop``).  The workspace query depends on the routine
+and the order alone, so it runs once for each and its answer is kept.
 
 A pencil known to be block diagonal up to row and column permutations (a
 certificate pencil of a matrix that ``MatrixProblem.split`` splits, or the
@@ -32,6 +37,7 @@ them; it never splits.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -60,6 +66,7 @@ __all__ = [
     "gen_sylvester_solver",
     "solve_gen_sylvester",
     "eigs_shift_invert",
+    "lapack_threads",
 ]
 
 _BETA_ZERO_RTOL = 1e-14  # |beta| below this (relative) means an infinite eigenvalue
@@ -201,13 +208,146 @@ def _split(solve, mats, parts) -> Spectrum:
     return _union([solve(*(X[np.ix_(r, c)] for X in mats)) for r, c in groups])
 
 
+# ctypes functions of cython_lapack's routines, by name, and the ``_Plan`` of
+# each routine and order, under (number of matrices, dtype, order); both are
+# filled on first use.
+_ROUTINES: dict = {}
+_PLANS: dict = {}
+_NO_VECTORS = ctypes.create_string_buffer(b"N")
+# A plan keeps the buffers of at most this many bytes for the next call:
+# below it the Python around a call costs as much as LAPACK, and the kept
+# buffers of every order a process meets stay small.
+_KEEP_BYTES = 1 << 16
+# Each array in a plan's buffer starts _SKEW bytes further into a page than
+# the one before.  Arrays a whole number of pages apart share cache sets:
+# at order 256 the complex A and B would lie exactly 1 MiB apart, and
+# their QZ ran 13% slower than with scipy's separately allocated copies.
+_PAGE, _SKEW = 4096, 512
+
+
+def _routine(name):
+    """The LAPACK routine ``name`` of scipy's ``cython_lapack``, as a ctypes
+    function taking every argument as a pointer."""
+    fn = _ROUTINES.get(name)
+    if fn is None:
+        from scipy.linalg import cython_lapack
+
+        capsule = cython_lapack.__pyx_capi__[name]
+        api = ctypes.pythonapi
+        get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", api))
+        get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", api))
+        nargs = 14 if name.endswith("geev") else 17
+        fn = _ROUTINES[name] = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(
+            get_pointer(capsule, get_name(capsule)))
+    return fn
+
+
+def lapack_threads() -> Optional[int]:
+    """The thread count of the BLAS under scipy's LAPACK (scipy's OpenBLAS
+    exports ``scipy_openblas_get_num_threads``), or None where it cannot be
+    read."""
+    fn = _ROUTINES.get("threads")
+    if fn is None:
+        from scipy.linalg import cython_lapack
+
+        try:
+            fn = ctypes.CFUNCTYPE(ctypes.c_int)(
+                ("scipy_openblas_get_num_threads", ctypes.CDLL(cython_lapack.__file__)))
+        except (OSError, AttributeError):
+            fn = lambda: None  # noqa: E731
+        _ROUTINES["threads"] = fn
+    return fn()
+
+
+class _Plan:
+    """``?geev`` (one matrix) or ``?ggev`` (two), without eigenvectors, at one
+    order, and the buffers its calls use.
+
+    A buffer holds everything LAPACK reads or writes: the integers n, 1,
+    lwork and info, then, each on its own pages (``_SKEW``), the matrices,
+    the eigenvalue arrays in LAPACK's order ((wr, wi), (w), (alphar, alphai,
+    beta) or (alpha, beta)), the workspace and, in complex arithmetic, the
+    real workspace.  LAPACK's workspace query depends on the routine and the
+    order alone, so it runs once, here, and every call uses its answer, as
+    scipy's ``eigvals`` does.  A call takes a kept buffer or makes one; a
+    small one is kept again afterwards, so concurrent calls never share one.
+    """
+
+    def __init__(self, nmats, dtype, n):
+        name = ("d" if dtype == float else "z") + ("geev" if nmats == 1 else "ggev")
+        self.fn, self.nmats, self.dtype, self.n = _routine(name), nmats, dtype, n
+        self.spare: list = []
+        self.lwork = -1
+        query = self._buffer()
+        self.fn(*query[-1])
+        self.lwork = int(query[2][-1][0].real)
+
+    def _buffer(self):
+        """(memory, matrix views, eigenvalue arrays and the workspace, the
+        integers, the routine's arguments)."""
+        dtype, n, nmats = self.dtype, self.n, self.nmats
+        real = dtype == float
+        neig = nmats + real
+        # array lengths in items of dtype; rwork holds 2n (geev) or 8n reals
+        counts = [n * n] * nmats + [n] * neig + [max(self.lwork, 1)]
+        if not real:
+            counts.append(n if nmats == 1 else 4 * n)
+        starts, end = [], 16
+        for k, count in enumerate(counts):
+            starts.append(-(-end // _PAGE) * _PAGE + _SKEW * k)
+            end = starts[-1] + count * dtype.itemsize
+        raw = (ctypes.c_char * end)()
+        ints = np.ndarray(4, np.intc, raw)
+        ints[:3] = n, 1, self.lwork
+        at, no = ctypes.addressof(raw), ctypes.addressof(_NO_VECTORS)
+        ptrs = [at + start for start in starts]
+        args = [no, no, at]  # jobvl, jobvr, n
+        for ptr in ptrs[:nmats]:
+            args += [ptr, at]  # a, lda (b, ldb)
+        args += ptrs[nmats:nmats + neig]
+        work = nmats + neig
+        args += [ptrs[work], at + 4] * 2  # vl, ldvl, vr, ldvr: not referenced
+        args += [ptrs[work], at + 8, *ptrs[work + 1:], at + 12]  # work, lwork, (rwork,) info
+        mats = [np.ndarray((n, n), dtype, raw, start, order="F") for start in starts[:nmats]]
+        outs = [np.ndarray(count, dtype, raw, start)
+                for count, start in zip(counts[nmats:work + 1], starts[nmats:work + 1])]
+        return raw, mats, outs, ints, args
+
+    def __call__(self, mats):
+        """(alpha, beta) of ``mats``, copied into a buffer, as new arrays."""
+        try:
+            buf = self.spare.pop()
+        except IndexError:
+            buf = self._buffer()
+        raw, views, out, ints, args = buf
+        for view, X in zip(views, mats):
+            view[...] = X
+        self.fn(*args)
+        info = int(ints[3])
+        if self.dtype == float:
+            alpha = out[0] + 1j * out[1]
+        else:
+            alpha = out[0].copy()
+        beta = np.ones(self.n, dtype=complex) if self.nmats == 1 else out[-2].astype(complex)
+        if len(raw) <= _KEEP_BYTES:
+            self.spare.append(buf)
+        if info != 0:
+            raise ConvergenceFailure(f"LAPACK eigensolver failed (info={info})")
+        return alpha, beta
+
+
 def eig_pencil(M, N=None) -> Spectrum:
     """Eigenvalues of M, or of the pencil M - lambda*N, infinities included.
 
     One LAPACK call, ``geev`` (beta = 1) or ``ggev``, real or complex by
     ``_lapack_dtype``'s rule, with the workspace LAPACK reports for the
     problem: the call scipy's ``linalg.eigvals`` makes, so the values are
-    bitwise its own.  Regularity is not checked.  The certificate pencils
+    bitwise its own.  The call goes through scipy's ``cython_lapack``
+    pointers with ctypes, which releases the GIL while LAPACK runs, and
+    the workspace is queried once per routine and order (``_Plan``).
+    Regularity is not checked.  The certificate pencils
     approach the singular boundary by design as eta -> 0, and every
     candidate they yield is verified by a direct SVD downstream.  A
     singular pencil shows up as pairs with alpha and beta both at rounding
@@ -215,23 +355,9 @@ def eig_pencil(M, N=None) -> Spectrum:
     """
     mats = _lapack_dtype(M) if N is None else _lapack_dtype(M, N)
     _check_pencil(mats[0], mats[-1])
-    real = mats[0].dtype == float
-    lapack = scipy.linalg.lapack
-    if N is None:
-        geev, lwork = ((lapack.dgeev, lapack.dgeev_lwork) if real
-                       else (lapack.zgeev, lapack.zgeev_lwork))
-        work, _ = lwork(len(mats[0]), compute_vl=0, compute_vr=0)
-        out = geev(*mats, compute_vl=0, compute_vr=0, lwork=int(work.real))
-        beta = np.ones(len(out[0]), dtype=complex)
-    else:
-        ggev = lapack.dggev if real else lapack.zggev
-        work = ggev(*mats, compute_vl=0, compute_vr=0, lwork=-1)[-2]
-        out = ggev(*mats, compute_vl=0, compute_vr=0, lwork=int(work[0].real))
-        beta = np.asarray(out[2 if real else 1], dtype=complex)
-    if out[-1] != 0:
-        raise ConvergenceFailure(f"LAPACK eigensolver failed (info={out[-1]})")
-    alpha = out[0] + 1j * out[1] if real else out[0]
-    return Spectrum(np.asarray(alpha, dtype=complex), beta)
+    key = (len(mats), mats[0].dtype, len(mats[0]))
+    plan = _PLANS.get(key) or _PLANS.setdefault(key, _Plan(*key))
+    return Spectrum(*plan(mats))
 
 
 def eig_standard(K, mass_cond, parts=None) -> Spectrum:

@@ -17,6 +17,16 @@ to the report's level.  K = 1/ub, and the final ``Bounds`` is the proof.
 One budget bounds the reports that move the bracket; the calls between two
 moves are a finite sweep (owr-bt) or a level that would only repeat.
 
+A sweep uses a second core: after a report that moved nothing and
+factored an eigenproblem of order LOOKAHEAD_MIN_ORDER or more, the next
+level's whole certificate runs on a worker thread while the current one
+runs in the calling thread, when the process may use two CPUs and LAPACK's
+BLAS runs one thread.  LAPACK releases the GIL (``linalg.eig_pencil``).
+The report ahead is used only when the one before it also moved nothing
+(a restart lowers ub, so it moves the bracket), so every report, the trace
+and K are bitwise those of the serial loop; owr and trisection never test
+ahead.
+
 The three methods share one start (``_solve``): when the numerical range
 proves K = 1 (omega(A) <= 0, or w(A) <= 1 in discrete time;
 ``objective.Domain.contractive``), the solve returns K = 1 with that proof
@@ -31,15 +41,17 @@ semantics require the coordinate-free lower bound).
 
 from __future__ import annotations
 
+import concurrent.futures
 import enum
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from . import cert_ct, cert_dt, localopt, objective
+from . import cert_ct, cert_dt, linalg, localopt, objective
 from .errors import InfeasibleStartError, KreissError
 from .matio import MatrixProblem, TimeDomain
 
@@ -59,6 +71,16 @@ __all__ = [
 
 CERTIFICATE_CHOICES = ("fixed-v", "fixed-h", "variable-v", "variable-h")
 _MAX_BRACKET_MOVES = 1000
+# A sweep tests its next level on a second thread only after a report whose
+# largest eigenproblem has at least this order (``_bracket_loop``).  Below
+# it the tests are short and mostly Python, and two threads wait on each
+# other's GIL.  Measured crossover (2-core x86-64 VM, OpenBLAS on 1 thread,
+# owr-bt on the benchmark's ct n = 4-6 and dt n = 4-5 solves of seeds 3, 7
+# and 11, median of 4, time ahead over serial): 0.91-1.54 at orders 8-20
+# (above 1 on 10 of 12 solves), 0.88-1.24 at 24-32, 0.69-0.97 at 42-54 and
+# 0.59-0.90 at 72 and above, where the large eigensolve dominates (one real
+# order-96 solve, whose 1D tests weigh more, read 1.10).
+LOOKAHEAD_MIN_ORDER = 40
 # optimization can stall on the large-x plateau (value >= 1) even for
 # nonnormal matrices, so a plateau value alone never decides K = 1: the
 # certificates are probed at 1 - _PLATEAU_PROBE_GAP, where emptiness
@@ -112,6 +134,9 @@ class KreissResult:
     ``bounds_history`` holds the bracket on 1/K before the first certificate
     and after each one: lb rises only on an EMPTY variable-distance report,
     ub falls only to a lower local minimum or to a level with verified points.
+    ``discarded_lookaheads`` counts the certificates tested ahead on a second
+    thread whose reports were not used (``_bracket_loop``); they are in
+    neither ``reports`` nor ``certificate_calls``.
     """
 
     kreiss: float
@@ -127,6 +152,7 @@ class KreissResult:
     message: str = ""
     reports: list = field(default_factory=list)
     decided_by: str = "certificate"
+    discarded_lookaheads: int = 0
 
 
 def default_start(prob: MatrixProblem):
@@ -197,6 +223,21 @@ class _Run:
         self.status = SolveStatus.CONVERGED
         self.message = ""
         self.decided_by = "certificate"
+        self.discarded = 0
+
+    def certify(self, gamma, eta):
+        """The solve's certificate at (gamma, eta)."""
+        return certify(self.prob, self.certificate, gamma, eta,
+                       use_dnc=self.use_dnc, seed=self.seed)
+
+    def discard(self, ahead):
+        """Wait for a test run ahead and drop its report, or the KreissError
+        it raised: the serial loop would not have run it."""
+        try:
+            ahead[1].result()
+        except KreissError:
+            pass
+        self.discarded += 1
 
     def fail(self, message):
         self.status, self.message = SolveStatus.FAILED, message
@@ -208,7 +249,7 @@ class _Run:
             certificate_calls=len(self.reports), trace=self.trace, status=self.status,
             wall_time=time.perf_counter() - self.t0, method=self.method,
             bounds_history=list(bounds_history), message=self.message, reports=self.reports,
-            decided_by=self.decided_by,
+            decided_by=self.decided_by, discarded_lookaheads=self.discarded,
         )
 
 
@@ -258,43 +299,84 @@ def _usable_restart_points(prob, report, gamma):
     return sorted(out, key=lambda p: p.value)
 
 
+def _second_core() -> bool:
+    """Whether a certificate may run beside another: the process may use at
+    least two CPUs, and LAPACK's BLAS runs one thread (two callers of a
+    multithreaded BLAS would share its threads), read from the library."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return cpus >= 2 and linalg.lapack_threads() == 1
+
+
 def _bracket_loop(run, phase, levels, bounds, answer):
     """Test the (gamma, eta) that ``levels(bounds)`` yields from the live
     bracket, and return its history.  An EMPTY variable-distance report raises
     lb; ``answer(report, gamma, bounds)`` takes every other report (points, or
-    a fixed-distance EMPTY) and may lower ub, returning True to start
-    ``levels`` again.  The budget counts reports that move the bracket: a rule
+    a fixed-distance EMPTY) and may lower ub; it returns True, having lowered
+    ub, to start ``levels`` again.  The budget counts reports that move the bracket: a rule
     is finite between moves, and a level asked again after its report moved
-    nothing would only repeat that report, so the solve stops."""
+    nothing would only repeat that report, so the solve stops.
+
+    After a report that moved nothing and factored an eigenproblem of order
+    LOOKAHEAD_MIN_ORDER or more, the rule's next two levels are taken at
+    once: the second is tested on a worker thread while the first is tested
+    here (``_second_core``).  Its report is used only when the first one
+    also moves nothing, and so restarts nothing; the rule then saw the same
+    bracket as it would have after that report, so every report, and the
+    solve, is bitwise the serial one.  Otherwise it is
+    discarded (``run.discarded``), after the worker has finished, so a stale
+    test never replaces the level a new rule builds.  Each certificate is
+    one whole test, on its own copies, and LAPACK releases the GIL
+    (``linalg.eig_pencil``).  This is owr-bt's sweep; owr yields one level
+    per rule, and trisection's reports all move the bracket.
+    """
     history, rule, moves, stalled = [replace(bounds)], levels(bounds), 0, None
-    while (level := next(rule, None)) is not None:
-        if level == stalled:
-            run.fail(f"certificate at gamma = {level[0]:.17g}, tested at "
-                     f"{run.reports[-1].gamma:.17g}, moved neither bound")
-            break
-        if moves == _MAX_BRACKET_MOVES:
-            run.fail("certificate budget exhausted")
-            break
-        gamma, eta = level
-        try:
-            report = certify(run.prob, run.certificate, gamma, eta,
-                             use_dnc=run.use_dnc, seed=run.seed)
-        except KreissError as exc:
-            run.fail(f"certificate failure: {exc}")
-            break
-        run.reports.append(report)
-        run.trace.append(TraceEntry(phase, gamma, eta, "empty" if report.empty else "points",
-                                    len(report.points), report.search_lo, report.search_hi,
-                                    report.eig_route, report.mass_cond))
-        if report.empty and run.certificate.startswith("variable"):
-            # report.gamma, not gamma: the discrete-time tests may nudge it
-            bounds.lb = max(bounds.lb, report.gamma - 0.5 * eta)
-            run.message = f"certified 1/K > {bounds.lb:.17g}"
-        elif answer(report, gamma, bounds):
-            rule = levels(bounds)
-        history.append(replace(bounds))
-        moved = history[-1] != history[-2]
-        moves, stalled = moves + moved, None if moved else level
+    ahead, quiet = None, False
+    # the executor starts its thread on the first submit and joins it on exit
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        while True:
+            if ahead is not None:
+                level = ahead[0]
+            elif (level := next(rule, None)) is None:
+                break
+            if level == stalled:
+                run.fail(f"certificate at gamma = {level[0]:.17g}, tested at "
+                         f"{run.reports[-1].gamma:.17g}, moved neither bound")
+                break
+            if moves == _MAX_BRACKET_MOVES:
+                run.fail("certificate budget exhausted")
+                break
+            gamma, eta = level
+            try:
+                if ahead is not None:
+                    future, ahead = ahead[1], None
+                    report = future.result()
+                else:
+                    if quiet and _second_core() and (nxt := next(rule, None)) is not None:
+                        ahead = nxt, pool.submit(run.certify, *nxt)
+                    report = run.certify(gamma, eta)
+            except KreissError as exc:
+                run.fail(f"certificate failure: {exc}")
+                break
+            run.reports.append(report)
+            run.trace.append(TraceEntry(phase, gamma, eta, "empty" if report.empty else "points",
+                                        len(report.points), report.search_lo, report.search_hi,
+                                        report.eig_route, report.mass_cond))
+            if report.empty and run.certificate.startswith("variable"):
+                # report.gamma, not gamma: the discrete-time tests may nudge it
+                bounds.lb = max(bounds.lb, report.gamma - 0.5 * eta)
+                run.message = f"certified 1/K > {bounds.lb:.17g}"
+            elif answer(report, gamma, bounds):
+                rule = levels(bounds)
+            history.append(replace(bounds))
+            moved = history[-1] != history[-2]
+            moves, stalled = moves + moved, None if moved else level
+            quiet = not moved and max(report.eig_orders, default=0) >= LOOKAHEAD_MIN_ORDER
+            if ahead is not None and moved:
+                run.discard(ahead)
+                ahead = None
+        if ahead is not None:  # the loop stopped with a test running ahead
+            run.discard(ahead)
     return history
 
 

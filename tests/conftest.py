@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kreiss import LinearOperator, MatrixProblem, certify, gen_test_matrix, minimize
+from kreiss import LinearOperator, MatrixProblem, certify, gen_test_matrix, linalg, minimize
 from kreiss.errors import NearSingularOperatorError
 from kreiss.matio import SplitForm
 from kreiss.oracle import grid_min
@@ -150,22 +150,19 @@ def assert_split_reports_agree(prob, variant, levels, monkeypatch):
 def _record_lapack(monkeypatch, entry):
     """The entries ``entry(route, dtype, order)`` that are not None, of every
     eigenproblem handed to LAPACK from here on by ``linalg.eig_pencil``'s
-    one call.  The route is "qz" for a pencil (``dggev``, ``zggev``) and
-    "qr" for one matrix (``dgeev``, ``zgeev``); workspace queries
-    (``lwork=-1``) are not eigenproblems and are skipped."""
+    one call (``linalg._Plan``).  The route is "qz" for a pencil (``dggev``,
+    ``zggev``) and "qr" for one matrix (``dgeev``, ``zgeev``); a plan's
+    workspace query is not an eigenproblem and is not seen."""
     calls = []
+    call = linalg._Plan.__call__
 
-    def recording(fn, route):
-        def record(M, *args, **kwargs):
-            item = entry(route, M.dtype, M.shape[0])
-            if item is not None and kwargs.get("lwork") != -1:
-                calls.append(item)
-            return fn(M, *args, **kwargs)
-        return record
+    def record(plan, mats):
+        item = entry("qz" if len(mats) == 2 else "qr", mats[0].dtype, mats[0].shape[0])
+        if item is not None:
+            calls.append(item)
+        return call(plan, mats)
 
-    for name, route in (("dggev", "qz"), ("zggev", "qz"), ("dgeev", "qr"), ("zgeev", "qr")):
-        monkeypatch.setattr(scipy.linalg.lapack, name,
-                            recording(getattr(scipy.linalg.lapack, name), route))
+    monkeypatch.setattr(linalg._Plan, "__call__", record)
     return calls
 
 

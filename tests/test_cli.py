@@ -1,14 +1,19 @@
 import csv
+import functools
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from kreiss import MatrixProblem, certify, gen_test_matrix, save_matrix
+from kreiss import (MatrixProblem, certify, default_start, gen_test_matrix, linalg, save_matrix,
+                    solver)
 from kreiss.cli import main
 from kreiss.solver import CERTIFICATE_CHOICES
+
+from conftest import random_stable
 
 
 def run_cli(*args):
@@ -34,7 +39,7 @@ def test_kreiss_scalar(tmp_path):
                    "--emit-trace", str(trace_path))
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert doc["schema_version"] == 8
+    assert doc["schema_version"] == 9
     assert doc["kreiss"] == pytest.approx(1.0, abs=1e-6)
     assert doc["status"] in ("converged", "tolerance-reached")
     # omega(A) = -1 <= 0 decides K = 1 without a certificate
@@ -57,10 +62,15 @@ def test_kreiss_methods_and_grid(jordan_file, tmp_path):
         assert key in owr
     assert (owr["decided_by"], grid["decided_by"]) == ("certificate", "grid")
     # owr records its bracket too: [0, first minimum], then lb at the proof it prints
-    bounds = json.loads(trace_path.read_text())["bounds"]
+    trace = json.loads(trace_path.read_text())
+    bounds = trace["bounds"]
     assert len(bounds) == owr["certificate_calls"] + 1 and bounds[0][0] == 0.0
     assert owr["message"] == f"certified 1/K > {bounds[-1][0]:.17g}"
     assert bounds[-1][1] == pytest.approx(owr["gamma_inv"], rel=1e-15)
+    # owr tests one level per minimum, so no test runs ahead; one trace
+    # entry per report used
+    assert trace["discarded_lookaheads"] == 0
+    assert sum(t["verdict"] != "minimized" for t in trace["trace"]) == owr["certificate_calls"]
 
 
 def test_kreiss_deterministic(jordan_file):
@@ -78,7 +88,7 @@ def test_start_flag_and_trace(jordan_file, tmp_path):
                    "--emit-trace", str(trace_path))
     assert proc.returncode == 0
     trace = json.loads(trace_path.read_text())
-    assert trace["trace"] and trace["bounds"] and trace["schema_version"] == 8
+    assert trace["trace"] and trace["bounds"] and trace["schema_version"] == 9
     assert trace["decided_by"] == "certificate"
     # each certificate records the ends of the interval it searched
     prob = gen_test_matrix("jordan-shifted", 2, time_domain="continuous", eps=0.3)
@@ -132,7 +142,7 @@ def test_certify_variants_match_library(variant, time_domain, eps, gamma, tmp_pa
                              for p in report.points]
     assert doc["empty"] == report.empty
     assert doc["rejected_points"] == report.rejected_points
-    assert doc["schema_version"] == 8
+    assert doc["schema_version"] == 9
     assert doc["eig_orders"] == report.eig_orders
     assert sum(doc["eig_orders"]) == doc["large_eig_count"] == report.large_eig_count
     assert doc["eig_route"] == report.eig_route == "qz" and doc["mass_cond"] is None
@@ -257,3 +267,24 @@ def test_threads_flag_and_log_env(jordan_file):
     doc = json.loads(proc.stdout)
     assert doc["kreiss"] == pytest.approx(1.1333333333, rel=1e-8)
     assert "kreiss INFO" in proc.stderr
+
+
+def test_trace_counts_the_tests_run_ahead_and_discarded(tmp_path, capsys, monkeypatch):
+    # the discrete-time solve of test_solver's look-ahead tests: its first
+    # sweep restarts at the second level, and the third, tested ahead, is
+    # discarded; the trace keeps one entry per report used
+    prob = random_stable(3, 25, "discrete")
+    path = tmp_path / "dt.json"
+    save_matrix(prob, path, "json")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(linalg, "lapack_threads", lambda: 1)
+    monkeypatch.setattr(solver, "solve_owr_backtracking",
+                        functools.partial(solver.solve_owr_backtracking, c=0.5, eta0=2.0))
+    trace_path = tmp_path / "trace.json"
+    start = f"{default_start(prob)[0]!r},0.0"
+    assert main(["kreiss", "--input", str(path), "--method", "owr-bt", "--start", start,
+                 "--emit-trace", str(trace_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    trace = json.loads(trace_path.read_text())
+    assert doc["restarts"] == 1 and trace["discarded_lookaheads"] == 1
+    assert sum(t["verdict"] != "minimized" for t in trace["trace"]) == doc["certificate_calls"]

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from kreiss import (
 )
 from kreiss.objective import domain
 from kreiss.linalg import eig_pencil_deflated, gen_sylvester_solver
-from kreiss.errors import NearSingularOperatorError
+from kreiss import linalg
+from kreiss.errors import ConvergenceFailure, NearSingularOperatorError
 
 from conftest import MatrixOperator, record_eig, record_qz
 
@@ -366,4 +369,77 @@ def test_eig_pencil_is_scipy_eigvals_under_the_dtype_rule(monkeypatch):
     # a singular N gives an infinite eigenvalue, which Spectrum classes so
     spec = eig_pencil(np.eye(2), np.diag([1.0, 0.0]))
     assert spec.is_infinite.tolist() == [False, True] and spec.finite_values.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_the_gil_free_call_is_scipy_eigvals_with_a_kept_workspace(dtype, monkeypatch):
+    # the ctypes call through scipy's cython_lapack pointers gives scipy's
+    # f2py values bitwise, on the first call at an order (which queries the
+    # workspace) and on a repeat call (which uses the kept one)
+    monkeypatch.setattr(linalg, "_PLANS", {})
+    rng = np.random.default_rng(24)
+    for order in (2, 3, 5, 8, 13, 24, 36, 54, 64, 96, 124, 150, 216):
+        X, Y = (rng.standard_normal((order, order)) for _ in range(2))
+        M, N = (X + 1j * Y, Y - 1j * X) if dtype is np.complex128 else (X, Y)
+        alpha, beta = scipy.linalg.eigvals(M, N, homogeneous_eigvals=True)
+        for call, plans in (("first", 2), ("repeat", 0)):
+            known = set(linalg._PLANS)
+            spec = eig_pencil(M)
+            assert np.array_equal(spec.alpha, scipy.linalg.eigvals(M)), (order, call)
+            assert np.array_equal(spec.beta, np.ones(order))
+            spec = eig_pencil(M, N)
+            assert np.array_equal(spec.alpha, alpha) and np.array_equal(spec.beta, beta)
+            # a plan, with its workspace query, per routine and order
+            assert len(set(linalg._PLANS) - known) == plans
+    # the caller's matrices are copied, never overwritten
+    X = rng.standard_normal((6, 6)).astype(dtype)
+    kept = X.copy(order="F")
+    eig_pencil(kept, kept)
+    assert np.array_equal(kept, X)
+
+
+def test_concurrent_calls_give_the_serial_values(monkeypatch):
+    # each call owns its buffer and shares only the kept plans: six threads
+    # on at most two cores, switching every microsecond, and starting with no
+    # plan kept, each get the serial eigenvalues bitwise
+    rng = np.random.default_rng(6)
+    problems = []
+    for order in (8, 24, 54):
+        X, Y = (rng.standard_normal((order, order)) for _ in range(2))
+        problems += [(X,), (X, Y), (X + 1j * Y,), (X + 1j * Y, Y + 0j)]
+    expected = [eig_pencil(*p) for p in problems]
+    monkeypatch.setattr(linalg, "_PLANS", {})
+    results = [[] for _ in range(6)]
+
+    def work(out):
+        for _ in range(3):
+            out.append([eig_pencil(*p) for p in problems])
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in results:
+        assert len(out) == 3
+        for specs in out:
+            for got, want in zip(specs, expected):
+                assert np.array_equal(got.alpha, want.alpha)
+                assert np.array_equal(got.beta, want.beta)
+
+
+def test_a_lapack_failure_raises_convergence_failure():
+    # a NaN pencil makes QZ fail (info = n); a NaN matrix fails in balancing
+    for dtype in (np.float64, np.complex128):
+        nan = np.full((3, 3), np.nan, dtype=dtype)
+        with pytest.raises(ConvergenceFailure, match=r"info=3\)"):
+            eig_pencil(nan, np.eye(3))
+        with pytest.raises(ConvergenceFailure, match=r"info=-4\)"):
+            eig_pencil(nan)
 

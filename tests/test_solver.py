@@ -1,3 +1,8 @@
+import concurrent.futures
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,9 +19,9 @@ from kreiss import (
     solve_owr_backtracking,
     solve_trisection,
 )
-from kreiss.errors import InfeasibleStartError
+from kreiss.errors import ConvergenceFailure, InfeasibleStartError
 from kreiss.oracle import grid_min
-from kreiss import objective, solver
+from kreiss import cert_dt, linalg, objective, solver
 from kreiss.solver import CERTIFICATE_CHOICES, SolveStatus
 
 from conftest import random_normal_stable, random_stable
@@ -376,3 +381,148 @@ def test_trisection_stops_when_a_nudged_level_moves_neither_bound():
     assert after.lb < 20.0 / 29.0 <= after.ub
     assert result.certificate_calls < 100
     _assert_the_bracket_moves_only_by_what_reports_prove(result)
+
+
+def _lookahead(monkeypatch, cpus, blas=1):
+    """Let the solver see ``cpus`` CPUs in its affinity and a BLAS of ``blas``
+    threads under LAPACK (None: unreadable)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(linalg, "lapack_threads", lambda: blas)
+
+
+def _restarting_dt():
+    """A discrete-time problem that does not split, whose owr-bt solve from
+    eta0 = 2 restarts at the second level of its first sweep, while the
+    third is tested ahead."""
+    prob = random_stable(3, 25, "discrete")
+    return prob, dict(start=(default_start(prob)[0], 0.0), c=0.5, eta0=2.0)
+
+
+def _record_certify(monkeypatch, around=None):
+    """(on a worker thread, gamma, eta) of every certificate the solver runs
+    from here on; ``around(worker, gamma, eta, test)`` runs each test."""
+    calls, main, certify = [], threading.get_ident(), solver.certify
+
+    def recording(prob, variant, gamma, eta, **opts):
+        worker = threading.get_ident() != main
+        calls.append((worker, gamma, eta))
+        test = lambda: certify(prob, variant, gamma, eta, **opts)  # noqa: E731
+        return around(worker, gamma, eta, test) if around else test()
+
+    monkeypatch.setattr(solver, "certify", recording)
+    return calls
+
+
+def _facts(result):
+    """Everything of a solve but its timing and the count of discarded tests."""
+    return (repr(result.kreiss), result.status, result.restarts, result.certificate_calls,
+            result.trace, result.bounds_history, result.message,
+            [(r.gamma, r.eta, [(tuple(p.coords), p.value) for p in r.points])
+             for r in result.reports])
+
+
+def test_the_lookahead_solve_is_bitwise_the_serial_one(monkeypatch):
+    prob, opts = _restarting_dt()
+    results, calls = {}, {}
+    for cpus in (1, 2):
+        with monkeypatch.context() as m:
+            _lookahead(m, cpus)
+            calls[cpus] = _record_certify(m)
+            before = set(threading.enumerate())
+            results[cpus] = solve_owr_backtracking(prob, **opts)
+            # no thread the solve started outlives it
+            assert set(threading.enumerate()) <= before
+    serial, ahead = results[1], results[2]
+    assert max(serial.reports[0].eig_orders) >= solver.LOOKAHEAD_MIN_ORDER
+    assert serial.restarts == 1 and serial.status is SolveStatus.CONVERGED
+    assert _facts(ahead) == _facts(serial)
+    assert serial.discarded_lookaheads == 0 and not any(w for w, _, _ in calls[1])
+    # the third level of the first sweep ran ahead and was dropped at the restart
+    assert ahead.discarded_lookaheads == 1
+    assert sum(w for w, _, _ in calls[2]) > 1
+    assert len(calls[2]) == ahead.certificate_calls + ahead.discarded_lookaheads
+
+
+@pytest.mark.parametrize("cpus, blas", [(1, 1), (2, None), (2, 2)],
+                         ids=["one-cpu", "blas-unread", "blas-2-threads"])
+def test_the_serial_path_starts_no_thread(cpus, blas, monkeypatch):
+    prob, opts = _restarting_dt()
+    _lookahead(monkeypatch, cpus, blas)
+    calls = _record_certify(monkeypatch)
+    # the executor's thread would start on the first submit
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit",
+                        lambda *args, **kwargs: pytest.fail("a test was run ahead"))
+    result = solve_owr_backtracking(prob, **opts)
+    assert result.discarded_lookaheads == 0
+    assert len(calls) == result.certificate_calls and not any(w for w, _, _ in calls)
+
+
+def test_an_eigenproblem_below_the_gate_is_tested_serially(jordan_dt, monkeypatch):
+    _lookahead(monkeypatch, 2)
+    calls = _record_certify(monkeypatch)
+    result = solve_owr_backtracking(jordan_dt)
+    assert max(result.reports[0].eig_orders) < solver.LOOKAHEAD_MIN_ORDER
+    assert result.certificate_calls > 2 and not any(w for w, _, _ in calls)
+
+
+def test_an_error_in_a_lookahead_fails_the_solve_only_when_used(monkeypatch):
+    prob, opts = _restarting_dt()
+    _lookahead(monkeypatch, 2)
+    calls = _record_certify(monkeypatch)
+    reference = solve_owr_backtracking(prob, **opts)
+    used = [(t.gamma, t.eta) for t in reference.trace if t.phase == "certificate"]
+    ahead = [(gamma, eta) for worker, gamma, eta in calls if worker]
+    dropped = [level for level in ahead if level not in used]
+    assert len(dropped) == reference.discarded_lookaheads == 1
+
+    def failing(levels):
+        def around(worker, gamma, eta, test):
+            if (gamma, eta) in levels:
+                raise ConvergenceFailure("injected")
+            return test()
+        return around
+
+    # an error in the dropped test is never seen
+    with monkeypatch.context() as m:
+        _record_certify(m, failing(dropped))
+        result = solve_owr_backtracking(prob, **opts)
+    assert _facts(result) == _facts(reference) and result.discarded_lookaheads == 1
+    # an error in a test whose report is used fails the solve as the serial one
+    level = next(level for level in ahead if level in used)
+    failed = {}
+    for cpus in (1, 2):
+        with monkeypatch.context() as m:
+            _lookahead(m, cpus)
+            _record_certify(m, failing([level]))
+            failed[cpus] = solve_owr_backtracking(prob, **opts)
+    assert failed[2].status is SolveStatus.FAILED
+    assert failed[2].message == "certificate failure: injected"
+    assert _facts(failed[2]) == _facts(failed[1])
+
+
+def test_a_restart_waits_for_the_lookahead_before_building_its_level(monkeypatch):
+    # each test ahead lingers after its report, so a level built while one
+    # is in flight would be seen; the level is built once per minimum
+    prob, opts = _restarting_dt()
+    _lookahead(monkeypatch, 2)
+    in_flight, builds, quad_level = [], [], cert_dt._quad_level
+
+    def lingering(worker, gamma, eta, test):
+        if not worker:
+            return test()
+        in_flight.append(gamma)
+        try:
+            return test()
+        finally:
+            time.sleep(0.05)
+            in_flight.remove(gamma)
+
+    def counting(prob, gamma):
+        builds.append(list(in_flight))
+        return quad_level(prob, gamma)
+
+    _record_certify(monkeypatch, lingering)
+    monkeypatch.setattr(cert_dt, "_quad_level", counting)
+    result = solve_owr_backtracking(prob, **opts)
+    assert result.restarts == 1 and result.discarded_lookaheads == 1
+    assert builds == [[]] * (result.restarts + 1)

@@ -5,7 +5,9 @@ a strict xfail, so that a change of behaviour on it shows up as XPASS; a
 case that came right by rounding alone is kept as a plain test.
 The random matrices are the benchmark's seeded draws:
 ``workloads.random_matrix`` with the generator
-``default_rng([seed, time-domain id, 0, n, 0])``; the others are fixtures.  The
+``default_rng([seed, time-domain id, 0, n, 0])``, or the library's
+``random-stable-shifted`` generator (``conftest.random_stable``); the
+others are fixtures.  The
 grid oracle is the reference; its values are attained, so no certified
 answer may undercut them.  A precondition that fails (the draw is not the
 one intended) is reported as a plain failure, not as the expected one.
@@ -17,10 +19,15 @@ import pytest
 from kreiss import MatrixProblem, certify, compute_kreiss, default_start, minimize
 from kreiss.oracle import grid_min
 
+from conftest import random_stable
+
 _TD_ID = {"continuous": 0, "discrete": 1}
 _KNOWN_WRONG = pytest.mark.xfail(strict=True, raises=AssertionError,
                                  reason="ROADMAP item 1: the map from eigenvalues to "
                                         "candidates misses a level set")
+_PLATEAU_PROBE = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                   reason="ROADMAP items 1 and 2: the plateau probe's "
+                                          "EMPTY decides K = 1")
 
 
 def random_matrix(n, time_domain, seed):
@@ -131,3 +138,30 @@ def test_solver_does_not_undercut_the_oracle(method, n, seed, k_oracle):
     _pinned(k_grid, k_oracle, "the grid's K")
     opts = {"c": 0.25} if method == "owr-bt" else {}
     assert compute_kreiss(prob, method, **opts).kreiss >= k_grid * (1.0 - 1e-8)
+
+
+# the smallest discrete-time reproducer of ROADMAP items 1 and 2: an n = 3
+# matrix that does not split, whose numerical range bound is 1.0437, where
+# owr and owr-bt accept the plateau probe's EMPTY at 1 - 1e-9 (K = 1) and
+# trisection at gamma_tol = 3e-7 reports EMPTY at gamma = 0.99764849,
+# eta = 4.58e-7, one step before its last
+@pytest.fixture
+def dt_n3_seed18():
+    prob = random_stable(3, 18, "discrete")
+    g_grid = grid_min(prob, levels=4)[0]
+    _pinned(g_grid, 0.99764813, "the grid minimum")
+    return prob, g_grid
+
+
+@_PLATEAU_PROBE
+@pytest.mark.parametrize("method", ["owr", "owr-bt"])
+def test_restart_methods_find_the_basin_below_the_plateau(dt_n3_seed18, method):
+    prob, g_grid = dt_n3_seed18
+    assert compute_kreiss(prob, method).kreiss >= (1.0 / g_grid) * (1.0 - 1e-8)
+
+
+@_KNOWN_WRONG
+def test_trisection_lower_bound_stays_below_the_attained_value(dt_n3_seed18):
+    prob, g_grid = dt_n3_seed18
+    result = compute_kreiss(prob, "trisection", gamma_tol=3e-7)
+    assert result.bounds_history[-1].lb <= g_grid
