@@ -14,6 +14,7 @@ KREISS_LOG=debug|info for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -171,11 +172,7 @@ def cmd_kreiss(args) -> int:
         trace_doc = {
             "schema_version": SCHEMA_VERSION,
             "decided_by": result.decided_by,
-            "trace": [{"phase": t.phase, "gamma": t.gamma, "eta": t.eta,
-                       "verdict": t.verdict, "points": t.points,
-                       "search_lo": t.search_lo, "search_hi": t.search_hi,
-                       "eig_route": t.eig_route, "mass_cond": t.mass_cond}
-                      for t in result.trace],
+            "trace": [dataclasses.asdict(t) for t in result.trace],
             "bounds": [[b.lb, b.ub] for b in result.bounds_history],
             "discarded_lookaheads": result.discarded_lookaheads,
         }

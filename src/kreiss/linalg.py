@@ -70,6 +70,8 @@ __all__ = [
 ]
 
 _BETA_ZERO_RTOL = 1e-14  # |beta| below this (relative) means an infinite eigenvalue
+_ARPACK_TOL = 1e-10  # ARPACK's relative tolerance on each Ritz value
+_ARPACK_MAXITER_PER_ORDER = 40  # ARPACK's restart budget per unit of order
 # Parts of a split pencil are grouped, in the order given, until each group
 # has coefficient matrices of at least this order (before deflation or
 # linearization).  One QZ call costs about 65 us beyond its O(k^3) work,
@@ -627,7 +629,7 @@ def _operator_norm_estimate(op, rng):
     return float(est)
 
 
-def eigs_shift_invert(op, shift, k, tol=1e-10, maxiter=None, seed=0):
+def eigs_shift_invert(op, shift, k, seed=0):
     """The k eigenvalues of an implicit (generalized) problem nearest a shift.
 
     ``op`` is a ``dnc.LinearOperator``: it provides ``dim``, ``apply(v)``
@@ -639,7 +641,9 @@ def eigs_shift_invert(op, shift, k, tol=1e-10, maxiter=None, seed=0):
 
     Works on the transformed operator T = (A1 - s*A2)^{-1} A2, whose
     largest-magnitude eigenvalues correspond to the pencil eigenvalues
-    nearest the shift.  Per-value convergence is reported explicitly: each
+    nearest the shift, to ARPACK's tolerance ``_ARPACK_TOL`` within
+    ``_ARPACK_MAXITER_PER_ORDER`` restarts per unit of order; ``seed`` draws
+    the starting vector.  Per-value convergence is reported explicitly: each
     returned RitzValue carries its (A1 - lam*A2) residual and a flag, and
     values that failed the residual test are returned flagged rather than
     dropped.
@@ -688,8 +692,8 @@ def eigs_shift_invert(op, shift, k, tol=1e-10, maxiter=None, seed=0):
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     try:
         mu, Z = scipy.sparse.linalg.eigs(
-            T, k=k, which="LM", ncv=ncv, tol=tol,
-            maxiter=maxiter or 40 * dim, v0=v0,
+            T, k=k, which="LM", ncv=ncv, tol=_ARPACK_TOL,
+            maxiter=_ARPACK_MAXITER_PER_ORDER * dim, v0=v0,
         )
     except ArpackNoConvergence as exc:
         mu, Z = exc.eigenvalues, exc.eigenvectors

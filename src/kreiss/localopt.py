@@ -1,14 +1,14 @@
 """Local minimization of the inverse-Kreiss objectives.
 
 Newton's method with an Armijo backtracking line search, falling back to
-BFGS (when Hessians are disabled or refused) and to steepest descent at
-nonsmooth points.  The gradient and Hessian reuse the SVD of the current
-iterate (``objective``), so a Newton step costs one n x n product and a
-closed-form 2 x 2 solve (``_newton_direction``) beyond the line search's
-one SVD per trial point.  The +inf barrier of the objectives keeps every
-accepted iterate feasible; for normal matrices, whose infimum is
-approached only as x (or r) grows without bound, iterates are capped so
-termination stays well defined.
+steepest descent where sigma_min is not simple (a nonsmooth point, or a
+Hessian refused) or Newton gives no descent direction.  The gradient and
+Hessian reuse the SVD of the current iterate (``objective``), so a Newton
+step costs one n x n product and a closed-form 2 x 2 solve
+(``_newton_direction``) beyond the line search's one SVD per trial point.
+The +inf barrier of the objectives keeps every accepted iterate feasible;
+for normal matrices, whose infimum is approached only as x (or r) grows
+without bound, iterates are capped so termination stays well defined.
 """
 
 from __future__ import annotations
@@ -82,24 +82,17 @@ def _newton_direction(grad, hess):
     return None
 
 
-def _bfgs_update(Hinv, s, y):
-    sy = float(np.dot(s, y))
-    if sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-        return Hinv
-    rho = 1.0 / sy
-    eye = np.eye(2)
-    V = eye - rho * np.outer(s, y)
-    return V @ Hinv @ V.T + rho * np.outer(s, s)
-
-
 def minimize(
     prob: MatrixProblem,
     start,
     grad_tol: float = 1e-10,
     max_iter: int = 200,
-    use_hessian: bool = True,
 ) -> OptResult:
     """Minimize g (continuous) or h (discrete) from a feasible start.
+
+    Each step is Newton's, or steepest descent where sigma_min is not simple
+    or Newton gives no descent direction, with an Armijo line search; a
+    Newton step the line search rejects is retried along -grad.
 
     Parameters
     ----------
@@ -110,8 +103,6 @@ def minimize(
     grad_tol : float
         Convergence test is ||grad|| <= grad_tol * max(1, value).
     max_iter : int
-    use_hessian : bool
-        Newton steps when True; BFGS when False.
 
     Returns
     -------
@@ -133,8 +124,6 @@ def minimize(
     if not pt.feasible:
         raise InfeasibleStartError(f"objective is +inf at start {tuple(start)}")
 
-    Hinv = np.eye(2)
-    prev_grad = prev_coords = None
     nonsmooth_run = 0
     stagnant = 0
     grad_norm = np.inf
@@ -172,51 +161,29 @@ def minimize(
             direction = -grad
         else:
             nonsmooth_run = 0
-            direction = None
-            if use_hessian:
-                try:
-                    der_h = objective.hessian(pt, prob)
-                    direction = _newton_direction(grad, der_h.hess)
-                except (NonsimpleSigmaError, DegenerateGapError):
-                    direction = None
+            try:
+                direction = _newton_direction(grad, objective.hessian(pt, prob).hess)
+            except (NonsimpleSigmaError, DegenerateGapError):
+                direction = None
             if direction is None:
-                if prev_grad is not None:
-                    Hinv = _bfgs_update(
-                        Hinv,
-                        np.asarray(pt.coords) - prev_coords,
-                        grad - prev_grad,
-                    )
-                direction = -Hinv @ grad
-                if np.dot(direction, grad) >= 0:
-                    direction = -grad
-
-        prev_grad, prev_coords = grad, np.asarray(pt.coords, dtype=float)
+                direction = -grad
 
         new_pt, ok = _armijo(prob, pt, grad, direction)
-        if not ok and direction is not None and not np.allclose(direction, -grad):
+        if not ok and not np.allclose(direction, -grad):
             new_pt, ok = _armijo(prob, pt, grad, -grad)
-        if not ok:
-            # numerically flat along every tried direction
+        if ok:
+            # improvements below rounding noise cannot continue indefinitely
+            tiny = pt.value - new_pt.value <= 8.0 * np.finfo(float).eps * pt.value
+            stagnant = stagnant + 1 if tiny else 0
+            pt = new_pt
+        if not ok or stagnant >= 3:
+            # numerically flat along every tried direction, or stagnant
             status = (
                 OptStatus.CONVERGED
                 if grad_norm <= max(1e3 * gtol_eff, 1e2 * np.finfo(float).eps)
                 else OptStatus.MAX_ITER
             )
             break
-        # improvements below rounding noise cannot continue indefinitely
-        if pt.value - new_pt.value <= 8.0 * np.finfo(float).eps * pt.value:
-            stagnant += 1
-            if stagnant >= 3:
-                pt = new_pt
-                status = (
-                    OptStatus.CONVERGED
-                    if grad_norm <= max(1e3 * gtol_eff, 1e2 * np.finfo(float).eps)
-                    else OptStatus.MAX_ITER
-                )
-                break
-        else:
-            stagnant = 0
-        pt = new_pt
 
     return OptResult(minimizer=pt, grad_norm=grad_norm, iterations=iterations, status=status)
 

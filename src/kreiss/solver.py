@@ -160,17 +160,10 @@ def default_start(prob: MatrixProblem):
 
     Continuous: x0 = max(1, -2 alpha(A)) on the height of the rightmost
     eigenvalue; discrete: radius halfway to 1/rho(A) at the angle of a
-    largest-modulus eigenvalue.  The first coordinate is doubled (measured
-    from the barrier) while the objective is infinite, which cannot happen
-    for stable problems but keeps the helper total.
+    largest-modulus eigenvalue.  Both lie off the barrier, where the
+    objective of a stable (and, in discrete time, nonsingular) A is finite.
     """
-    dom = objective.domain(prob)
-    c1, c2 = dom.start(prob)
-    for _ in range(200):
-        if np.isfinite(objective.evaluate(prob, c1, c2).value):
-            break
-        c1 = dom.barrier + 2.0 * dom.scale(c1)
-    return (c1, c2)
+    return objective.domain(prob).start(prob)
 
 
 def certify(prob: MatrixProblem, variant: str, gamma: float, eta: float, *,
@@ -385,16 +378,16 @@ class _Descent:
     descent from its lowest usable point that ends strictly below ub makes
     that minimum ub, and the level rule starts again from it."""
 
-    def __init__(self, run, start, opt_opts):
-        self.run, self.opt_opts, self.restarts = run, opt_opts, 0
-        self.res = localopt.minimize(run.prob, _start(run.prob, start), **opt_opts)
+    def __init__(self, run, start):
+        self.run, self.restarts = run, 0
+        self.res = localopt.minimize(run.prob, _start(run.prob, start))
         run.trace.append(TraceEntry("optimize", self.res.value, 0.0, "minimized"))
 
     def __call__(self, report, gamma, bounds):
         run, candidates = self.run, _usable_restart_points(self.run.prob, report, gamma)
         run.message = ""
         if candidates:
-            nxt = localopt.minimize(run.prob, candidates[0].coords, **self.opt_opts)
+            nxt = localopt.minimize(run.prob, candidates[0].coords)
             if nxt.value < bounds.ub * (1.0 - 1e-14):
                 self.res, bounds.ub, self.restarts = nxt, nxt.value, self.restarts + 1
                 run.trace.append(TraceEntry("optimize", nxt.value, 0.0, "minimized"))
@@ -416,7 +409,6 @@ def solve_owr_backtracking(
     certificate: str = "fixed-v",
     use_dnc: bool = False,
     seed: int = 0,
-    **opt_opts,
 ) -> KreissResult:
     """Optimization-with-restarts using a backtracked fixed-distance test.
 
@@ -433,7 +425,7 @@ def solve_owr_backtracking(
             _check_tolerance(name, value)
 
     def iterate(run):
-        descent = _Descent(run, start, opt_opts)
+        descent = _Descent(run, start)
         eta_max = (0.1 * objective.domain(prob).scale(descent.res.minimizer.coords[0])
                    if eta0 is None else eta0)
         eta_min = 1e-8 * eta_max if eta_tol is None else eta_tol
@@ -458,7 +450,6 @@ def solve_owr(
     certificate: str = "variable-v",
     use_dnc: bool = False,
     seed: int = 0,
-    **opt_opts,
 ) -> KreissResult:
     """Optimization-with-restarts without backtracking.
 
@@ -477,7 +468,7 @@ def solve_owr(
                bounds.ub * gamma_tol)
 
     return _solve(prob, "owr", certificate, use_dnc, seed,
-                  lambda run: _Descent(run, start, opt_opts).solve(levels))
+                  lambda run: _Descent(run, start).solve(levels))
 
 
 def solve_trisection(
@@ -487,7 +478,6 @@ def solve_trisection(
     certificate: str = "variable-v",
     use_dnc: bool = False,
     seed: int = 0,
-    **opt_opts,
 ) -> KreissResult:
     """Trisection on [lb, ub] with the variable-distance certificate.
 
@@ -520,7 +510,7 @@ def solve_trisection(
         if ub >= 1.0:
             # the certificate needs gamma < 1; pull the upper bound down, and
             # cap it at 1, a valid bound on 1/K since g and h tend to 1 at infinity
-            ub = localopt.minimize(prob, x0, **opt_opts).value
+            ub = localopt.minimize(prob, x0).value
             run.trace.append(TraceEntry("optimize", ub, 0.0, "minimized"))
             ub = min(ub, 1.0)
         history = _bracket_loop(run, "trisection", levels, Bounds(0.0, ub), lower_ub)

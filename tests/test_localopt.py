@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from kreiss import gen_test_matrix, minimize
-from kreiss.errors import InfeasibleStartError
-from kreiss.localopt import COORD_CAP, OptStatus, _newton_direction
+from kreiss import MatrixProblem, gen_test_matrix, localopt, minimize, objective
+from kreiss.errors import DegenerateGapError, InfeasibleStartError, NonsimpleSigmaError
+from kreiss.localopt import _MAX_NONSMOOTH_STEPS, COORD_CAP, OptStatus, _newton_direction
 from kreiss.oracle import grid_min
 
 from conftest import random_stable
@@ -45,12 +45,6 @@ def test_jordan_interior_minimum(jordan_ct):
     assert res.value == pytest.approx(val, rel=1e-4)
     assert res.value <= val + 1e-12  # optimizer at least as good as the grid
     assert res.grad_norm <= 1e-10 * res.value
-
-
-def test_quasi_newton_path(jordan_ct):
-    newton = minimize(jordan_ct, (1.0, 0.0), use_hessian=True)
-    bfgs = minimize(jordan_ct, (1.0, 0.0), use_hessian=False, max_iter=400)
-    assert bfgs.value == pytest.approx(newton.value, rel=1e-8)
 
 
 def test_discrete_minimum(jordan_dt):
@@ -114,3 +108,81 @@ def test_newton_direction_matches_cholesky(hess, grad, mu):
     assert ref_mu == pytest.approx(mu, rel=1e-12)
     assert np.allclose(d, ref, rtol=1e-14, atol=0.0)
     assert np.allclose((hess + ref_mu * np.eye(2)) @ d, -grad, rtol=1e-14, atol=1e-15)
+
+
+def _record_line_searches(monkeypatch, accept=lambda direction, grad: True):
+    """Record each line search of minimize as (steepest, accepted, value);
+    a search that ``accept`` refuses fails without evaluating."""
+    searches, armijo = [], localopt._armijo
+
+    def recording(prob, pt, grad, direction):
+        new_pt, ok = (armijo(prob, pt, grad, direction) if accept(direction, grad)
+                      else (pt, False))
+        searches.append((np.array_equal(direction, -grad), ok, new_pt.value))
+        return new_pt, ok
+
+    monkeypatch.setattr(localopt, "_armijo", recording)
+    return searches
+
+
+def test_nowhere_simple_sigma_takes_steepest_descent(monkeypatch):
+    # sigma_min of (x + iy) I + I is double everywhere: every gradient is a
+    # subgradient, no Hessian is asked for, and the run stalls
+    monkeypatch.setattr(objective, "hessian", lambda *args: pytest.fail("Hessian asked for"))
+    searches = _record_line_searches(monkeypatch)
+    prob = MatrixProblem(-np.eye(2), "continuous")
+    res = minimize(prob, (1.0, 0.3))
+    assert res.status is OptStatus.STALLED_NONSMOOTH
+    assert res.iterations == _MAX_NONSMOOTH_STEPS + 1
+    assert len(searches) == _MAX_NONSMOOTH_STEPS
+    assert all(steepest and ok for steepest, ok, _ in searches)
+    values = [objective.evaluate(prob, 1.0, 0.3).value] + [value for *_, value in searches]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert res.value == pytest.approx(1.2454161493411966, rel=1e-10)
+
+
+def _refuse_hessian(error):
+    def hessian(*args):
+        raise error("refused")
+    return hessian
+
+
+@pytest.mark.parametrize("refusal", ["degenerate-gap", "nonsimple", "no-direction"])
+@pytest.mark.parametrize("problem, start", [("jordan_ct", (1.0, 0.0)), ("jordan_dt", (1.3, 0.2))])
+def test_refused_newton_falls_back_to_steepest_descent(request, monkeypatch, problem, start,
+                                                       refusal):
+    prob = request.getfixturevalue(problem)
+    newton = minimize(prob, start)
+    if refusal == "no-direction":
+        monkeypatch.setattr(localopt, "_newton_direction", lambda grad, hess: None)
+    else:
+        error = DegenerateGapError if refusal == "degenerate-gap" else NonsimpleSigmaError
+        monkeypatch.setattr(objective, "hessian", _refuse_hessian(error))
+    searches = _record_line_searches(monkeypatch)
+    res = minimize(prob, start)
+    assert res.status is OptStatus.CONVERGED
+    assert all(steepest for steepest, *_ in searches)
+    assert res.iterations > newton.iterations
+    assert abs(res.value - newton.value) <= 1e-14 * newton.value
+
+
+def test_rejected_newton_step_is_retried_along_steepest_descent(jordan_ct, monkeypatch):
+    newton = minimize(jordan_ct, (1.0, 0.0))
+    searches = _record_line_searches(
+        monkeypatch, accept=lambda direction, grad: np.array_equal(direction, -grad))
+    res = minimize(jordan_ct, (1.0, 0.0))
+    assert res.status is OptStatus.CONVERGED
+    retried = [i for i, (steepest, ok, _) in enumerate(searches) if not steepest and not ok]
+    assert retried and all(searches[i + 1][:2] == (True, True) for i in retried)
+    assert abs(res.value - newton.value) <= 1e-14 * newton.value
+
+
+def test_numerically_flat_start_stops_where_it_began(jordan_ct, monkeypatch):
+    # no step is accepted, along Newton's direction or -grad, and the
+    # gradient is far from zero: the run ends at the start, not converged
+    searches = _record_line_searches(monkeypatch, accept=lambda direction, grad: False)
+    res = minimize(jordan_ct, (1.0, 0.0))
+    assert res.status is OptStatus.MAX_ITER
+    assert res.iterations == 1
+    assert res.minimizer.coords == (1.0, 0.0)
+    assert [steepest for steepest, *_ in searches] == [False, True]

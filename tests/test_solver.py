@@ -175,6 +175,19 @@ def test_method_certificate_compatibility(jordan_ct):
         compute_kreiss(jordan_ct, method="bogus")
 
 
+@pytest.mark.parametrize("method, solve", [("owr-bt", "solve_owr_backtracking"),
+                                           ("owr", "solve_owr"),
+                                           ("trisection", "solve_trisection")])
+@pytest.mark.parametrize("A", [np.diag([-1.0, -2.0]), np.array([[-0.3, 1.0], [0.0, -0.3]])],
+                         ids=["contractive", "jordan"])
+def test_a_misspelt_keyword_fails_at_once(method, solve, A):
+    # a contractive A used to return K = 1 with the stray keyword unread,
+    # and the Jordan block to fail only once minimize() received it
+    prob = MatrixProblem(A, "continuous")
+    with pytest.raises(TypeError, match=rf"^{solve}\(\) got an unexpected keyword argument 'gamma_tl'"):
+        compute_kreiss(prob, method=method, gamma_tl=1e-6)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
 def test_tolerances_must_be_positive_and_finite(jordan_ct, bad, monkeypatch):
     # rejected before any certificate runs: a NaN eta0 used to shrink a NaN
