@@ -61,7 +61,10 @@ apart again: into halves of orders n(2n+1) and n(2n-1), or n^2 + n and
 n^2 - n after the fixed pencil's deflation, which ``linalg`` factors half
 by half, unless the halves would regroup into one QZ call
 (``_halves_for``).  The horizontal pencils and every pencil of a complex T
-do not commute with the transpose and stay whole.  The 1D tests, the SVD
+do not commute with the transpose and stay whole.  Both basis changes go
+one way: a pencil keeps the matrices its eigensolver receives, and its
+plain m1 and m2, which the QR route of a halved pencil reads, are built
+directly from T (``KroneckerPencil``).  The 1D tests, the SVD
 verification and the divide-and-conquer operators keep using A, so every
 reported point is verified against the input matrix.  The 1D test fills
 the Hamiltonian matrix (continuous time) or symplectic pencil (discrete
@@ -77,7 +80,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
 
 from . import dnc, linalg, objective
 from .errors import SingularPencilError
@@ -138,39 +140,42 @@ class KroneckerPencil:
     then exactly zero.  When ``halves`` is set (a real split matrix's
     vertical pencils, ``TransposeHalves``), they are then taken into the
     basis of symmetric and skew-symmetric W, where they are block diagonal.
-    ``m1`` and ``m2`` give the pencil itself, both basis changes undone.
+    ``m1`` and ``m2`` give the pencil itself: ``M`` and ``N`` when neither
+    basis change was made, else the direct Kronecker build (``_kron_pencil``)
+    from the split matrix ``T`` (``MatrixProblem.split``) and
+    ``theta_orient``, made when read.
     ``parts`` are the (rows, cols) of the diagonal blocks of M and N
     (``_kron_parts``, or the halves' parts), one when A does not split and
-    the pencil is not halved; ``sizes`` holds the block orders of the split
-    matrix it was built from (``MatrixProblem.split``), (n,) when that
-    matrix is A itself.
+    the pencil is not halved; ``sizes`` holds the block orders of ``T``,
+    (n,) when that matrix is A itself.
     """
 
     M: np.ndarray
     N: np.ndarray
+    T: np.ndarray
     gamma: float
     eta: float
     variant: str
     sizes: tuple[int, ...]
     parts: tuple
     rotation: Optional[np.ndarray] = None
+    theta_orient: Optional[float] = None
     beta: Optional[float] = None
     halves: Optional[TransposeHalves] = None
 
     @property
     def m1(self) -> np.ndarray:
-        return self._plain(self.M)
+        return self._plain()[0]
 
     @property
     def m2(self) -> np.ndarray:
-        return self._plain(self.N)
+        return self._plain()[1]
 
-    def _plain(self, X):
-        if self.halves is not None:
-            X = self.halves.undo(X)
-        if self.rotation is None:
-            return X
-        return _rotate_columns(X, self.rotation, math.isqrt(X.shape[0] // 4), inverse=True)
+    def _plain(self):
+        if self.rotation is None and self.halves is None:
+            return self.M, self.N
+        return _kron_pencil(*_pencil_blocks(self.T, self.gamma, self.eta, self.variant,
+                                            self.theta_orient))
 
     @property
     def mass_core(self) -> Optional[np.ndarray]:
@@ -574,8 +579,9 @@ def _kron_pencil_at(prob, variant, gamma, eta, coefficients, theta_orient=None, 
     levels = prob.level((gamma, theta_orient), lambda: _kron_level(prob, gamma, theta_orient))
     level = levels[variant]
     M, N = level.matrices(**coefficients)
-    return KroneckerPencil(M, N, gamma, eta, variant, prob.split.sizes, level.parts,
-                           level.rotation, beta=beta, halves=level.halves)
+    return KroneckerPencil(M, N, prob.split.T, gamma, eta, variant, prob.split.sizes,
+                           level.parts, level.rotation, theta_orient=theta_orient, beta=beta,
+                           halves=level.halves)
 
 
 def build_fixed_pencil(prob: MatrixProblem, gamma: float, eta: float,
@@ -655,21 +661,18 @@ def _mass_solve(S, X):
     return Y.reshape(2, 2, n, n, -1).transpose(0, 2, 1, 3, 4).reshape(X.shape)
 
 
-def _rotate_columns(M, V, n, inverse=False):
-    """M Z for the unitary Z = P^T (V (x) I_{n^2}) of the fixed pencil, or M Z*.
+def _rotate_columns(M, V, n):
+    """M Z for the unitary Z = P^T (V (x) I_{n^2}) of the fixed pencil.
 
     The fixed pencil's m2 = I_{2n} (x) C + C (x) I_{2n}, with C = c (x) I_n,
     acts on an index (a, i, b, j) as S on (a, b) and as the identity on
     (i, j); P is the permutation that gathers (a, b).  Column (c, k) of Z
     has the 4 nonzeros V[:, c] at the positions (a, i, b, j) with
     (i, j) = k, so with ``_null_rotation`` the first 2n^2 columns of m2 Z
-    vanish.  With ``inverse``, M is in the rotated columns and M Z* is
-    returned.
+    vanish.  The rotation is one-way: the plain pencil is built directly
+    (``KroneckerPencil.m1``), never rotated back.
     """
     m = M.shape[0]
-    if inverse:
-        Mr = np.einsum("mck,pc->mpk", M.reshape(m, 4, n * n), V.conj())
-        return Mr.reshape(m, 2, 2, n, n).transpose(0, 1, 3, 2, 4).reshape(m, 4 * n * n)
     Mr = M.reshape(m, 2, n, 2, n).transpose(0, 1, 3, 2, 4).reshape(m, 4, n * n)
     return np.einsum("mpk,pc->mck", Mr, V).reshape(m, 4 * n * n)
 
@@ -682,56 +685,35 @@ class TransposeHalves:
     For a real T, S2 = S1^T, so m1 = I (x) S1 + S1 (x) I commutes with
     the transpose P of vec(W), and so do m2 = I (x) C + C (x) I and the
     vertical pencils' eta parts -i eta I (``variable-v``) and i eta I
-    (``fixed-v``).  ``rows`` and ``cols`` each hold (index, partner, sign):
-    basis vector t is e_index + sign e_partner, partner = P(index) (sign 0
-    where P fixes index).  The columns are those vectors of the space the
-    pencil acts on: e_kl + e_lk, and e_kk, for the symmetric half, and
-    e_kl - e_lk for the skew half.  The fixed pencil's rotated columns
-    (c, j, i) map under P to (c, i, j) times the parity of column c of the
-    swap-adapted ``_null_rotation``, and its columns follow that signed map.  The rows are rows k of the pencil with
-    k <= P(k) (symmetric half) or k < P(k) (skew half): the pencil maps
-    each half of the columns to W of the same symmetry, which those entries
-    determine.  Each half is sorted by the pair of blocks of T
-    (``_kron_parts``) its index lies in, and ``parts`` holds the (rows,
-    cols) of each (half, pair), symmetric half first.  Nothing is inverted:
-    ``apply`` adds two columns and picks rows, ``undo`` adds and halves.
+    (``fixed-v``).  ``cols`` holds (index, partner, sign): basis vector t
+    is e_index + sign e_partner, partner = P(index) (sign 0 where P fixes
+    index).  These are vectors of the space the pencil acts on: e_kl + e_lk,
+    and e_kk, for the symmetric half, and e_kl - e_lk for the skew half.
+    The fixed pencil's rotated columns (c, j, i) map under P to (c, i, j)
+    times the parity of column c of the swap-adapted ``_null_rotation``,
+    and its columns follow that signed map.  ``rows`` holds the rows k of
+    the pencil with k <= P(k) (symmetric half) or k < P(k) (skew half), in
+    the order of the basis: the pencil maps each half of the columns to W
+    of the same symmetry, which those entries determine.  Each half is
+    sorted by the pair of blocks of T (``_kron_parts``) its index lies in,
+    and ``parts`` holds the (rows, cols) of each (half, pair), symmetric
+    half first.  The change is one-way and nothing is inverted: ``apply``
+    adds two columns and picks rows.
     """
 
-    rows: tuple
+    rows: np.ndarray
     cols: tuple
     parts: tuple
 
     def apply(self, X):
         """The diagonal blocks of the plain pencil matrix X in this basis;
         the rest, zero in exact arithmetic, is set to zero."""
-        index, _, _ = self.rows
         cols, partner, sign = self.cols
         H = np.zeros(X.shape, dtype=X.dtype)
         for r, c in self.parts:
-            Xr = X[index[r]]
+            Xr = X[self.rows[r]]
             H[np.ix_(r, c)] = Xr[:, cols[c]] + sign[c] * Xr[:, partner[c]]
         return H
-
-    def undo(self, H):
-        """The plain matrix X whose ``apply`` is the block-diagonal H.
-
-        With B_rows and B_cols the matrices whose columns are the basis
-        vectors, X = B_rows H D^-1 B_cols^T, where D = B_cols^T B_cols is
-        diagonal (2, or 1 where P fixes the index); a row t of the symmetric
-        half holds an entry (k, l) of a symmetric W, whose (l, k) is the
-        same, and one of the skew half the entry whose (l, k) is its
-        negative.
-        """
-        B_cols = _basis_matrix(*self.cols)
-        D_inv = 1.0 / (1.0 + self.cols[2] ** 2)
-        return _basis_matrix(*self.rows) @ (B_cols @ (D_inv[:, None] * H.T)).T
-
-
-def _basis_matrix(index, partner, sign):
-    """The sparse matrix whose column t is e_index[t] + sign[t] e_partner[t]."""
-    t = np.arange(len(index))
-    return scipy.sparse.csr_matrix((np.r_[np.ones(len(t)), sign],
-                                    (np.r_[index, partner], np.r_[t, t])), shape=(len(t), len(t)))
 
 
 def _signed_halves(sigma, parity, pair):
@@ -779,7 +761,7 @@ def _transpose_halves(sizes, rotated=False):
         cols, col_key = rows, row_key
     parts = tuple((np.flatnonzero(row_key == q), np.flatnonzero(col_key == q))
                   for q in np.unique(row_key))
-    return TransposeHalves(rows, cols, parts)
+    return TransposeHalves(rows[0], cols, parts)
 
 
 def _qz_work(parts):

@@ -485,27 +485,29 @@ def eig_quadratic(Q0, Q1, Q2, parts=None) -> Spectrum:
 def sylvester_solver(P, Q):
     """Factor the Sylvester operator W -> P W + W Q once; returns ``solve(C)``.
 
-    Bartels-Stewart: the separation check, the scale and the Schur forms
-    P = U R U*, Q* = V S V* are computed here, once; each ``solve(C)``
+    Bartels-Stewart: the scale, the Schur forms P = U R U*, Q* = V S V*
+    and the separation check are computed here, once; each ``solve(C)``
     then costs one triangular Sylvester solve (LAPACK ``trsyl``, as in
     ``scipy.linalg.solve_sylvester``) and two back-transforms.  Requires
     Lambda(P) and Lambda(-Q) disjoint; raises NearSingularOperatorError
     when the eigenvalue separation (or, per solve, the residual of the
-    computed solution) indicates a near-singular operator.
+    computed solution) indicates a near-singular operator.  P and Q are
+    complex, so R and S are triangular: Lambda(P) = diag(R) and
+    Lambda(Q) = conj(diag(S)).
     """
     P = np.asarray(P, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
     scale = np.linalg.norm(P, 2) + np.linalg.norm(Q, 2)
-    sep = np.min(np.abs(np.linalg.eigvals(P)[:, None] + np.linalg.eigvals(Q)[None, :]))
-    if sep <= 1e-12 * max(scale, 1e-300):
-        raise NearSingularOperatorError(
-            f"Lambda(P) and Lambda(-Q) separated by only {sep:.3e}"
-        )
     try:
         R, U = scipy.linalg.schur(P, output="real")
         S, V = scipy.linalg.schur(Q.conj().transpose(), output="real")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NearSingularOperatorError(f"Sylvester solve failed: {exc}") from exc
+    sep = np.min(np.abs(np.diag(R)[:, None] + np.diag(S).conj()[None, :]))
+    if sep <= 1e-12 * max(scale, 1e-300):
+        raise NearSingularOperatorError(
+            f"Lambda(P) and Lambda(-Q) separated by only {sep:.3e}"
+        )
     UH, VH = U.conj().transpose(), V.conj().transpose()
     trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (R, S))
 

@@ -55,6 +55,19 @@ def _default_ranges(prob):
     return (1.0 + 1e-3 * margin, 1.0 + 1e3 * margin), (0.0, 2.0 * np.pi)
 
 
+def _first_axes(prob, x_range, y_range, grid_points):
+    """The axes (c1, c2) of a first-level grid over the ranges (any pair,
+    tuple or array), or the problem's defaults where a range is None: c1
+    log-spaced in its distance from the barrier, c2 linear."""
+    lo_bound = 0.0 if prob.time_domain is TimeDomain.CONTINUOUS else 1.0
+    d1, d2 = _default_ranges(prob)
+    rng1 = tuple(x_range) if x_range is not None else d1
+    rng2 = tuple(y_range) if y_range is not None else d2
+    off_lo = max(rng1[0] - lo_bound, 1e-12 * max(1.0, rng1[1]))
+    c1 = lo_bound + np.geomspace(off_lo, rng1[1] - lo_bound, grid_points)
+    return c1, np.linspace(rng2[0], rng2[1], grid_points)
+
+
 def grid_min(prob: MatrixProblem, x_range=None, y_range=None, levels: int = 4,
              grid_points: int = _GRID_POINTS):
     """Adaptive multilevel grid minimization of g (or h).
@@ -69,17 +82,8 @@ def grid_min(prob: MatrixProblem, x_range=None, y_range=None, levels: int = 4,
     -------
     (value, coords) : (float, (float, float))
     """
-    continuous = prob.time_domain is TimeDomain.CONTINUOUS
-    lo_bound = 0.0 if continuous else 1.0
-    d1, d2 = _default_ranges(prob)
-    rng1 = tuple(x_range) if x_range is not None else d1
-    rng2 = tuple(y_range) if y_range is not None else d2
-
-    # level 0: log spacing in the coordinate measured from the barrier
-    off_lo = max(rng1[0] - lo_bound, 1e-12 * max(1.0, rng1[1]))
-    c1 = lo_bound + np.geomspace(off_lo, rng1[1] - lo_bound, grid_points)
-    c2 = np.linspace(rng2[0], rng2[1], grid_points)
-
+    lo_bound = 0.0 if prob.time_domain is TimeDomain.CONTINUOUS else 1.0
+    c1, c2 = _first_axes(prob, x_range, y_range, grid_points)
     best_val, best_c = np.inf, None
     w1 = c1[-1] - c1[0]
     w2 = c2[-1] - c2[0]
@@ -150,15 +154,8 @@ def ratio_curve(prob: MatrixProblem, eps_grid, grid_points: int = 220):
 
 
 def field_grid(prob: MatrixProblem, x_range=None, y_range=None, grid_points: int = _GRID_POINTS):
-    """Objective values on a single-level grid, as rows (c1, c2, value)."""
-    continuous = prob.time_domain is TimeDomain.CONTINUOUS
-    lo_bound = 0.0 if continuous else 1.0
-    rng1, rng2 = _default_ranges(prob)
-    rng1 = x_range or rng1
-    rng2 = y_range or rng2
-    c1 = lo_bound + np.geomspace(max(rng1[0] - lo_bound, 1e-12), rng1[1] - lo_bound, grid_points)
-    c2 = np.linspace(rng2[0], rng2[1], grid_points)
-    C1, C2 = np.meshgrid(c1, c2, indexing="ij")
+    """Objective values on ``grid_min``'s first-level grid, as rows (c1, c2, value)."""
+    C1, C2 = np.meshgrid(*_first_axes(prob, x_range, y_range, grid_points), indexing="ij")
     vals = _eval_block(prob, C1, C2)
     return np.column_stack([C1.ravel(), C2.ravel(), vals.ravel()])
 

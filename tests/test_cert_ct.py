@@ -374,11 +374,11 @@ def test_the_threshold_decides_the_split(monkeypatch):
 
 def test_irreducible_pencils_are_built_from_a_itself():
     # an unsplit level is built from the blocks of A itself: the variable
-    # pencils are bitwise the direct Kronecker build of A's blocks, and the
-    # fixed one, whose level keeps its eta part apart and its columns
-    # rotated, agrees with it to rounding (a Schur form would differ by O(1));
-    # so do a real A's vertical pencils at n >= 4, which QZ gets in the
-    # basis of symmetric and skew-symmetric W, one call per half
+    # pencils' M and N are bitwise the direct Kronecker build of A's blocks,
+    # and the fixed one's, whose level keeps its eta part apart and its
+    # columns rotated, agree with it rotated to rounding (a Schur form would
+    # differ by O(1)); so do a real A's vertical pencils at n >= 4, which QZ
+    # gets in the basis of symmetric and skew-symmetric W, one call per half
     eps = np.finfo(float).eps
 
     def close(got, want):
@@ -398,15 +398,18 @@ def test_irreducible_pencils_are_built_from_a_itself():
             halved = n >= 4 and args[-1] in (np.pi / 2, "variable-vertical")
             assert pen.sizes == (n,) and len(pen.parts) == (2 if halved else 1)
             assert (pen.halves is not None) == halved
-            if pen.rotation is None and not halved:
-                assert np.array_equal(pen.m1, m1) and np.array_equal(pen.m2, m2)
-            else:
-                assert close(pen.m1, m1) and close(pen.m2, m2)
+            # m1 and m2 are the direct build; the matrices the eigensolver
+            # receives are checked against it carried forward
+            assert np.array_equal(pen.m1, m1) and np.array_equal(pen.m2, m2)
+            M, N = m1, m2
+            if pen.rotation is not None:
+                M, N = (_rotate_columns(X, pen.rotation, n) for X in (m1, m2))
             if halved:
-                M, N = m1, m2
-                if pen.rotation is not None:
-                    M, N = (_rotate_columns(X, pen.rotation, n) for X in (m1, m2))
-                assert close(pen.M, pen.halves.apply(M)) and close(pen.N, pen.halves.apply(N))
+                M, N = pen.halves.apply(M), pen.halves.apply(N)
+            if pen.rotation is None and not halved:
+                assert np.array_equal(pen.M, m1) and np.array_equal(pen.N, m2)
+            else:
+                assert close(pen.M, M) and close(pen.N, N)
             spec = pen.spectrum()
             if halved:
                 deflated = pen.rotation is not None

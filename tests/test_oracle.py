@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kreiss import MatrixProblem, gen_test_matrix, solve_owr
+from kreiss import MatrixProblem, gen_test_matrix, oracle, solve_owr
 from kreiss.oracle import field_grid, grid_min, ratio_curve, write_curve_csv, write_field_csv
 
 from conftest import contractive, jordan_block, random_normal_stable
@@ -75,6 +75,28 @@ def test_field_csv(tmp_path, jordan_ct):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     assert header == ["x", "y", "g"]
+
+
+def test_field_grid_is_grid_min_first_level(jordan_ct, jordan_dt, monkeypatch):
+    # field_grid takes every range grid_min takes, arrays too, and its rows
+    # are the points grid_min evaluates first, also for a range that starts
+    # at the barrier, where the lower end is clamped
+    first = []
+    evaluate = oracle._eval_block
+    monkeypatch.setattr(oracle, "_eval_block",
+                        lambda prob, C1, C2: first.append((C1, C2)) or evaluate(prob, C1, C2))
+    for prob, x_range, y_range in ((jordan_ct, (0.1, 2.0), (-1.0, 1.0)),
+                                   (jordan_ct, (0.0, 2.0), (-1.0, 1.0)),
+                                   (jordan_dt, (1.0, 3.0), (0.0, np.pi)),
+                                   (jordan_dt, None, None)):
+        rows = field_grid(prob, x_range, y_range, grid_points=11)
+        if x_range is not None:
+            arrays = field_grid(prob, np.array(x_range), np.array(y_range), grid_points=11)
+            assert np.array_equal(arrays, rows, equal_nan=True)
+        first.clear()
+        grid_min(prob, x_range, y_range, levels=1, grid_points=11)
+        C1, C2 = first[0]
+        assert np.array_equal(rows[:, 0], C1.ravel()) and np.array_equal(rows[:, 1], C2.ravel())
 
 
 def test_oracle_never_beats_certified_optimum(jordan_ct, jordan_dt):
